@@ -39,6 +39,7 @@ from .interference import (
     interference_weight,
     joint_detection_probability,
     normalized_visibility,
+    overlap_weight,
     tuning_curve,
     visibility_map,
     visibility_pd_only,

@@ -35,6 +35,7 @@ from .emitter import (
 )
 from .gates import (
     GateMatrix,
+    GateQuad,
     TOMOGRAPHY_BASES,
     cnot_gate,
     compose,
@@ -42,11 +43,7 @@ from .gates import (
     prep_gate,
     tomography_gate,
 )
-from .interference import (
-    coincidence_probability,
-    interference_weight,
-    visibility_map,
-)
+from .interference import interference_weight, overlap_weight, visibility_map
 
 __all__ = [
     "FidelityResult",
@@ -88,30 +85,57 @@ def _stage_gates() -> dict[str, GateMatrix]:
     return {basis: compose(tomography_gate(basis), base) for basis in TOMOGRAPHY_BASES}
 
 
+# A coincidence probability is affine in the spectral overlap weight w:
+# p = p0a + p0b + s * w with s = 2 |quad| cos(Phi_U), the closed form of
+# coincidence_probability.  _Affine holds (p0a, p0b, s).
+_Affine = tuple[float, float, float]
+
+
+def _affine(quad: GateQuad) -> _Affine:
+    return quad.p0_terms[0], quad.p0_terms[1], 2.0 * quad.magnitude * math.cos(quad.phase)
+
+
+def _probability(terms: _Affine, weight: float) -> float:
+    p0a, p0b, slope = terms
+    return p0a + p0b + slope * weight
+
+
+@lru_cache(maxsize=1)
+def _basis_terms() -> dict[str, tuple[_Affine, tuple[_Affine, ...], bool]]:
+    """Per tomography basis: the affine terms of the coincidence outputs, those
+    of the four rail-pair outcomes, and whether the coincidence quad carries
+    a genuinely complex phase."""
+    terms = {}
+    for basis, gate in _stage_gates().items():
+        quad = gate_quad(gate, CONTROL_IN, TARGET_IN, *COINC_OUT)
+        rails = tuple(
+            _affine(gate_quad(gate, CONTROL_IN, TARGET_IN, ko, lo))
+            for ko in CONTROL_RAILS
+            for lo in TARGET_RAILS
+        )
+        is_complex = abs(math.sin(quad.phase)) * quad.magnitude > COMPLEX_PHASE_TOL
+        terms[basis] = (_affine(quad), rails, is_complex)
+    return terms
+
+
 @lru_cache(maxsize=1)
 def _weight_coefficients() -> tuple[float, float, float, float]:
     """Linear coefficients of the fidelity numerator and success vs weight.
 
-    Every coincidence probability is affine in the spectral overlap weight
-    w: p = p0 + slope * w.  Returns (raw_const, raw_slope, succ_const,
-    succ_slope) where raw is the signed six-basis sum and succ the
-    four-outcome total (verified identical across settings to 1e-12).
+    Returns (raw_const, raw_slope, succ_const, succ_slope) where raw is the
+    signed six-basis sum and succ the four-outcome total (verified
+    identical across settings to 1e-12).
     """
-    gates_by_basis = _stage_gates()
-    k, l = COINC_OUT
     raw_const = raw_slope = 0.0
     succ = []
-    for basis, gate in gates_by_basis.items():
-        quad = gate_quad(gate, CONTROL_IN, TARGET_IN, k, l)
+    for basis, ((p0a, p0b, slope), rails, _) in _basis_terms().items():
         sign = -1.0 if basis in ("RR", "LL") else 1.0
-        raw_const += sign * (quad.p0_terms[0] + quad.p0_terms[1])
-        raw_slope += sign * 2.0 * quad.magnitude * math.cos(quad.phase)
+        raw_const += sign * (p0a + p0b)
+        raw_slope += sign * slope
         c = s = 0.0
-        for ko in CONTROL_RAILS:
-            for lo in TARGET_RAILS:
-                q = gate_quad(gate, CONTROL_IN, TARGET_IN, ko, lo)
-                c += q.p0_terms[0] + q.p0_terms[1]
-                s += 2.0 * q.magnitude * math.cos(q.phase)
+        for ra, rb, rs in rails:
+            c += ra + rb
+            s += rs
         succ.append((c, s))
     consts = np.array([c for c, _ in succ])
     slopes = np.array([s for _, s in succ])
@@ -138,25 +162,18 @@ def bell_fidelity(pair: PhotonPair) -> FidelityResult:
     Evaluates the six projective coincidence probabilities through the
     composed gates, normalizes their signed sum by the post-selection
     success probability, and records any basis whose interference quad
-    carries a genuinely complex phase.
+    carries a genuinely complex phase.  The overlap weight is computed once
+    and enters every probability through the cached per-basis affine terms.
     """
-    gates_by_basis = _stage_gates()
-    k, l = COINC_OUT
+    weight = interference_weight(pair)
     probs: dict[str, float] = {}
     complex_bases: list[str] = []
     success_by_basis = []
-    for basis, gate in gates_by_basis.items():
-        probs[basis] = coincidence_probability(gate, CONTROL_IN, TARGET_IN, k, l, pair)
-        quad = gate_quad(gate, CONTROL_IN, TARGET_IN, k, l)
-        if abs(math.sin(quad.phase)) * quad.magnitude > COMPLEX_PHASE_TOL:
+    for basis, (coinc, rails, is_complex) in _basis_terms().items():
+        probs[basis] = _probability(coinc, weight)
+        if is_complex:
             complex_bases.append(basis)
-        success_by_basis.append(
-            sum(
-                coincidence_probability(gate, CONTROL_IN, TARGET_IN, ko, lo, pair)
-                for ko in CONTROL_RAILS
-                for lo in TARGET_RAILS
-            )
-        )
+        success_by_basis.append(sum(_probability(terms, weight) for terms in rails))
     if np.ptp(success_by_basis) > 1e-9:
         raise AssertionError("tomography settings disagree on the success probability")
     success = float(np.mean(success_by_basis))
@@ -312,19 +329,15 @@ def emitter_assessment(
             points=tuple(points),
         )
 
-    emitters_i = [
-        EmitterParams(constraint.lifetime, max(r, 0.0), f)
-        for r, f in constraint.decomposition(n_points)
-    ]
-    emitters_j = [
-        EmitterParams(second.lifetime, max(r, 0.0), f)
-        for r, f in second.decomposition(n_points)
-    ]
-    weights = np.array(
-        [
-            [interference_weight(PhotonPair(ei, ej)) for ej in emitters_j]
-            for ei in emitters_i
-        ]
+    # The product of both curves in one kernel call, from the same joint
+    # sums PhotonPair forms: gamma_i + gamma_j and sqrt(sigma_i^2 + sigma_j^2).
+    gamma_i, var_i = _curve_widths(constraint, n_points)
+    gamma_j, var_j = _curve_widths(second, n_points)
+    weights = overlap_weight(
+        gamma_i[:, None] + gamma_j[None, :],
+        np.sqrt(var_i[:, None] + var_j[None, :]),
+        0.0,
+        constraint.lifetime + second.lifetime,
     )
     fidelities = fidelity_at_weight(weights)
     return AssessmentResult(
@@ -332,3 +345,12 @@ def emitter_assessment(
         fidelity_range=(float(fidelities.min()), float(fidelities.max())),
         points=None,
     )
+
+
+def _curve_widths(constraint: EmitterConstraint, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_h and sigma^2 of every emitter on the decomposition curve."""
+    emitters = [
+        EmitterParams(constraint.lifetime, max(r, 0.0), f)
+        for r, f in constraint.decomposition(n_points)
+    ]
+    return np.array([e.gamma_h for e in emitters]), np.array([e.sigma**2 for e in emitters])

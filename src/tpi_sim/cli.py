@@ -130,18 +130,80 @@ def _need(cfg: dict, key: str, kind=None):
     return value
 
 
-def _parse_emitter(obj: dict) -> tuple[EmitterParams, dict]:
+def _field_name(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _number(obj: dict, key: str, where: str = "", default: float | None = None) -> float:
+    """Finite number at ``obj[key]`` (``default`` when absent), as a float.
+
+    ``where`` is the path of ``obj`` in the config, for error messages.
+    JSON true and false parse as bool, a subtype of int, and are refused.
+    """
+    name = _field_name(where, key)
+    if key not in obj:
+        if default is None:
+            raise ConfigError(f"config is missing required field {name!r}")
+        return default
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config field {name!r} must be a number, not {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"config field {name!r} must be finite, not {value!r}")
+    return value
+
+
+# The model squares rates and widths in Hz and inverts times in s; keeping
+# every nonzero physical input within this magnitude range in SI units keeps
+# those squares and inverses finite and nonzero.
+_SI_MAGNITUDE = (1e-150, 1e150)
+
+
+def _quantity(
+    obj: dict, key: str, where: str, si_scale: float, default: float | None = None
+) -> float:
+    """A physical field in its config unit, range-checked in SI units."""
+    value = _number(obj, key, where, default)
+    low, high = _SI_MAGNITUDE
+    if value != 0.0 and not low <= abs(value * si_scale) <= high:
+        raise ConfigError(
+            f"config field {_field_name(where, key)!r} = {value!r} is out of range: "
+            f"converted to s or Hz, a nonzero value must have a magnitude in [{low:g}, {high:g}]"
+        )
+    return value
+
+
+def _integer(obj: dict, key: str, minimum: int, where: str = "", default: int | None = None) -> int:
+    """Integer at ``obj[key]`` (``default`` when absent), at least ``minimum``."""
+    name = _field_name(where, key)
+    if key not in obj and default is None:
+        raise ConfigError(f"config is missing required field {name!r}")
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"config field {name!r} must be an integer >= {minimum}, not {value!r}")
+    return value
+
+
+def _parse_emitter(obj: dict, where: str) -> tuple[EmitterParams, dict]:
     if not isinstance(obj, dict):
-        raise ConfigError("each emitter must be an object")
-    canonical = {
-        "lifetime_ps": float(_need(obj, "lifetime_ps", (int, float))),
-        "dephasing_rate_mhz": float(obj.get("dephasing_rate_mhz", 0.0)),
-        "inhomogeneous_fwhm_mhz": float(obj.get("inhomogeneous_fwhm_mhz", 0.0)),
-        "detuning_mhz": float(obj.get("detuning_mhz", 0.0)),
+        raise ConfigError(f"{where} must be an object")
+    scales = {
+        "lifetime_ps": PS,
+        "dephasing_rate_mhz": MHZ,
+        "inhomogeneous_fwhm_mhz": MHZ,
+        "detuning_mhz": MHZ,
     }
-    unknown = set(obj) - set(canonical)
+    unknown = set(obj) - set(scales)
     if unknown:
         raise ConfigError(f"unknown emitter fields: {sorted(unknown)}")
+    canonical = {
+        key: _quantity(obj, key, where, scale, None if key == "lifetime_ps" else 0.0)
+        for key, scale in scales.items()
+    }
     try:
         emitter = EmitterParams(
             lifetime=canonical["lifetime_ps"] * PS,
@@ -158,19 +220,17 @@ def _parse_pair(cfg: dict) -> tuple[PhotonPair, list[dict]]:
     raw = _need(cfg, "emitters", list)
     if len(raw) != 2:
         raise ConfigError("field 'emitters' must list exactly two emitters")
-    parsed = [_parse_emitter(e) for e in raw]
+    parsed = [_parse_emitter(e, f"emitters[{n}]") for n, e in enumerate(raw)]
     return PhotonPair(parsed[0][0], parsed[1][0]), [p[1] for p in parsed]
 
 
 def _parse_grid(cfg: dict, key: str, min_allowed: float = -math.inf) -> tuple[np.ndarray, dict]:
     grid_cfg = _need(cfg, key, dict)
-    lo = float(_need(grid_cfg, "min", (int, float)))
-    hi = float(_need(grid_cfg, "max", (int, float)))
-    n = _need(grid_cfg, "n", int)
+    lo = _number(grid_cfg, "min", key)
+    hi = _number(grid_cfg, "max", key)
+    n = _integer(grid_cfg, "n", 1, key)
     spacing = grid_cfg.get("spacing", "linear")
-    if n < 1:
-        raise ConfigError(f"grid {key!r} is empty (n = {n})")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+    if hi < lo:
         raise ConfigError(f"grid {key!r} has an invalid range [{lo}, {hi}]")
     if lo < min_allowed:
         raise ConfigError(f"grid {key!r} must not go below {min_allowed}")
@@ -186,33 +246,35 @@ def _parse_grid(cfg: dict, key: str, min_allowed: float = -math.inf) -> tuple[np
     return grid, canonical
 
 
-def _parse_constraint(obj: dict) -> tuple[EmitterConstraint, dict]:
+def _parse_constraint(obj: dict, where: str) -> tuple[EmitterConstraint, dict]:
     if not isinstance(obj, dict):
-        raise ConfigError("constraint must be an object")
-    known = {
-        "lifetime_ps",
-        "coherence_time_ps",
-        "total_fwhm_mhz",
-        "lorentzian_fwhm_mhz",
-        "lorentzian_fwhm_max_mhz",
-        "gaussian_fwhm_mhz",
+        raise ConfigError(f"{where} must be an object")
+    scales = {
+        "lifetime_ps": PS,
+        "coherence_time_ps": PS,
+        "total_fwhm_mhz": MHZ,
+        "lorentzian_fwhm_mhz": MHZ,
+        "lorentzian_fwhm_max_mhz": MHZ,
+        "gaussian_fwhm_mhz": MHZ,
     }
-    unknown = set(obj) - known
+    unknown = set(obj) - set(scales)
     if unknown:
         raise ConfigError(f"unknown constraint fields: {sorted(unknown)}")
-    canonical = {k: float(obj[k]) for k in known if k in obj}
+    if "lifetime_ps" not in obj:
+        raise ConfigError(f"config is missing required field {where + '.lifetime_ps'!r}")
+    canonical = {k: _quantity(obj, k, where, scale) for k, scale in scales.items() if k in obj}
 
-    def get(name: str, scale: float):
-        return canonical[name] * scale if name in canonical else None
+    def get(key: str):
+        return canonical[key] * scales[key] if key in canonical else None
 
     try:
         constraint = EmitterConstraint(
-            lifetime=float(_need(obj, "lifetime_ps", (int, float))) * PS,
-            coherence_time=get("coherence_time_ps", PS),
-            total_fwhm=get("total_fwhm_mhz", MHZ),
-            lorentzian_fwhm=get("lorentzian_fwhm_mhz", MHZ),
-            lorentzian_fwhm_max=get("lorentzian_fwhm_max_mhz", MHZ),
-            gaussian_fwhm=get("gaussian_fwhm_mhz", MHZ),
+            lifetime=get("lifetime_ps"),
+            coherence_time=get("coherence_time_ps"),
+            total_fwhm=get("total_fwhm_mhz"),
+            lorentzian_fwhm=get("lorentzian_fwhm_mhz"),
+            lorentzian_fwhm_max=get("lorentzian_fwhm_max_mhz"),
+            gaussian_fwhm=get("gaussian_fwhm_mhz"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid constraint: {exc}") from exc
@@ -227,13 +289,11 @@ def _parse_constraint(obj: dict) -> tuple[EmitterConstraint, dict]:
 def cmd_g2(config: RunConfig) -> int:
     cfg = config.params
     pair, _ = _parse_pair(cfg)
-    n_tau = cfg.get("n_tau", 4001)
-    if not isinstance(n_tau, int) or n_tau < 2:
-        raise ConfigError("n_tau must be an integer >= 2")
+    n_tau = _integer(cfg, "n_tau", 2, default=4001)
     default_span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime) / PS
-    tau_max_ps = float(cfg.get("tau_max_ps", default_span))
-    if not (tau_max_ps > 0.0 and math.isfinite(tau_max_ps)):
-        raise ConfigError("tau_max_ps must be positive and finite")
+    tau_max_ps = _number(cfg, "tau_max_ps", default=default_span)
+    if not tau_max_ps > 0.0:
+        raise ConfigError("config field 'tau_max_ps' must be positive")
     cfg_canonical = dict(cfg)
     cfg_canonical.update(n_tau=n_tau, tau_max_ps=tau_max_ps)
     config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
@@ -291,10 +351,8 @@ def cmd_fmap(config: RunConfig) -> int:
 
 def cmd_decompose(config: RunConfig) -> int:
     cfg = config.params
-    constraint, canonical = _parse_constraint(cfg.get("constraint", {}))
-    n_points = cfg.get("n_points", 200)
-    if not isinstance(n_points, int) or n_points < 1:
-        raise ConfigError("n_points must be a positive integer")
+    constraint, canonical = _parse_constraint(cfg.get("constraint", {}), "constraint")
+    n_points = _integer(cfg, "n_points", 1, default=200)
     cfg_canonical = {"constraint": canonical, "n_points": n_points}
     config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
     lifetime = constraint.lifetime
@@ -318,22 +376,20 @@ def cmd_assess(config: RunConfig) -> int:
     sources = _need(cfg, "sources", list)
     if not sources:
         raise ConfigError("field 'sources' must list at least one entry")
-    n_points = cfg.get("n_points", 200)
-    if not isinstance(n_points, int) or n_points < 1:
-        raise ConfigError("n_points must be a positive integer")
+    n_points = _integer(cfg, "n_points", 1, default=200)
     canonical_sources = []
     rows = []
-    for entry in sources:
+    for n, entry in enumerate(sources):
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError("each source needs at least a 'name'")
         name = str(entry["name"])
         constraint, c_main = _parse_constraint(
-            {k: v for k, v in entry.items() if k not in ("name", "second")}
+            {k: v for k, v in entry.items() if k not in ("name", "second")}, f"sources[{n}]"
         )
         second = None
         c_second = None
         if "second" in entry:
-            second, c_second = _parse_constraint(entry["second"])
+            second, c_second = _parse_constraint(entry["second"], f"sources[{n}].second")
         result = emitter_assessment(constraint, second, n_points)
         canonical = {"name": name, **c_main}
         if c_second is not None:
@@ -361,15 +417,13 @@ def cmd_assess(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     cfg = config.params
-    sizes = {
-        "closed_form_instances": cfg.get("closed_form_instances", 100),
-        "mc_instances": cfg.get("mc_instances", 10),
-        "mc_realizations": cfg.get("mc_realizations", 3000),
-        "phase_trials": cfg.get("phase_trials", 100_000),
+    defaults = {
+        "closed_form_instances": 100,
+        "mc_instances": 10,
+        "mc_realizations": 3000,
+        "phase_trials": 100_000,
     }
-    for key, value in sizes.items():
-        if not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{key} must be a positive integer")
+    sizes = {key: _integer(cfg, key, 1, default=default) for key, default in defaults.items()}
     config = RunConfig(config.command, dict(sizes), config.out, config.fmt, config.seed)
     report = run_verification(seed=config.seed, **sizes)
     rows = [[c.name, c.observed, c.bound, c.passed] for c in report.checks]
@@ -422,8 +476,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: config must be a JSON object", file=sys.stderr)
         return 1
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    if not isinstance(seed, int):
-        print("error: seed must be an integer", file=sys.stderr)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        print(f"error: config field 'seed' must be an integer, not {seed!r}", file=sys.stderr)
         return 1
     params = {k: v for k, v in raw.items() if k != "seed"}
     config = RunConfig(

@@ -195,6 +195,10 @@ def coherence_time(lifetime: float, dephasing_rate: float, inhomogeneous_fwhm: f
             raise ValueError("gamma_h and inhomogeneous_fwhm cannot both vanish")
         return 1.0 / gamma_h
     sp2 = inhomogeneous_fwhm * inhomogeneous_fwhm
+    if math.isinf(sp2):
+        raise ValueError(
+            f"inhomogeneous_fwhm {inhomogeneous_fwhm!r} is too large: its square overflows"
+        )
     a = 2.0 * _LN2 / math.pi**2 * gamma_h / sp2
     c = 4.0 * _LN2 / (math.pi**2 * sp2)
     return c / (a + math.sqrt(a * a + c))
@@ -276,31 +280,68 @@ def decompose_voigt_fwhm(
         return [(0.0, 0.0)]
 
     rate_max = math.pi * total_fwhm - 0.5 / lifetime
-    gauss_max = _bisect_increasing(
-        lambda g: voigt_fwhm(fourier_fwhm, g), total_fwhm, 0.0, 2.0 * total_fwhm
+    (gauss_max,) = _bisect_voigt(
+        lambda g: voigt_fwhm(fourier_fwhm, g), total_fwhm, np.array([2.0 * total_fwhm])
+    ).tolist()
+    fwhms = np.geomspace(gauss_max * 1e-3, gauss_max, n_points - 1)
+    interior = fwhms[fwhms != gauss_max]
+    lor = _bisect_voigt(
+        lambda l: voigt_fwhm(l, interior), total_fwhm, np.full_like(interior, total_fwhm)
     )
+    rates = np.maximum(math.pi * lor - 0.5 / lifetime, 0.0)
     pairs: list[tuple[float, float]] = [(rate_max, 0.0)]
-    for fwhm in np.geomspace(gauss_max * 1e-3, gauss_max, n_points - 1):
-        if fwhm == gauss_max:
-            pairs.append((0.0, float(fwhm)))
-            continue
-        lor = _bisect_increasing(
-            lambda l: voigt_fwhm(l, fwhm), total_fwhm, 0.0, total_fwhm
-        )
-        pairs.append((max(math.pi * lor - 0.5 / lifetime, 0.0), float(fwhm)))
+    solved = iter(zip(rates.tolist(), interior.tolist()))
+    for fwhm in fwhms.tolist():
+        pairs.append((0.0, fwhm) if fwhm == gauss_max else next(solved))
     return pairs
 
 
-def _bisect_increasing(fn, target: float, lo: float, hi: float, rtol: float = 1e-9) -> float:
-    """Solve fn(x) = target for an increasing fn on [lo, hi]."""
-    if fn(hi) < target:
+# One call of ``fwhm_of`` in _bisect_voigt runs a whole inner bisection, whose
+# cost on small arrays is set by numpy's per-call overhead rather than by the
+# number of elements.  A solve over few elements therefore evaluates the
+# midpoints of several bisection levels in one call, up to about this many
+# points in all.
+_POINTS_PER_CALL = 64
+
+
+def _bisect_voigt(fwhm_of, target: float, hi: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+    """Solve the increasing ``fwhm_of(x) = target`` for every x on [0, hi].
+
+    One lockstep bisection over the array ``hi``: each element freezes when
+    its own interval satisfies ``hi - lo <= rtol * max(hi, 1e-300)`` and
+    returns the midpoint of that interval, exactly as a scalar bisection
+    does.  Each round evaluates ``fwhm_of`` once on every midpoint the next
+    ``levels`` bisection steps can visit, each formed from its two parents
+    as the scalar bisection forms it, and then takes those steps.
+    """
+    if np.any(fwhm_of(hi) < target):
         raise InfeasibleDecompositionError("target not bracketed")
-    while hi - lo > rtol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+    # the most levels whose 2**levels - 1 midpoints per element fit the budget
+    levels = max(1, (_POINTS_PER_CALL // max(hi.size, 1) + 1).bit_length() - 1)
+    span = 2**levels
+    cols = np.arange(hi.size)
+    lo = np.zeros_like(hi)
+    live = hi - lo > rtol * np.maximum(hi, 1e-300)
+    while np.count_nonzero(live):
+        grid = np.empty((span + 1, hi.size))
+        grid[0] = lo
+        grid[span] = hi
+        step = span
+        while step > 1:
+            grid[step // 2 :: step] = 0.5 * (grid[:-1:step] + grid[step::step])
+            step //= 2
+        below = fwhm_of(grid[1:-1]) < target
+        # grid indices of each element's interval, walked down the levels
+        left = np.zeros(hi.size, dtype=int)
+        right = np.full(hi.size, span)
+        for _ in range(levels):
+            mid = (left + right) // 2
+            go_right = below[mid - 1, cols]
+            np.copyto(left, mid, where=live & go_right)
+            np.copyto(right, mid, where=live & ~go_right)
+            lo = grid[left, cols]
+            hi = grid[right, cols]
+            live = hi - lo > rtol * np.maximum(hi, 1e-300)
     return 0.5 * (lo + hi)
 
 

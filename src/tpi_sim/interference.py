@@ -33,6 +33,7 @@ __all__ = [
     "CorrelationTrace",
     "VisibilityResult",
     "SIGMA_LIFETIME_THRESHOLD",
+    "overlap_weight",
     "interference_weight",
     "averaged_phase_factor",
     "joint_detection_probability",
@@ -95,31 +96,67 @@ class VisibilityResult:
     pair: PhotonPair
 
 
-def _pair_scales(pair: PhotonPair) -> tuple[float, float, float, float]:
-    """(gamma, Sigma, delta_nu, lifetime_sum) of a photon pair."""
-    return pair.gamma_total, pair.sigma_total, pair.delta_nu, pair.lifetime_sum
-
-
-def interference_weight(pair: PhotonPair) -> float:
+def overlap_weight(
+    gamma: float | np.ndarray,
+    sigma: float | np.ndarray,
+    delta_nu: float | np.ndarray,
+    tau_sum: float | np.ndarray,
+) -> float | np.ndarray:
     """Spectral overlap factor of the interference term, in [0, 1].
 
-    This is Re[w(z)] / (sqrt(2 pi) Sigma (tau_i + tau_j)) with
+    ``gamma`` is the joint homogeneous rate gamma_h,i + gamma_h,j (1/s),
+    ``sigma`` the joint inhomogeneous width Sigma = sqrt(sigma_i^2 + sigma_j^2)
+    (Hz), ``delta_nu`` the mean relative detuning (Hz) and ``tau_sum`` the
+    lifetime sum tau_i + tau_j (s).  The weight is
+    Re[w(z)] / (sqrt(2 pi) Sigma (tau_i + tau_j)) with
     z = (2 pi delta_nu + i gamma) / (2 pi sqrt(2) Sigma); it multiplies the
     gate-dependent quad in the coincidence probability and equals the HOM
-    visibility of the pair.  For Sigma * (tau_i + tau_j) below
+    visibility of the pair.  Where Sigma * (tau_i + tau_j) is below
     ``SIGMA_LIFETIME_THRESHOLD`` the Lorentzian (pure-dephasing) limit
 
         2 gamma / ((gamma^2 + 4 pi^2 delta_nu^2) (tau_i + tau_j))
 
     is used instead, which the continuity tests pin against the Faddeeva
     path across six decades of Sigma.
+
+    The arguments broadcast against each other and the switch is made per
+    element; a scalar result is returned as a float.  Every element is
+    evaluated with the same floating-point operations as a scalar call, so
+    array and elementwise scalar evaluation agree bit for bit.
     """
-    gamma, sigma, delta_nu, tau_sum = _pair_scales(pair)
-    if sigma * tau_sum < SIGMA_LIFETIME_THRESHOLD:
-        return 2.0 * gamma / ((gamma * gamma + 4.0 * math.pi**2 * delta_nu**2) * tau_sum)
-    z = (2.0 * math.pi * delta_nu + 1j * gamma) / (2.0 * math.pi * math.sqrt(2.0) * sigma)
-    w_re = float(np.real(numerics.faddeeva_w(z)))
-    return w_re / (_SQRT_2PI * sigma * tau_sum)
+    gamma, sigma, delta_nu, tau_sum = (
+        np.asarray(v, dtype=float) for v in (gamma, sigma, delta_nu, tau_sum)
+    )
+    # Both branches are computed everywhere: the Faddeeva one divides by zero
+    # where Sigma = 0, which the switch below never selects, and squares may
+    # overflow to inf, as Python floats do without a warning.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # float_power calls the C library's pow, as Python's float ** 2 does;
+        # ndarray ** 2 squares, which differs in the last bit now and then.
+        limit = (
+            2.0 * gamma
+            / ((gamma * gamma + 4.0 * math.pi**2 * np.float_power(delta_nu, 2)) * tau_sum)
+        )
+        scale = 2.0 * math.pi * math.sqrt(2.0) * sigma
+        # Two real divisions, as CPython's complex / float performs them;
+        # numpy's complex / real would multiply by a reciprocal instead.
+        z = np.empty(np.broadcast(gamma, scale, delta_nu).shape, dtype=complex)
+        z.real = 2.0 * math.pi * delta_nu / scale
+        z.imag = gamma / scale
+        general = np.real(numerics.faddeeva_w(z)) / (_SQRT_2PI * sigma * tau_sum)
+    out = np.where(sigma * tau_sum < SIGMA_LIFETIME_THRESHOLD, limit, general)
+    return float(out) if out.ndim == 0 else out
+
+
+def interference_weight(pair: PhotonPair) -> float:
+    """Spectral overlap factor of one photon pair, in [0, 1].
+
+    A thin wrapper over :func:`overlap_weight`, the array kernel, applied to
+    the pair's joint rate, joint inhomogeneous width, detuning and lifetime
+    sum; sweeps pass arrays of those to the kernel directly and get, element
+    by element, the same bits as this scalar call.
+    """
+    return overlap_weight(pair.gamma_total, pair.sigma_total, pair.delta_nu, pair.lifetime_sum)
 
 
 def averaged_phase_factor(pair: PhotonPair, tau: float, gate_phase: float) -> float:
@@ -233,12 +270,11 @@ def g2_distinguishable(
 def _interference_term(
     quad: GateQuad, pair: PhotonPair, tau: np.ndarray
 ) -> np.ndarray:
-    gamma, _, delta_nu, tau_sum = _pair_scales(pair)
     envelope = np.exp(
-        -gamma * np.abs(tau) - 2.0 * math.pi**2 * pair.sigma_sq_total * tau * tau
+        -pair.gamma_total * np.abs(tau) - 2.0 * math.pi**2 * pair.sigma_sq_total * tau * tau
     )
-    beat = np.cos(2.0 * math.pi * delta_nu * tau - quad.phase)
-    return 2.0 * quad.magnitude / tau_sum * envelope * beat
+    beat = np.cos(2.0 * math.pi * pair.delta_nu * tau - quad.phase)
+    return 2.0 * quad.magnitude / pair.lifetime_sum * envelope * beat
 
 
 def g2_trace(

@@ -55,54 +55,122 @@ def faddeeva_w(z: complex | np.ndarray) -> complex | np.ndarray:
     return out
 
 
-def voigt_value(x: float, gaussian_sigma: float, lorentzian_hwhm: float) -> float:
+def voigt_value(
+    x: float | np.ndarray,
+    gaussian_sigma: float | np.ndarray,
+    lorentzian_hwhm: float | np.ndarray,
+) -> float | np.ndarray:
     """Unit-normalized Voigt density at frequency offset ``x`` (Hz), in 1/Hz.
 
     Convolution of a Lorentzian of half width ``lorentzian_hwhm`` with a
     Gaussian of standard deviation ``gaussian_sigma``.  Degenerates exactly
     to the pure Gaussian or pure Lorentzian when one width vanishes.
+
+    The arguments broadcast against each other; a scalar result is returned
+    as a float.  Every element is evaluated with the same floating-point
+    operations as a scalar call, so array and elementwise scalar evaluation
+    agree bit for bit.
     """
-    if gaussian_sigma < 0.0 or lorentzian_hwhm < 0.0:
+    x = np.asarray(x, dtype=float)
+    sigma = np.asarray(gaussian_sigma, dtype=float)
+    hwhm = np.asarray(lorentzian_hwhm, dtype=float)
+    shape = np.broadcast(x, sigma, hwhm).shape
+    if np.any(np.minimum(sigma, hwhm) <= 0.0):
+        out = _voigt_limits(x, sigma, hwhm, shape)
+    else:
+        out = _faddeeva_voigt(sigma, hwhm, shape)(x)
+    return float(out) if out.ndim == 0 else out
+
+
+def _faddeeva_voigt(
+    sigma: np.ndarray, hwhm: np.ndarray, shape: tuple[int, ...]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> Re w(z) / (sigma sqrt(2 pi)), z = (x + i hwhm) / (sigma sqrt(2)).
+
+    ``shape`` is the broadcast shape of the results.  The parts that do not
+    depend on ``x`` are computed once, for callers that evaluate one
+    profile at many offsets.
+    """
+    d = sigma * math.sqrt(2.0)
+    norm = sigma * _SQRT_2PI
+    # Two real divisions, as CPython's complex / float performs them;
+    # numpy's complex / real multiplies by a reciprocal instead.
+    z = np.empty(shape, dtype=complex)
+    z.imag = hwhm / d
+
+    def density(x: np.ndarray | float) -> np.ndarray:
+        np.divide(x, d, out=z.real)
+        return wofz(z).real / norm
+
+    return density
+
+
+def _voigt_limits(
+    x: np.ndarray, sigma: np.ndarray, hwhm: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """:func:`voigt_value` where some width is not positive.
+
+    Negative widths and two zero widths are rejected; where one width is
+    zero the profile is the pure Gaussian or pure Lorentzian.
+    """
+    if np.any(sigma < 0.0) or np.any(hwhm < 0.0):
         raise ValueError("Voigt widths must be nonnegative")
-    if gaussian_sigma == 0.0 and lorentzian_hwhm == 0.0:
+    gauss = hwhm == 0.0
+    lorentz = sigma == 0.0
+    if np.any(gauss & lorentz):
         raise ValueError("Voigt profile is degenerate when both widths are zero")
-    if lorentzian_hwhm == 0.0:
-        arg = x / gaussian_sigma
-        return math.exp(-0.5 * arg * arg) / (gaussian_sigma * _SQRT_2PI)
-    if gaussian_sigma == 0.0:
-        return lorentzian_hwhm / math.pi / (x * x + lorentzian_hwhm * lorentzian_hwhm)
-    z = (x + 1j * lorentzian_hwhm) / (gaussian_sigma * math.sqrt(2.0))
-    return float(wofz(z).real) / (gaussian_sigma * _SQRT_2PI)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = x / sigma
+        out = np.where(
+            gauss,
+            np.exp(-0.5 * arg * arg) / (sigma * _SQRT_2PI),
+            _faddeeva_voigt(sigma, hwhm, shape)(x),
+        )
+        return np.where(lorentz, hwhm / math.pi / (x * x + hwhm * hwhm), out)
 
 
-def voigt_fwhm(lorentzian_fwhm: float, gaussian_fwhm: float, rtol: float = 1e-13) -> float:
+def voigt_fwhm(
+    lorentzian_fwhm: float | np.ndarray,
+    gaussian_fwhm: float | np.ndarray,
+    rtol: float = 1e-13,
+) -> float | np.ndarray:
     """Full width at half maximum of a Voigt profile, by bisection.
 
     Takes the FWHM of each component (not sigma / HWHM).  Solved on the
     half-maximum of :func:`voigt_value` rather than through an analytic
     approximation, so the result is exact to ``rtol``.
+
+    The widths broadcast against each other; a scalar result is returned
+    as a float.  All elements are bisected in lockstep, each freezing when
+    its own interval satisfies ``hi - lo <= rtol * hi``, so array and
+    elementwise scalar evaluation agree bit for bit.
     """
-    if lorentzian_fwhm < 0.0 or gaussian_fwhm < 0.0:
+    lor, gauss = np.broadcast_arrays(
+        np.asarray(lorentzian_fwhm, dtype=float), np.asarray(gaussian_fwhm, dtype=float)
+    )
+    if np.any(lor < 0.0) or np.any(gauss < 0.0):
         raise ValueError("component widths must be nonnegative")
-    if lorentzian_fwhm == 0.0 and gaussian_fwhm == 0.0:
+    if np.any((lor == 0.0) & (gauss == 0.0)):
         raise ValueError("Voigt FWHM undefined for two zero-width components")
-    if lorentzian_fwhm == 0.0:
-        return gaussian_fwhm
-    if gaussian_fwhm == 0.0:
-        return lorentzian_fwhm
-    sigma = gaussian_fwhm / GAUSS_FWHM_PER_SIGMA
-    hwhm = 0.5 * lorentzian_fwhm
-    half_peak = 0.5 * voigt_value(0.0, sigma, hwhm)
-    lo, hi = 0.0, lorentzian_fwhm + gaussian_fwhm  # Voigt FWHM <= fL + fG
-    if voigt_value(hi, sigma, hwhm) >= half_peak:
+    # With one width zero the FWHM is the other one, which lor + gauss is.
+    out = np.array(lor + gauss)
+    mixed = (lor != 0.0) & (gauss != 0.0)
+    # Both widths are positive on ``mixed``: the Faddeeva form of voigt_value.
+    hi = out[mixed]  # Voigt FWHM <= fL + fG
+    density = _faddeeva_voigt(gauss[mixed] / GAUSS_FWHM_PER_SIGMA, 0.5 * lor[mixed], hi.shape)
+    half_peak = 0.5 * density(0.0)
+    lo = np.zeros_like(hi)
+    if np.any(density(hi) >= half_peak):
         raise QuadratureError("failed to bracket the Voigt half maximum")
-    while hi - lo > rtol * hi:
+    live = hi - lo > rtol * hi
+    while np.count_nonzero(live):
         mid = 0.5 * (lo + hi)
-        if voigt_value(mid, sigma, hwhm) >= half_peak:
-            lo = mid
-        else:
-            hi = mid
-    return lo + hi  # 2 * half-width
+        inside = density(mid) >= half_peak
+        np.copyto(lo, mid, where=live & inside)
+        np.copyto(hi, mid, where=live & ~inside)
+        live = hi - lo > rtol * hi
+    out[mixed] = lo + hi  # 2 * half-width
+    return float(out) if out.ndim == 0 else out
 
 
 # 15-point Kronrod nodes on [-1, 1] and the matching 7-point Gauss weights.

@@ -240,6 +240,77 @@ class TestVerifyCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestConfigBoundary:
+    """Bad values are refused with one ``error:`` line naming the field."""
+
+    def run_error(self, tmp_path, capsys, command, payload):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))  # json.dumps writes NaN / Infinity literals
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("command", ["decompose", "assess"])
+    def test_overflowing_linewidth(self, tmp_path, capsys, command):
+        constraint = {"lifetime_ps": 1720, "total_fwhm_mhz": 1e150}
+        if command == "decompose":
+            payload, field = {"constraint": constraint}, "constraint.total_fwhm_mhz"
+        else:
+            payload = {"sources": [{"name": "wide", **constraint}]}
+            field = "sources[0].total_fwhm_mhz"
+        err = self.run_error(tmp_path, capsys, command, payload)
+        assert field in err and "out of range" in err
+
+    @pytest.mark.parametrize(
+        "command,payload,field",
+        [
+            ("decompose", {"constraint": {"lifetime_ps": 670, "coherence_time_ps": 330},
+                           "n_points": True}, "n_points"),
+            ("assess", {"sources": [{"name": "a", "lifetime_ps": 670, "coherence_time_ps": 330}],
+                        "n_points": True}, "n_points"),
+            ("vmap", {"theta_pd": {"min": 1, "max": 2, "n": True},
+                      "theta_sd": {"min": 0, "max": 1, "n": 2}}, "theta_pd.n"),
+            ("tuning", qd_pair_config(detuning_ghz={"min": 0.0, "max": True, "n": 3}),
+             "detuning_ghz.max"),
+            ("g2", qd_pair_config(n_tau=True), "n_tau"),
+            ("verify", {"mc_instances": True}, "mc_instances"),
+            ("g2", {"emitters": [{"lifetime_ps": True}, {"lifetime_ps": 650}]},
+             "emitters[0].lifetime_ps"),
+            ("decompose", {"seed": True, "constraint": {"lifetime_ps": 670,
+                                                        "coherence_time_ps": 330}}, "seed"),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, command, payload, field):
+        assert repr(field) in self.run_error(tmp_path, capsys, command, payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "command,payload,field",
+        [
+            ("decompose", {"constraint": {"lifetime_ps": 670, "coherence_time_ps": "BAD"}},
+             "constraint.coherence_time_ps"),
+            ("assess", {"sources": [{"name": "a", "lifetime_ps": 670, "coherence_time_ps": 330,
+                                     "second": {"lifetime_ps": "BAD", "total_fwhm_mhz": 500}}]},
+             "sources[0].second.lifetime_ps"),
+            ("g2", {"emitters": [{"lifetime_ps": 700, "detuning_mhz": "BAD"},
+                                 {"lifetime_ps": 650}]}, "emitters[0].detuning_mhz"),
+            ("g2", qd_pair_config(tau_max_ps="BAD"), "tau_max_ps"),
+            ("vmap", {"theta_pd": {"min": 1, "max": 2, "n": 2},
+                      "theta_sd": {"min": "BAD", "max": 1, "n": 2}}, "theta_sd.min"),
+        ],
+    )
+    def test_non_finite_values(self, tmp_path, capsys, command, payload, field, bad):
+        payload = json.loads(json.dumps(payload).replace('"BAD"', json.dumps(bad)))
+        assert repr(field) in self.run_error(tmp_path, capsys, command, payload)
+
+    def test_valid_integral_floats_still_accepted(self, tmp_path):
+        payload = {"constraint": {"lifetime_ps": 670, "coherence_time_ps": 330.0}, "n_points": 5}
+        cfg = write_config(tmp_path, payload)
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+
+
 class TestShippedConfigs:
     def test_all_examples_parse_and_run(self, tmp_path):
         quick = {
