@@ -18,7 +18,7 @@ in every tomography setting), so ideal photons give exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -35,7 +35,6 @@ from .emitter import (
 )
 from .gates import (
     GateMatrix,
-    GateQuad,
     TOMOGRAPHY_BASES,
     cnot_gate,
     compose,
@@ -43,7 +42,13 @@ from .gates import (
     prep_gate,
     tomography_gate,
 )
-from .interference import interference_weight, overlap_weight, visibility_map
+from .interference import (
+    coincidence_at_weight,
+    coincidence_terms,
+    interference_weight,
+    overlap_weight,
+    visibility_map,
+)
 
 __all__ = [
     "FidelityResult",
@@ -85,36 +90,21 @@ def _stage_gates() -> dict[str, GateMatrix]:
     return {basis: compose(tomography_gate(basis), base) for basis in TOMOGRAPHY_BASES}
 
 
-# A coincidence probability is affine in the spectral overlap weight w:
-# p = p0a + p0b + s * w with s = 2 |quad| cos(Phi_U), the closed form of
-# coincidence_probability.  _Affine holds (p0a, p0b, s).
-_Affine = tuple[float, float, float]
-
-
-def _affine(quad: GateQuad) -> _Affine:
-    return quad.p0_terms[0], quad.p0_terms[1], 2.0 * quad.magnitude * math.cos(quad.phase)
-
-
-def _probability(terms: _Affine, weight: float) -> float:
-    p0a, p0b, slope = terms
-    return p0a + p0b + slope * weight
-
-
 @lru_cache(maxsize=1)
-def _basis_terms() -> dict[str, tuple[_Affine, tuple[_Affine, ...], bool]]:
-    """Per tomography basis: the affine terms of the coincidence outputs, those
-    of the four rail-pair outcomes, and whether the coincidence quad carries
-    a genuinely complex phase."""
+def _basis_terms() -> dict[str, tuple[tuple, tuple[tuple, ...], bool]]:
+    """Per tomography basis: the :func:`coincidence_terms` of the coincidence
+    outputs, those of the four rail-pair outcomes, and whether the
+    coincidence quad carries a genuinely complex phase."""
     terms = {}
     for basis, gate in _stage_gates().items():
         quad = gate_quad(gate, CONTROL_IN, TARGET_IN, *COINC_OUT)
         rails = tuple(
-            _affine(gate_quad(gate, CONTROL_IN, TARGET_IN, ko, lo))
+            coincidence_terms(gate_quad(gate, CONTROL_IN, TARGET_IN, ko, lo))
             for ko in CONTROL_RAILS
             for lo in TARGET_RAILS
         )
         is_complex = abs(math.sin(quad.phase)) * quad.magnitude > COMPLEX_PHASE_TOL
-        terms[basis] = (_affine(quad), rails, is_complex)
+        terms[basis] = (coincidence_terms(quad), rails, is_complex)
     return terms
 
 
@@ -170,10 +160,10 @@ def bell_fidelity(pair: PhotonPair) -> FidelityResult:
     complex_bases: list[str] = []
     success_by_basis = []
     for basis, (coinc, rails, is_complex) in _basis_terms().items():
-        probs[basis] = _probability(coinc, weight)
+        probs[basis] = coincidence_at_weight(coinc, weight)
         if is_complex:
             complex_bases.append(basis)
-        success_by_basis.append(sum(_probability(terms, weight) for terms in rails))
+        success_by_basis.append(sum(coincidence_at_weight(terms, weight) for terms in rails))
     if np.ptp(success_by_basis) > 1e-9:
         raise AssertionError("tomography settings disagree on the success probability")
     success = float(np.mean(success_by_basis))
@@ -226,8 +216,14 @@ class EmitterConstraint:
     gaussian_fwhm: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lifetime <= 0.0:
-            raise ValueError("lifetime must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name != "lifetime":
+                continue
+            zero_ok = f.name == "gaussian_fwhm"  # a pure Lorentzian
+            if not ((value >= 0.0 if zero_ok else value > 0.0) and math.isfinite(value)):
+                bound = ">= 0" if zero_ok else "positive"
+                raise ValueError(f"{f.name} must be {bound} and finite, not {value!r}")
         modes = [
             self.coherence_time is not None,
             self.total_fwhm is not None,

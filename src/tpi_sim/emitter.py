@@ -185,7 +185,9 @@ def coherence_time(lifetime: float, dephasing_rate: float, inhomogeneous_fwhm: f
 
     evaluated in the cancellation-free root form c / (a + sqrt(a^2 + c)),
     which degrades gracefully to the pure-dephasing limit 1/gamma_h as
-    s' -> 0 (and is taken exactly for s' == 0).
+    s' -> 0 (and is taken exactly for s' == 0).  Where s'^2, a^2 or c leaves
+    the float range, numerator and denominator are multiplied by s'^2:
+    (4 ln2 / pi^2) / (k + hypot(k, 2 sqrt(ln2) s' / pi)), k = a s'^2.
     """
     if inhomogeneous_fwhm < 0.0:
         raise ValueError("inhomogeneous_fwhm must be >= 0")
@@ -195,13 +197,13 @@ def coherence_time(lifetime: float, dephasing_rate: float, inhomogeneous_fwhm: f
             raise ValueError("gamma_h and inhomogeneous_fwhm cannot both vanish")
         return 1.0 / gamma_h
     sp2 = inhomogeneous_fwhm * inhomogeneous_fwhm
-    if math.isinf(sp2):
-        raise ValueError(
-            f"inhomogeneous_fwhm {inhomogeneous_fwhm!r} is too large: its square overflows"
-        )
-    a = 2.0 * _LN2 / math.pi**2 * gamma_h / sp2
-    c = 4.0 * _LN2 / (math.pi**2 * sp2)
-    return c / (a + math.sqrt(a * a + c))
+    if 0.0 < sp2 < math.inf:
+        a = 2.0 * _LN2 / math.pi**2 * gamma_h / sp2
+        c = 4.0 * _LN2 / (math.pi**2 * sp2)
+        if 0.0 < a * a < math.inf and 0.0 < c < math.inf:
+            return c / (a + math.sqrt(a * a + c))
+    k, root_c = 2.0 * _LN2 / math.pi**2 * gamma_h, 2.0 * math.sqrt(_LN2) / math.pi
+    return 4.0 * _LN2 / math.pi**2 / (k + math.hypot(k, root_c * inhomogeneous_fwhm))
 
 
 def _max_inhomogeneous_fwhm(lifetime: float, tau_c: float) -> float:

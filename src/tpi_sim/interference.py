@@ -18,7 +18,6 @@ All functions are pure; sweeps can fan out over grid points freely.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +38,8 @@ __all__ = [
     "joint_detection_probability",
     "g2_distinguishable",
     "g2_trace",
+    "coincidence_terms",
+    "coincidence_at_weight",
     "coincidence_probability",
     "hom_visibility",
     "visibility_pd_only",
@@ -55,8 +56,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # avoid the 0/0 at Sigma -> 0.  The Gaussian correction scales with the
 # square of this parameter, so the switch is continuous to ~1e-11 relative.
 SIGMA_LIFETIME_THRESHOLD = 1e-6
-
-_HOM_BS = beam_splitter(0.5)
 
 
 @dataclass(frozen=True)
@@ -178,28 +177,6 @@ def averaged_phase_factor(pair: PhotonPair, tau: float, gate_phase: float) -> fl
     return 2.0 * envelope * math.cos(2.0 * math.pi * pair.delta_nu * tau - gate_phase)
 
 
-# Wave functions already verified as unit-normalized (by object identity).
-_norm_checked: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def _check_normalized(zeta: Callable[[np.ndarray], np.ndarray]) -> None:
-    try:
-        if zeta in _norm_checked:
-            return
-    except TypeError:
-        pass
-    scale = float(getattr(zeta, "time_scale", 1e-9))
-    norm = numerics.integrate(
-        lambda t: np.abs(zeta(t)) ** 2, -10.0 * scale, 80.0 * scale, tol=1e-10
-    )
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"wave function is not normalized: integral = {norm!r}")
-    try:
-        _norm_checked.add(zeta)
-    except TypeError:
-        pass
-
-
 def joint_detection_probability(
     gate: GateMatrix,
     i: int,
@@ -218,12 +195,18 @@ def joint_detection_probability(
     one-based input modes i and j; they must accept numpy arrays.  For a
     symmetric beam splitter this reduces to the familiar
     |zeta_i(t0+tau) zeta_j(t0) - zeta_j(t0+tau) zeta_i(t0)|^2 / 4.
+    ``check_normalization`` integrates |zeta|^2 of both packets on every call.
     """
     if i == j or k == l:
         raise ValueError("input modes and output modes must each be distinct")
     if check_normalization:
-        _check_normalized(zeta_i)
-        _check_normalized(zeta_j)
+        for zeta in (zeta_i, zeta_j):
+            scale = float(getattr(zeta, "time_scale", 1e-9))
+            norm = numerics.integrate(
+                lambda t: np.abs(zeta(t)) ** 2, -10.0 * scale, 80.0 * scale, tol=1e-10
+            )
+            if abs(norm - 1.0) > 1e-8:
+                raise ValueError(f"wave function is not normalized: integral = {norm!r}")
     u = gate.matrix
     gate._check_mode(i), gate._check_mode(j), gate._check_mode(k), gate._check_mode(l)
     ii, jj, kk, ll = i - 1, j - 1, k - 1, l - 1
@@ -309,17 +292,43 @@ def g2_trace(
     )
 
 
+def coincidence_terms(quad: GateQuad) -> tuple[float, float, float]:
+    """(p0a, p0b, slope) of the coincidence probability p0a + p0b + slope * w,
+    affine in the overlap weight w, with slope = 2 |quad| cos(Phi_U)."""
+    p0a, p0b = quad.p0_terms
+    return p0a, p0b, 2.0 * quad.magnitude * math.cos(quad.phase)
+
+
+def coincidence_at_weight(terms: tuple, weight: float | np.ndarray) -> float | np.ndarray:
+    """p0a + p0b + slope * weight for :func:`coincidence_terms`; array weights work."""
+    p0a, p0b, slope = terms
+    return p0a + p0b + slope * weight
+
+
 def coincidence_probability(
     gate: GateMatrix, i: int, j: int, k: int, l: int, pair: PhotonPair
 ) -> float:
-    """Overall probability of a coincidence between outputs k and l.
+    """Overall probability of a coincidence between outputs k and l: the
+    :func:`coincidence_terms` of the gate quad at the pair's overlap weight,
+    i.e. the integral of the correlation trace over all lags."""
+    terms = coincidence_terms(gate_quad(gate, i, j, k, l))
+    return coincidence_at_weight(terms, interference_weight(pair))
 
-    Closed form: p0a + p0b + 2 |quad| cos(Phi_U) * interference_weight(pair),
-    i.e. the integral of the correlation trace over all lags.
-    """
-    quad = gate_quad(gate, i, j, k, l)
-    p0a, p0b = quad.p0_terms
-    return p0a + p0b + 2.0 * quad.magnitude * math.cos(quad.phase) * interference_weight(pair)
+
+# one photon in each input of a symmetric beam splitter, both outputs fire
+_HOM_TERMS = coincidence_terms(gate_quad(beam_splitter(0.5), 1, 2, 1, 2))
+
+
+def _hom_results(weights: np.ndarray, pairs: list[PhotonPair]) -> list[VisibilityResult]:
+    """:func:`hom_visibility` of each pair from its overlap weight, as array arithmetic."""
+    p = coincidence_at_weight(_HOM_TERMS, weights)
+    visibility = 1.0 - p / 0.5
+    if not np.all((visibility >= -1e-9) & (visibility <= 1.0 + 1e-9)):
+        raise ValueError(f"computed visibility outside [0, 1]: {visibility!r}")
+    return [
+        VisibilityResult(v, pk, 0.5, pair)
+        for v, pk, pair in zip(np.clip(visibility, 0.0, 1.0).tolist(), p.tolist(), pairs)
+    ]
 
 
 def hom_visibility(pair: PhotonPair) -> VisibilityResult:
@@ -330,17 +339,7 @@ def hom_visibility(pair: PhotonPair) -> VisibilityResult:
     [-1e-9, 1 + 1e-9] raise instead of being clamped; rounding-level
     excursions inside that window are snapped onto [0, 1].
     """
-    p_classical = 0.5
-    p = coincidence_probability(_HOM_BS, 1, 2, 1, 2, pair)
-    visibility = 1.0 - p / p_classical
-    if not -1e-9 <= visibility <= 1.0 + 1e-9:
-        raise ValueError(f"computed visibility {visibility!r} outside [0, 1]")
-    return VisibilityResult(
-        visibility=min(max(visibility, 0.0), 1.0),
-        p_coinc=p,
-        p_coinc_classical=p_classical,
-        pair=pair,
-    )
+    return _hom_results(np.array([interference_weight(pair)]), [pair])[0]
 
 
 def visibility_pd_only(pair: PhotonPair) -> float:
@@ -370,10 +369,14 @@ def visibility_pd_only(pair: PhotonPair) -> float:
 def tuning_curve(
     pair: PhotonPair, delta_nu_grid: Sequence[float] | np.ndarray
 ) -> list[VisibilityResult]:
-    """HOM visibility as a function of the relative detuning of the pair."""
-    return [
-        hom_visibility(pair.with_relative_detuning(float(dnu))) for dnu in delta_nu_grid
-    ]
+    """HOM visibility as a function of the relative detuning of the pair.
+
+    One :func:`overlap_weight` call over the grid; element k is, bit for bit,
+    ``hom_visibility(pair.with_relative_detuning(delta_nu_grid[k]))``.
+    """
+    grid = np.asarray(delta_nu_grid, dtype=float)
+    weights = overlap_weight(pair.gamma_total, pair.sigma_total, grid, pair.lifetime_sum)
+    return _hom_results(weights, [pair.with_relative_detuning(d) for d in grid.tolist()])
 
 
 def normalized_visibility(theta_pd: float, theta_sd: float) -> float:
@@ -409,13 +412,10 @@ def visibility_map(
         raise ValueError("grids must be non-empty")
     if np.any(pd < 1.0 - 1e-12) or np.any(sd < 0.0):
         raise ValueError("grids violate theta_pd >= 1, theta_sd >= 0")
-    pd2 = pd[:, None]
-    sd2 = sd[None, :]
-    tiny = sd2 < math.sqrt(_LN2) * SIGMA_LIFETIME_THRESHOLD
-    safe_sd = np.where(tiny, 1.0, sd2)
-    y = math.sqrt(_LN2 / (2.0 * math.pi**2)) * pd2 / safe_sd
-    general = math.sqrt(2.0 * _LN2 / math.pi) * erfcx(y) / (2.0 * safe_sd)
-    return np.where(tiny, 1.0 / (pd2 * np.ones_like(sd2)), general)
+    # The identical pair at tau_r = 1: gamma = theta_pd, tau_i + tau_j = 2,
+    # Sigma = theta_sd / (2 sqrt(ln2)); in this form (not sqrt(2) theta_sd /
+    # GAUSS_FWHM_PER_SIGMA) the switch flips where normalized_visibility's does.
+    return overlap_weight(pd[:, None], sd[None, :] / (2.0 * math.sqrt(_LN2)), 0.0, 2.0)
 
 
 def pair_from_normalized(theta_pd: float, theta_sd: float, lifetime: float = 1.0) -> PhotonPair:

@@ -225,7 +225,7 @@ def quadrature_g2(
             gate, i, j, k, l, zeta_i, zeta_j, t0, tau, check_normalization=False
         )
 
-    # validate normalization once up front (memoized per callable)
+    # validate normalization once up front
     joint_detection_probability(gate, i, j, k, l, zeta_i, zeta_j, 0.0, tau)
     hi = abs(tau) + 40.0 * joint_scale
     return numerics.integrate(integrand, lo, hi, tol=tol)
@@ -364,7 +364,7 @@ def run_verification(
             name=f"coincidence closed form vs quadrature ({closed_form_instances} instances)",
             observed=worst,
             bound=1e-6,
-            passed=worst <= 1e-6,
+            passed=bool(worst <= 1e-6),
         )
     )
 
@@ -388,7 +388,7 @@ def run_verification(
             name=f"correlation trace vs Monte-Carlo model ({mc_instances} instances x 5 lags)",
             observed=worst_z,
             bound=3.0,
-            passed=worst_z <= 3.0,
+            passed=bool(worst_z <= 3.0),
         )
     )
 
@@ -408,7 +408,7 @@ def run_verification(
             name="averaged phase factor vs Monte-Carlo sampling (8 cases)",
             observed=worst_z,
             bound=3.0,
-            passed=worst_z <= 3.0,
+            passed=bool(worst_z <= 3.0),
         )
     )
 
@@ -423,7 +423,7 @@ def run_verification(
             name="distinguishable-limit coincidence at a symmetric splitter",
             observed=abs(p0 - 0.5),
             bound=1e-4,
-            passed=abs(p0 - 0.5) <= 1e-4,
+            passed=bool(abs(p0 - 0.5) <= 1e-4),
         )
     )
     return VerificationReport(seed=seed, checks=checks)

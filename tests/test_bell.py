@@ -171,6 +171,26 @@ class TestEmitterConstraint:
         with pytest.raises(ValueError):
             EmitterConstraint(lifetime=1e-9, coherence_time=1e-9, gaussian_fwhm=1e8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize(
+        "field,others",
+        [
+            ("lifetime", {"coherence_time": 1e-10}),
+            ("coherence_time", {}),
+            ("total_fwhm", {}),
+            ("lorentzian_fwhm", {"gaussian_fwhm": 1e8}),
+            ("lorentzian_fwhm_max", {"gaussian_fwhm": 1e8}),
+            ("gaussian_fwhm", {"lorentzian_fwhm": 3e8}),
+        ],
+    )
+    def test_rejects_non_finite_and_non_positive_values(self, field, others, bad):
+        kwargs = {"lifetime": 1e-9, **others, field: bad}
+        if field == "gaussian_fwhm" and bad == 0.0:
+            EmitterConstraint(**kwargs)  # a pure Lorentzian is a valid split
+            return
+        with pytest.raises(ValueError, match=field):
+            EmitterConstraint(**kwargs)
+
     def test_known_split_single_point(self):
         c = EmitterConstraint(lifetime=410e-12, lorentzian_fwhm=480e6, gaussian_fwhm=550e6)
         pts = c.decomposition()

@@ -226,6 +226,23 @@ class TestVerifyCommand:
         assert header == ["check", "observed", "bound", "passed"]
         assert all(r[-1] == "True" for r in rows)
 
+    def test_json_format(self, tmp_path):
+        payload = {
+            "closed_form_instances": 1,
+            "mc_instances": 1,
+            "mc_realizations": 2,
+            "phase_trials": 10000,
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--config", cfg, "--out", str(out), "--format", "json"])
+        # sizes this small may miss a 3-sigma gate; the output must parse either way
+        assert code in (0, 1)
+        data = json.loads(out.read_text())
+        passed = [row[data["columns"].index("passed")] for row in data["rows"]]
+        assert len(passed) == 4
+        assert all(isinstance(p, bool) for p in passed)
+
     def test_seed_determinism(self, tmp_path):
         payload = {
             "closed_form_instances": 3,
@@ -304,6 +321,26 @@ class TestConfigBoundary:
     def test_non_finite_values(self, tmp_path, capsys, command, payload, field, bad):
         payload = json.loads(json.dumps(payload).replace('"BAD"', json.dumps(bad)))
         assert repr(field) in self.run_error(tmp_path, capsys, command, payload)
+
+    @pytest.mark.parametrize("command", ["decompose", "assess"])
+    def test_vanishing_gaussian_width_accepted(self, tmp_path, command):
+        # 1e-86 MHz is inside the accepted range, but a * a of the coherence
+        # time's unit-scale root form overflows for it
+        constraint = {"lifetime_ps": 1000, "lorentzian_fwhm_mhz": 200, "gaussian_fwhm_mhz": 1e-86}
+        if command == "decompose":
+            payload = {"constraint": constraint}
+        else:
+            payload = {"sources": [{"name": "narrow", **constraint}]}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        header, rows, _ = read_csv(out)
+        # the pure Lorentzian: theta_pd = 2 pi * 200 MHz * 1 ns, V = x_c = 1 / theta_pd
+        expected = 1.0 / (2.0 * math.pi * 200e6 * 1e-9)
+        if command == "decompose":
+            assert float(rows[0][header.index("x_c")]) == pytest.approx(expected, rel=1e-12)
+        else:
+            assert float(rows[0][header.index("v_min")]) == pytest.approx(expected, rel=1e-12)
 
     def test_valid_integral_floats_still_accepted(self, tmp_path):
         payload = {"constraint": {"lifetime_ps": 670, "coherence_time_ps": 330.0}, "n_points": 5}

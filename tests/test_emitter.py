@@ -88,6 +88,20 @@ class TestCoherenceTime:
         tc = coherence_time(1.0, 0.0, 1e-12)
         assert tc == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("fwhm", [1e-80, 1e-200, 1e-320])
+    def test_vanishing_gaussian_width_gives_pure_dephasing_limit(self, fwhm):
+        # a * a overflows (or s'^2 underflows) in the unit-scale root form
+        assert coherence_time(1e-9, 0.0, fwhm) == pytest.approx(2e-9, rel=1e-15, abs=0.0)
+        assert normalized_params(EmitterParams(1e-9, 0.0, fwhm)).x_c == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("fwhm", [1.3e154, 1e200, 1.7e308])
+    def test_huge_gaussian_width_gives_gaussian_limit(self, fwhm):
+        # pi^2 s'^2 (or s'^2 itself) overflows in the unit-scale root form;
+        # with gamma_h negligible tau_c -> 2 sqrt(ln2) / (pi s')
+        expected = 2.0 * math.sqrt(LN2) / math.pi / fwhm
+        rel = 1e-15 if expected > 1e-300 else 1e-9  # the last one is subnormal
+        assert coherence_time(1e-9, 0.0, fwhm) == pytest.approx(expected, rel=rel, abs=0.0)
+
     def test_monotone_in_both_broadenings(self):
         tau_r = 600e-12
         rates = np.linspace(0.0, 5e9, 30)

@@ -1,0 +1,96 @@
+"""Property tests over the one overlap kernel behind every visibility.
+
+``interference_weight``, ``hom_visibility``, ``tuning_curve`` and
+``visibility_map`` all evaluate ``overlap_weight``; ``normalized_visibility``
+is the independent lifetime-free ``erfcx`` closed form they are checked
+against.  Input ranges are wide on purpose: lifetimes from 0.1 ps to 1 ms,
+rates, widths and detunings from 1 to 1e15 (or exactly zero).
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from tpi_sim.emitter import EmitterParams, PhotonPair
+from tpi_sim.interference import (
+    SIGMA_LIFETIME_THRESHOLD,
+    hom_visibility,
+    interference_weight,
+    normalized_visibility,
+    tuning_curve,
+    visibility_map,
+)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def zero_or(values):
+    return st.one_of(st.just(0.0), values)
+
+
+LIFETIMES = log_uniform(1e-13, 1e-3)  # s
+RATES = zero_or(log_uniform(1.0, 1e15))  # 1/s
+WIDTHS = zero_or(log_uniform(1.0, 1e15))  # Hz
+DETUNINGS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), log_uniform(1.0, 1e15)).map(lambda t: t[0] * t[1]),
+)  # Hz
+
+EMITTERS = st.builds(EmitterParams, LIFETIMES, RATES, WIDTHS, DETUNINGS)
+PAIRS = st.builds(PhotonPair, EMITTERS, EMITTERS)
+
+# theta_sd where the Lorentzian switch flips, and the floats around it
+THETA_SD_SWITCH = math.sqrt(math.log(2.0)) * SIGMA_LIFETIME_THRESHOLD
+
+
+def _ulps_from_switch(k):
+    x = THETA_SD_SWITCH
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+THETA_PD = st.one_of(st.just(1.0), log_uniform(1.0, 1e6))
+THETA_SD = st.one_of(
+    st.just(0.0),
+    st.integers(-4, 4).map(_ulps_from_switch),
+    log_uniform(1e-12, 1e4),
+)
+
+
+@given(PAIRS)
+def test_weight_of_physical_pairs_is_a_probability(pair):
+    weight = interference_weight(pair)
+    assert 0.0 <= weight <= 1.0 + 1e-12
+
+
+@given(PAIRS, st.lists(DETUNINGS, min_size=1, max_size=8))
+def test_tuning_curve_is_hom_visibility_bit_for_bit(pair, grid):
+    curve = tuning_curve(pair, np.array(grid))
+    assert len(curve) == len(grid)
+    for res, dnu in zip(curve, grid):
+        ref = hom_visibility(pair.with_relative_detuning(dnu))
+        assert res.visibility.hex() == ref.visibility.hex()
+        assert res.p_coinc.hex() == ref.p_coinc.hex()
+        assert res.p_coinc_classical == ref.p_coinc_classical
+        assert res.pair == ref.pair
+
+
+@given(st.lists(THETA_PD, min_size=1, max_size=6), st.lists(THETA_SD, min_size=1, max_size=6))
+def test_visibility_map_matches_erfcx_closed_form(theta_pd, theta_sd):
+    m = visibility_map(theta_pd, theta_sd)
+    ref = np.array([[normalized_visibility(p, s) for s in theta_sd] for p in theta_pd])
+    np.testing.assert_allclose(m, ref, rtol=1e-14, atol=0.0)
+
+
+@given(
+    st.lists(THETA_PD, min_size=2, max_size=6, unique=True),
+    st.lists(THETA_SD, min_size=2, max_size=6, unique=True),
+)
+def test_visibility_map_non_increasing_along_both_axes(theta_pd, theta_sd):
+    m = visibility_map(sorted(theta_pd), sorted(theta_sd))
+    assert np.all(m[1:, :] <= m[:-1, :] * (1.0 + 1e-14))
+    assert np.all(m[:, 1:] <= m[:, :-1] * (1.0 + 1e-14))
