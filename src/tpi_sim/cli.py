@@ -263,6 +263,13 @@ def _parse_constraint(obj: dict, where: str) -> tuple[EmitterConstraint, dict]:
     if "lifetime_ps" not in obj:
         raise ConfigError(f"config is missing required field {where + '.lifetime_ps'!r}")
     canonical = {k: _quantity(obj, k, where, scale) for k, scale in scales.items() if k in obj}
+    for key, value in canonical.items():
+        zero_ok = key == "gaussian_fwhm_mhz"  # a pure Lorentzian
+        if value < 0.0 or (value == 0.0 and not zero_ok):
+            raise ConfigError(
+                f"config field {_field_name(where, key)!r} must be "
+                f"{'>= 0' if zero_ok else 'positive'}, not {obj[key]!r}"
+            )
 
     def get(key: str):
         return canonical[key] * scales[key] if key in canonical else None

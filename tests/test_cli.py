@@ -322,6 +322,33 @@ class TestConfigBoundary:
         payload = json.loads(json.dumps(payload).replace('"BAD"', json.dumps(bad)))
         assert repr(field) in self.run_error(tmp_path, capsys, command, payload)
 
+    @pytest.mark.parametrize(
+        "fields,bad",
+        [
+            ({"coherence_time_ps": "BAD"}, -330),
+            ({"coherence_time_ps": "BAD"}, 0),
+            ({"total_fwhm_mhz": "BAD"}, -5),
+            ({"total_fwhm_mhz": "BAD"}, 0.0),
+            ({"lorentzian_fwhm_mhz": "BAD", "gaussian_fwhm_mhz": 100}, -200),
+            ({"lorentzian_fwhm_mhz": "BAD", "gaussian_fwhm_mhz": 100}, 0),
+            ({"lorentzian_fwhm_max_mhz": "BAD", "gaussian_fwhm_mhz": 100}, -1.5),
+            ({"lorentzian_fwhm_max_mhz": "BAD", "gaussian_fwhm_mhz": 100}, 0),
+            ({"lorentzian_fwhm_mhz": 200, "gaussian_fwhm_mhz": "BAD"}, -100),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["decompose", "assess"])
+    def test_constraint_sign_named_in_config_units(self, tmp_path, capsys, command, fields, bad):
+        (key,) = [k for k, v in fields.items() if v == "BAD"]
+        constraint = {"lifetime_ps": 1000, **fields, key: bad}
+        if command == "decompose":
+            payload, field = {"constraint": constraint}, f"constraint.{key}"
+        else:
+            second = {"lifetime_ps": 700, "coherence_time_ps": 300}
+            payload = {"sources": [{"name": "a", **second, "second": constraint}]}
+            field = f"sources[0].second.{key}"
+        err = self.run_error(tmp_path, capsys, command, payload)
+        assert repr(field) in err and err.rstrip().endswith(f"not {bad!r}"), err
+
     @pytest.mark.parametrize("command", ["decompose", "assess"])
     def test_vanishing_gaussian_width_accepted(self, tmp_path, command):
         # 1e-86 MHz is inside the accepted range, but a * a of the coherence
@@ -341,6 +368,11 @@ class TestConfigBoundary:
             assert float(rows[0][header.index("x_c")]) == pytest.approx(expected, rel=1e-12)
         else:
             assert float(rows[0][header.index("v_min")]) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_gaussian_width_accepted(self, tmp_path):
+        constraint = {"lifetime_ps": 1000, "lorentzian_fwhm_max_mhz": 200, "gaussian_fwhm_mhz": 0}
+        cfg = write_config(tmp_path, {"constraint": constraint, "n_points": 5})
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
 
     def test_valid_integral_floats_still_accepted(self, tmp_path):
         payload = {"constraint": {"lifetime_ps": 670, "coherence_time_ps": 330.0}, "n_points": 5}

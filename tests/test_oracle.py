@@ -5,9 +5,11 @@ import pytest
 
 from tpi_sim.emitter import EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix, beam_splitter
-from tpi_sim.interference import averaged_phase_factor, g2_trace
+from tpi_sim.interference import averaged_phase_factor, g2_trace, joint_detection_probability
 from tpi_sim.numerics import integrate
 from tpi_sim.oracle import (
+    _draw_jitter_block,
+    _gauss_legendre_nodes,
     draw_jitter,
     exponential_wave,
     mc_averaged_phase_factor,
@@ -22,6 +24,57 @@ QD_PAIR = PhotonPair(
     EmitterParams(700e-12, 600e6, 1.4e9),
     EmitterParams(650e-12, 300e6, 0.8e9),
 )
+# pairs whose jitter scales are partly or wholly zero: a zero scale still
+# consumes its normal, so the stream must stay aligned
+NO_DEPHASING = PhotonPair(
+    EmitterParams(700e-12, 0.0, 1.4e9), EmitterParams(650e-12, 0.0, 0.8e9, detuning=2e9)
+)
+NO_WIDTH = PhotonPair(EmitterParams(700e-12, 600e6, 0.0), EmitterParams(650e-12, 300e6, 0.0))
+NO_JITTER = PhotonPair(EmitterParams(700e-12), EmitterParams(650e-12, detuning=-1e9))
+JITTER_PAIRS = [QD_PAIR, NO_DEPHASING, NO_WIDTH, NO_JITTER]
+
+
+def legacy_draw(pair, times, rng):
+    """Per-photon draws as the per-realization sampler made them: one
+    ``rng.normal`` for the frequency, then one for the T phase increments."""
+    dt = np.diff(times, prepend=times[0])
+    drawn = []
+    for emitter in (pair.emitter_i, pair.emitter_j):
+        frequency = rng.normal(emitter.detuning, emitter.sigma)
+        increments = rng.normal(0.0, np.sqrt(2.0 * emitter.dephasing_rate * dt))
+        drawn.append((frequency, np.cumsum(increments)))
+    return drawn
+
+
+def legacy_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed, panels=12):
+    """The per-realization Monte-Carlo loop: complex wave packets with
+    interpolated phase tables, the joint detection probability and a dot
+    product with the quadrature weights, one realization at a time."""
+    lo = max(0.0, -tau)
+    t0, weights = _gauss_legendre_nodes(lo, lo + 40.0 * pair.t_plus, panels)
+    times = np.unique(np.concatenate([t0, t0 + tau]))
+    values = np.empty(realizations)
+    children = np.random.SeedSequence(seed).spawn((realizations + 255) // 256)
+    done = 0
+    for child in children:
+        rng = np.random.default_rng(child)
+        n = min(256, realizations - done)
+        for r in range(n):
+            (f_i, phase_i), (f_j, phase_j) = legacy_draw(pair, times, rng)
+            zi = exponential_wave(pair.emitter_i.lifetime, f_i, times, phase_i)
+            zj = exponential_wave(pair.emitter_j.lifetime, f_j, times, phase_j)
+            p = joint_detection_probability(
+                gate, i, j, k, l, zi, zj, t0, tau, check_normalization=False
+            )
+            values[done + r] = float(np.dot(weights, p))
+        done += n
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(realizations))
+
+
+def random_gate(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return GateMatrix(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 class TestExponentialWave:
@@ -64,6 +117,31 @@ class TestJitterSampling:
         target = 2.0 * QD_PAIR.emitter_i.dephasing_rate * dt
         m = len(incs)
         assert abs(incs.var(ddof=1) / target - 1.0) < 5.0 * math.sqrt(2.0 / m)
+
+    @pytest.mark.parametrize("pair", JITTER_PAIRS)
+    def test_block_replays_single_draws(self, pair):
+        times = np.unique(np.concatenate([np.linspace(0.0, 3e-9, 7), [0.4e-9, 5e-9]]))
+        n = 5
+        block = _draw_jitter_block(pair, times, np.random.default_rng(99), n)
+        rng = np.random.default_rng(99)
+        split = [_draw_jitter_block(pair, times, rng, m) for m in (2, 3)]
+        rng = np.random.default_rng(99)
+        singles = [draw_jitter(pair, times, rng) for _ in range(n)]
+        rng = np.random.default_rng(99)
+        legacy = [legacy_draw(pair, times, rng) for _ in range(n)]
+        # the legacy draws consumed exactly n rows of 2T + 2 normals
+        assert rng.standard_normal() == np.random.default_rng(99).standard_normal(
+            n * (2 * len(times) + 2) + 1
+        )[-1]
+        for whole, first, second in zip(block, *split):
+            assert np.all(whole == np.concatenate([first, second]))
+        f_i, f_j, phase_i, phase_j = block
+        assert phase_i.shape == phase_j.shape == (n, len(times))
+        for r, (one, ((lf_i, lp_i), (lf_j, lp_j))) in enumerate(zip(singles, legacy)):
+            assert one.frequency_i == f_i[r] == lf_i
+            assert one.frequency_j == f_j[r] == lf_j
+            assert np.all(one.phase_i == phase_i[r]) and np.all(phase_i[r] == lp_i)
+            assert np.all(one.phase_j == phase_j[r]) and np.all(phase_j[r] == lp_j)
 
     def test_delta_nu_sample(self):
         rng = np.random.default_rng(1)
@@ -198,6 +276,40 @@ class TestMcG2:
             trace = g2_trace(HOM, 1, 2, 1, 2, pair, [tau - 1.0, tau, tau + 1.0])
             closed = float(trace.g2_values[1])
             assert abs(est.value - closed) <= max(3.0 * est.stderr, 1e-4 * abs(closed) + 1e-3)
+
+    @pytest.mark.parametrize(
+        "case,realizations",
+        [(0, 2), (1, 300), (2, 513), (3, 300), (4, 2), (5, 513), (6, 300), (7, 300)],
+    )
+    def test_matches_per_realization_loop(self, case, realizations):
+        # random gates of dimension 2-6; cases 2, 3, 4, 6 and 7 draw output
+        # pairs other than the input pair
+        rng = np.random.default_rng(1000 + case)
+        dim = 2 + case % 5
+        gate = random_gate(rng, dim)
+        i, j = (int(m) + 1 for m in rng.choice(dim, 2, replace=False))
+        k, l = (int(m) + 1 for m in rng.choice(dim, 2, replace=False))
+        base = JITTER_PAIRS[case % 4]
+        pair = base.with_relative_detuning(float(rng.uniform(-3e9, 3e9)))
+        seed = int(rng.integers(2**62))
+        slowest = max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
+        for tau in (-0.8 * slowest, 0.0, 1.3 * slowest):
+            ref_value, ref_stderr = legacy_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed)
+            est = mc_g2_estimate(gate, i, j, k, l, pair, tau, realizations=realizations, seed=seed)
+            assert abs(est.value - ref_value) <= 1e-12 * abs(ref_value)
+            if tau == 0.0 or base is NO_JITTER:
+                # no randomness at this lag: both spreads are rounding noise
+                assert max(est.stderr, ref_stderr) <= 1e-12 * abs(ref_value)
+            else:
+                assert abs(est.stderr - ref_stderr) <= 1e-12 * ref_stderr
+
+    def test_mode_checks(self):
+        with pytest.raises(ValueError, match="distinct"):
+            mc_g2_estimate(HOM, 1, 1, 1, 2, QD_PAIR, 0.1e-9, realizations=2)
+        with pytest.raises(ValueError, match="distinct"):
+            mc_g2_estimate(HOM, 1, 2, 2, 2, QD_PAIR, 0.1e-9, realizations=2)
+        with pytest.raises(ValueError, match="out of range"):
+            mc_g2_estimate(HOM, 1, 3, 1, 2, QD_PAIR, 0.1e-9, realizations=2)
 
     def test_seeded_determinism(self):
         a = mc_g2_estimate(HOM, 1, 2, 1, 2, QD_PAIR, 0.1e-9, realizations=200, seed=8)

@@ -4,7 +4,10 @@
 ``visibility_map`` all evaluate ``overlap_weight``; ``normalized_visibility``
 is the independent lifetime-free ``erfcx`` closed form they are checked
 against.  Input ranges are wide on purpose: lifetimes from 0.1 ps to 1 ms,
-rates, widths and detunings from 1 to 1e15 (or exactly zero).
+rates, widths and detunings from 1 to 1e15 (or exactly zero).  The
+correlation trace's interference term is checked against its
+distinguishable baseline on random unitaries of dimension 2-6 and on the
+balanced splitter.
 """
 
 import math
@@ -13,8 +16,11 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from tpi_sim.emitter import EmitterParams, PhotonPair
+from tpi_sim.gates import GateMatrix, beam_splitter, gate_quad
 from tpi_sim.interference import (
     SIGMA_LIFETIME_THRESHOLD,
+    _baseline,
+    _interference_term,
     hom_visibility,
     interference_weight,
     normalized_visibility,
@@ -94,3 +100,43 @@ def test_visibility_map_non_increasing_along_both_axes(theta_pd, theta_sd):
     m = visibility_map(sorted(theta_pd), sorted(theta_sd))
     assert np.all(m[1:, :] <= m[:-1, :] * (1.0 + 1e-14))
     assert np.all(m[:, 1:] <= m[:, :-1] * (1.0 + 1e-14))
+
+
+def _unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return GateMatrix(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+@st.composite
+def gates_and_modes(draw):
+    # the balanced splitter with an identical pair reaches the bound at
+    # tau = 0, so a scaled-up interference term cannot pass unnoticed
+    gate = draw(
+        st.one_of(
+            st.just(beam_splitter(0.5)),
+            st.builds(_unitary, st.integers(2, 6), st.integers(0, 2**32 - 1)),
+        )
+    )
+    modes = st.lists(st.integers(1, gate.dim), min_size=2, max_size=2, unique=True)
+    return gate, *draw(modes), *draw(modes)
+
+
+LAGS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), log_uniform(1e-16, 1e-2)).map(lambda t: t[0] * t[1]),
+)  # s
+
+
+@given(
+    gates_and_modes(),
+    st.one_of(PAIRS, EMITTERS.map(PhotonPair.identical)),
+    st.lists(LAGS, min_size=1, max_size=8),
+)
+def test_interference_term_bounded_by_baseline(instance, pair, lags):
+    # the guarantee behind g2_trace's clip at 0: G2 >= 0 up to rounding
+    gate, i, j, k, l = instance
+    quad = gate_quad(gate, i, j, k, l)
+    tau = np.array(lags)
+    baseline = _baseline(quad, pair, tau)
+    assert np.all(np.abs(_interference_term(quad, pair, tau)) <= baseline * (1.0 + 1e-12))
