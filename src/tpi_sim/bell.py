@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .emitter import (
-    EmitterParams,
     InfeasibleDecompositionError,
     NormalizedParams,
     PhotonPair,
@@ -49,6 +48,7 @@ from .interference import (
     overlap_weight,
     visibility_map,
 )
+from .numerics import GAUSS_FWHM_PER_SIGMA
 
 __all__ = [
     "FidelityResult",
@@ -296,57 +296,37 @@ def emitter_assessment(
     independently over the product of their curves (resonant, no relative
     detuning) and only the ranges are reported.
     """
+    # One kernel call on the joint sums PhotonPair forms (gamma_i + gamma_j, sigma_i^2 +
+    # sigma_j^2): of the curve with itself, or the outer sum of both curves.
+    rates, fwhms, gamma_i, var_i = _curve_widths(constraint, n_points)
     if second is None:
-        points = []
-        for rate, fwhm in constraint.decomposition(n_points):
-            emitter = EmitterParams(
-                lifetime=constraint.lifetime,
-                dephasing_rate=max(rate, 0.0),
-                inhomogeneous_fwhm=fwhm,
-            )
-            pair = PhotonPair.identical(emitter)
-            norm = normalized_params(emitter)
-            visibility = interference_weight(pair)
-            points.append(
-                AssessmentPoint(
-                    dephasing_rate=emitter.dephasing_rate,
-                    inhomogeneous_fwhm=emitter.inhomogeneous_fwhm,
-                    theta_pd=norm.theta_pd,
-                    theta_sd=norm.theta_sd,
-                    visibility=visibility,
-                    fidelity=bell_fidelity(pair).fidelity,
-                )
-            )
-        vs = [p.visibility for p in points]
-        fs = [p.fidelity for p in points]
-        return AssessmentResult(
-            visibility_range=(min(vs), max(vs)),
-            fidelity_range=(min(fs), max(fs)),
-            points=tuple(points),
-        )
-
-    # The product of both curves in one kernel call, from the same joint
-    # sums PhotonPair forms: gamma_i + gamma_j and sqrt(sigma_i^2 + sigma_j^2).
-    gamma_i, var_i = _curve_widths(constraint, n_points)
-    gamma_j, var_j = _curve_widths(second, n_points)
+        gamma_j, var_j, lifetime_j = gamma_i, var_i, constraint.lifetime
+    else:
+        gamma_i, var_i = gamma_i[:, None], var_i[:, None]
+        _, _, gamma_j, var_j = _curve_widths(second, n_points)
+        lifetime_j = second.lifetime
     weights = overlap_weight(
-        gamma_i[:, None] + gamma_j[None, :],
-        np.sqrt(var_i[:, None] + var_j[None, :]),
-        0.0,
-        constraint.lifetime + second.lifetime,
+        gamma_i + gamma_j, np.sqrt(var_i + var_j), 0.0, constraint.lifetime + lifetime_j
     )
     fidelities = fidelity_at_weight(weights)
+    points = None
+    if second is None:
+        # theta_pd and theta_sd as normalized_params forms them
+        tau_r = constraint.lifetime
+        columns = (rates, fwhms, 1.0 + 2.0 * rates * tau_r, fwhms * tau_r, weights, fidelities)
+        points = tuple(AssessmentPoint(*row) for row in zip(*(c.tolist() for c in columns)))
     return AssessmentResult(
         visibility_range=(float(weights.min()), float(weights.max())),
         fidelity_range=(float(fidelities.min()), float(fidelities.max())),
-        points=None,
+        points=points,
     )
 
 
-def _curve_widths(constraint: EmitterConstraint, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_h and sigma^2 of every emitter on the decomposition curve."""
-    emitters = [
-        EmitterParams(constraint.lifetime, max(r, 0.0), f)
-        for r, f in constraint.decomposition(n_points)
-    ]
-    return np.array([e.gamma_h for e in emitters]), np.array([e.sigma**2 for e in emitters])
+def _curve_widths(constraint: EmitterConstraint, n_points: int) -> tuple[np.ndarray, ...]:
+    """Dephasing rate, inhomogeneous FWHM, gamma_h and sigma^2 of every
+    emitter on the decomposition curve, as EmitterParams forms them."""
+    rates, fwhms = np.array(constraint.decomposition(n_points), dtype=float).T
+    rates = np.maximum(rates, 0.0)
+    gamma = 0.5 / constraint.lifetime + rates
+    # float_power calls the C library's pow, as Python's sigma**2 does
+    return rates, fwhms, gamma, np.float_power(fwhms / GAUSS_FWHM_PER_SIGMA, 2)

@@ -188,6 +188,18 @@ def _integer(obj: dict, key: str, minimum: int, where: str = "", default: int | 
     return value
 
 
+def _check_signs(canonical: dict, obj: dict, where: str, zero_ok: tuple[str, ...]) -> None:
+    """Refuse every field of ``canonical`` that is negative, or zero unless
+    listed in ``zero_ok``; ``obj`` is the config object the fields came from."""
+    for key, value in canonical.items():
+        zero_allowed = key in zero_ok
+        if value < 0.0 or (value == 0.0 and not zero_allowed):
+            raise ConfigError(
+                f"config field {_field_name(where, key)!r} must be "
+                f"{'>= 0' if zero_allowed else 'positive'}, not {obj[key]!r}"
+            )
+
+
 def _parse_emitter(obj: dict, where: str) -> tuple[EmitterParams, dict]:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
@@ -204,15 +216,15 @@ def _parse_emitter(obj: dict, where: str) -> tuple[EmitterParams, dict]:
         key: _quantity(obj, key, where, scale, None if key == "lifetime_ps" else 0.0)
         for key, scale in scales.items()
     }
-    try:
-        emitter = EmitterParams(
-            lifetime=canonical["lifetime_ps"] * PS,
-            dephasing_rate=canonical["dephasing_rate_mhz"] * MHZ,
-            inhomogeneous_fwhm=canonical["inhomogeneous_fwhm_mhz"] * MHZ,
-            detuning=canonical["detuning_mhz"] * MHZ,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid emitter: {exc}") from exc
+    signed = {k: v for k, v in canonical.items() if k != "detuning_mhz"}  # detuning: either sign
+    _check_signs(signed, obj, where, zero_ok=("dephasing_rate_mhz", "inhomogeneous_fwhm_mhz"))
+    # finite, in range and of the right sign: EmitterParams accepts these
+    emitter = EmitterParams(
+        lifetime=canonical["lifetime_ps"] * PS,
+        dephasing_rate=canonical["dephasing_rate_mhz"] * MHZ,
+        inhomogeneous_fwhm=canonical["inhomogeneous_fwhm_mhz"] * MHZ,
+        detuning=canonical["detuning_mhz"] * MHZ,
+    )
     return emitter, canonical
 
 
@@ -263,13 +275,7 @@ def _parse_constraint(obj: dict, where: str) -> tuple[EmitterConstraint, dict]:
     if "lifetime_ps" not in obj:
         raise ConfigError(f"config is missing required field {where + '.lifetime_ps'!r}")
     canonical = {k: _quantity(obj, k, where, scale) for k, scale in scales.items() if k in obj}
-    for key, value in canonical.items():
-        zero_ok = key == "gaussian_fwhm_mhz"  # a pure Lorentzian
-        if value < 0.0 or (value == 0.0 and not zero_ok):
-            raise ConfigError(
-                f"config field {_field_name(where, key)!r} must be "
-                f"{'>= 0' if zero_ok else 'positive'}, not {obj[key]!r}"
-            )
+    _check_signs(canonical, obj, where, zero_ok=("gaussian_fwhm_mhz",))  # a pure Lorentzian
 
     def get(key: str):
         return canonical[key] * scales[key] if key in canonical else None

@@ -159,18 +159,26 @@ def voigt_fwhm(
     hi = out[mixed]  # Voigt FWHM <= fL + fG
     density = _faddeeva_voigt(gauss[mixed] / GAUSS_FWHM_PER_SIGMA, 0.5 * lor[mixed], hi.shape)
     half_peak = 0.5 * density(0.0)
-    lo = np.zeros_like(hi)
     if np.any(density(hi) >= half_peak):
         raise QuadratureError("failed to bracket the Voigt half maximum")
+    lo, hi = _bisect(lambda mid: density(mid) >= half_peak, hi, rtol)
+    out[mixed] = lo + hi  # 2 * half-width
+    return float(out) if out.ndim == 0 else out
+
+
+def _bisect(root_above: Callable, hi: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of a lockstep bisection of every element on [0, hi], where
+    ``root_above(mid)`` is True below the root.  Each element freezes once its
+    ``hi - lo <= rtol * hi``, so array and scalar bisections agree bit for bit."""
+    lo = np.zeros_like(hi)
     live = hi - lo > rtol * hi
     while np.count_nonzero(live):
         mid = 0.5 * (lo + hi)
-        inside = density(mid) >= half_peak
-        np.copyto(lo, mid, where=live & inside)
-        np.copyto(hi, mid, where=live & ~inside)
+        above = root_above(mid)
+        np.copyto(lo, mid, where=live & above)
+        np.copyto(hi, mid, where=live & ~above)
         live = hi - lo > rtol * hi
-    out[mixed] = lo + hi  # 2 * half-width
-    return float(out) if out.ndim == 0 else out
+    return lo, hi
 
 
 # 15-point Kronrod nodes on [-1, 1] and the matching 7-point Gauss weights.

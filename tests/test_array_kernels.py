@@ -1,9 +1,14 @@
 """The array kernels against test-local copies of their scalar forms.
 
 Each kernel evaluates every element with the floating-point operations of
-the scalar code it replaced, so the comparisons here are exact (``==``),
-not approximate.  Warnings are errors: no kernel may leak a RuntimeWarning
-from branches it computes and then discards.
+its scalar form, so the comparisons here are exact (``==``), not
+approximate.  The scalar form is the code the kernel replaced, except for
+the Voigt split, whose reference bisects the same half-maximum condition
+one width at a time.  The identical-pair fidelities of
+``emitter_assessment`` are the affine ``fidelity_at_weight`` and agree with
+the 30 probabilities of ``bell_fidelity`` to rounding.  Warnings are
+errors: no kernel may leak a RuntimeWarning from branches it computes and
+then discards.
 """
 
 import math
@@ -13,6 +18,7 @@ import pytest
 from scipy.special import wofz
 
 from tpi_sim.bell import EmitterConstraint, bell_fidelity, emitter_assessment
+from tpi_sim.bell import fidelity_at_weight
 from tpi_sim.emitter import EmitterParams, InfeasibleDecompositionError, PhotonPair
 from tpi_sim.emitter import decompose_voigt_fwhm
 from tpi_sim.gates import TOMOGRAPHY_BASES, cnot_gate, compose, gate_quad, prep_gate
@@ -58,12 +64,21 @@ def scalar_voigt_fwhm(lorentzian_fwhm, gaussian_fwhm, rtol=1e-13):
     return lo + hi
 
 
-def scalar_bisect_increasing(fn, target, lo, hi, rtol=1e-9):
-    if fn(hi) < target:
+def scalar_narrower(total_fwhm, lorentzian_fwhm, gaussian_fwhm):
+    """Below half the peak at F/2: the Voigt FWHM of the components is below F."""
+    sigma = gaussian_fwhm / GAUSS_FWHM_PER_SIGMA
+    hwhm = 0.5 * lorentzian_fwhm
+    at_half = scalar_voigt_value(0.5 * total_fwhm, sigma, hwhm)
+    return at_half < 0.5 * scalar_voigt_value(0.0, sigma, hwhm)
+
+
+def scalar_solve_width(narrower, hi, rtol=1e-13):
+    if narrower(hi):
         raise InfeasibleDecompositionError("target not bracketed")
-    while hi - lo > rtol * max(hi, 1e-300):
+    lo = 0.0
+    while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
+        if narrower(mid):
             lo = mid
         else:
             hi = mid
@@ -71,20 +86,21 @@ def scalar_bisect_increasing(fn, target, lo, hi, rtol=1e-9):
 
 
 def scalar_decompose_voigt_fwhm(lifetime, total_fwhm, n_points):
+    """One scalar bisection per unknown width on the half-maximum condition."""
     fourier_fwhm = 1.0 / (2.0 * math.pi * lifetime)
     rate_max = math.pi * total_fwhm - 0.5 / lifetime
-    gauss_max = scalar_bisect_increasing(
-        lambda g: scalar_voigt_fwhm(fourier_fwhm, g), total_fwhm, 0.0, 2.0 * total_fwhm
+    gauss_max = scalar_solve_width(
+        lambda g: scalar_narrower(total_fwhm, fourier_fwhm, g), 2.0 * total_fwhm
     )
     pairs = [(rate_max, 0.0)]
-    for fwhm in np.geomspace(gauss_max * 1e-3, gauss_max, n_points - 1):
+    for fwhm in np.geomspace(gauss_max * 1e-3, gauss_max, n_points - 1).tolist():
         if fwhm == gauss_max:
-            pairs.append((0.0, float(fwhm)))
+            pairs.append((0.0, fwhm))
             continue
-        lor = scalar_bisect_increasing(
-            lambda l: scalar_voigt_fwhm(l, fwhm), total_fwhm, 0.0, total_fwhm
+        lor = scalar_solve_width(
+            lambda l: scalar_narrower(total_fwhm, l, fwhm), 2.0 * total_fwhm
         )
-        pairs.append((max(math.pi * lor - 0.5 / lifetime, 0.0), float(fwhm)))
+        pairs.append((max(math.pi * lor - 0.5 / lifetime, 0.0), fwhm))
     return pairs
 
 
@@ -271,4 +287,7 @@ class TestBellFromAffineTerms:
                 EmitterParams(1.72e-9, point.dephasing_rate, point.inhomogeneous_fwhm)
             )
             assert point.visibility == scalar_pair_weight(pair)
-            assert point.fidelity == scalar_bell_fidelity(pair)[0]
+            # the affine form of the 30 probabilities, to rounding
+            assert point.fidelity == fidelity_at_weight(point.visibility)
+            reference = bell_fidelity(pair).fidelity
+            assert abs(point.fidelity - reference) <= 1e-15 * abs(reference)

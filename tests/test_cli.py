@@ -349,6 +349,38 @@ class TestConfigBoundary:
         err = self.run_error(tmp_path, capsys, command, payload)
         assert repr(field) in err and err.rstrip().endswith(f"not {bad!r}"), err
 
+    @staticmethod
+    def pair_payload(command):
+        if command == "g2":
+            return qd_pair_config(n_tau=11)
+        return qd_pair_config(detuning_ghz={"min": -1.0, "max": 1.0, "n": 3})
+
+    @pytest.mark.parametrize(
+        "key,bad",
+        [
+            ("lifetime_ps", -700),
+            ("lifetime_ps", 0),
+            ("dephasing_rate_mhz", -5),
+            ("inhomogeneous_fwhm_mhz", -1.5),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["g2", "tuning"])
+    def test_emitter_sign_named_in_config_units(self, tmp_path, capsys, command, key, bad):
+        payload = self.pair_payload(command)
+        payload["emitters"][1][key] = bad
+        err = self.run_error(tmp_path, capsys, command, payload)
+        field = f"emitters[1].{key}"
+        assert repr(field) in err and err.rstrip().endswith(f"not {bad!r}"), err
+
+    @pytest.mark.parametrize("command", ["g2", "tuning"])
+    def test_zero_widths_and_negative_detuning_accepted(self, tmp_path, command):
+        payload = self.pair_payload(command)
+        payload["emitters"][0].update(
+            dephasing_rate_mhz=0, inhomogeneous_fwhm_mhz=0.0, detuning_mhz=-500
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+
     @pytest.mark.parametrize("command", ["decompose", "assess"])
     def test_vanishing_gaussian_width_accepted(self, tmp_path, command):
         # 1e-86 MHz is inside the accepted range, but a * a of the coherence

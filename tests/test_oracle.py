@@ -1,15 +1,26 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
+
+import tpi_sim
 
 from tpi_sim.emitter import EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix, beam_splitter
 from tpi_sim.interference import averaged_phase_factor, g2_trace, joint_detection_probability
 from tpi_sim.numerics import integrate
 from tpi_sim.oracle import (
+    MonteCarloEstimate,
     _draw_jitter_block,
     _gauss_legendre_nodes,
+    _haar_unitary,
+    _monte_carlo_check,
+    _random_instance,
     draw_jitter,
     exponential_wave,
     mc_averaged_phase_factor,
@@ -329,3 +340,82 @@ class TestVerificationSuite:
         for check in report.checks:
             assert check.passed, f"{check.name}: {check.observed} > {check.bound}"
         assert report.all_passed
+
+
+class TestZeroVariancePoints:
+    """At a lag of 0, or with all jitter scales zero, every Monte-Carlo
+    sample is the same up to rounding; the check compares such points on
+    their relative difference, because a z there divides by rounding noise."""
+
+    def test_zero_lag_on_random_instances(self):
+        rng = np.random.default_rng(5)
+        results = []
+        for seed in range(8):
+            gate, i, j, k, l, pair = _random_instance(rng)
+            est = mc_g2_estimate(gate, i, j, k, l, pair, 0.0, realizations=20, seed=seed)
+            closed = float(g2_trace(gate, i, j, k, l, pair, [-1.0, 0.0, 1.0]).g2_values[1])
+            assert est.stderr <= 1e-12 * abs(est.value)
+            results.append((est, closed))
+        # a z from the rounding-noise stderr would fail the 3-sigma gate
+        assert max(abs(e.value - c) / e.stderr for e, c in results if e.stderr) > 3.0
+        check = _monte_carlo_check("trace", results)
+        assert check.passed and check.observed == 0.0 and check.bound == 3.0
+        assert check.name == "trace; 8 zero-variance points to 1e-9 relative"
+        est, closed = results[0]
+        assert not _monte_carlo_check("trace", [(est, closed * (1.0 + 1e-8))]).passed
+
+    @pytest.mark.parametrize("tau", [-1e-9, 0.4e-9, 2e-9])
+    def test_no_jitter_trace(self, tau):
+        est = mc_g2_estimate(HOM, 1, 2, 1, 2, NO_JITTER, tau, realizations=20, seed=3)
+        trace = g2_trace(HOM, 1, 2, 1, 2, NO_JITTER, [tau - 1.0, tau, tau + 1.0])
+        closed = float(trace.g2_values[1])
+        assert est.stderr <= 1e-12 * abs(est.value)
+        check = _monte_carlo_check("trace", [(est, closed)])
+        assert check.passed and check.name == "trace; 1 zero-variance points to 1e-9 relative"
+
+    def test_no_jitter_phase_factor(self):
+        est = mc_averaged_phase_factor(NO_JITTER, 0.3e-9, trials=10_000, seed=3, gate_phase=1.0)
+        assert est.stderr == 0.0  # compared too, not skipped
+        closed = averaged_phase_factor(NO_JITTER, 0.3e-9, 1.0)
+        assert _monte_carlo_check("phase", [(est, closed)]).passed
+        assert not _monte_carlo_check("phase", [(est, closed + 1e-6)]).passed
+
+    def test_random_points_keep_the_three_sigma_gate(self):
+        noisy = (MonteCarloEstimate(1.0, 0.1), 1.25)
+        check = _monte_carlo_check("mixed", [noisy, (MonteCarloEstimate(2.0, 0.0), 2.0)])
+        assert check.observed == pytest.approx(2.5) and check.passed
+        assert check.name == "mixed; 1 zero-variance points to 1e-9 relative"
+        check = _monte_carlo_check("plain", [noisy, (MonteCarloEstimate(1.0, 0.1), 1.35)])
+        assert check.name == "plain" and not check.passed
+
+
+class TestHaarUnitary:
+    def test_equals_scipy_unitary_group(self):
+        # scipy's sampler is the reference; the oracle carries its own copy
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            dim = int(rng.integers(2, 7))
+            seed = int(rng.integers(2**31 - 1))
+            u = _haar_unitary(dim, seed)
+            assert np.array_equal(u, unitary_group.rvs(dim, random_state=seed))
+            assert np.allclose(u @ u.conj().T, np.eye(dim), rtol=0.0, atol=1e-14)
+
+    def test_oracle_leaves_scipy_stats_unimported(self):
+        code = (
+            "import sys\n"
+            "import tpi_sim\n"
+            "from tpi_sim.oracle import run_verification\n"
+            "run_verification(seed=1, closed_form_instances=1, mc_instances=1,\n"
+            "                 mc_realizations=2, phase_trials=10_000)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(tpi_sim.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        assert done.stdout.strip() == "False"

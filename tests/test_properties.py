@@ -7,7 +7,8 @@ against.  Input ranges are wide on purpose: lifetimes from 0.1 ps to 1 ms,
 rates, widths and detunings from 1 to 1e15 (or exactly zero).  The
 correlation trace's interference term is checked against its
 distinguishable baseline on random unitaries of dimension 2-6 and on the
-balanced splitter.
+balanced splitter.  Every split of both linewidth decompositions must
+reproduce the linewidth it was solved for.
 """
 
 import math
@@ -15,7 +16,13 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from tpi_sim.emitter import EmitterParams, PhotonPair
+from tpi_sim.emitter import (
+    EmitterParams,
+    PhotonPair,
+    coherence_time,
+    decompose_linewidth,
+    decompose_voigt_fwhm,
+)
 from tpi_sim.gates import GateMatrix, beam_splitter, gate_quad
 from tpi_sim.interference import (
     SIGMA_LIFETIME_THRESHOLD,
@@ -27,6 +34,7 @@ from tpi_sim.interference import (
     tuning_curve,
     visibility_map,
 )
+from tpi_sim.numerics import voigt_fwhm
 
 
 def log_uniform(lo, hi):
@@ -140,3 +148,22 @@ def test_interference_term_bounded_by_baseline(instance, pair, lags):
     tau = np.array(lags)
     baseline = _baseline(quad, pair, tau)
     assert np.all(np.abs(_interference_term(quad, pair, tau)) <= baseline * (1.0 + 1e-12))
+
+
+# how far a linewidth lies above the Fourier limit, as a ratio minus one
+EXCESS = zero_or(log_uniform(1e-12, 1e6))
+
+
+@given(LIFETIMES, EXCESS, st.integers(2, 40))
+def test_voigt_splits_reproduce_the_linewidth(lifetime, excess, n_points):
+    total_fwhm = (1.0 + excess) / (2.0 * math.pi * lifetime)
+    rates, gauss = np.array(decompose_voigt_fwhm(lifetime, total_fwhm, n_points)).T
+    lorentz = (rates + 0.5 / lifetime) / math.pi
+    np.testing.assert_allclose(voigt_fwhm(lorentz, gauss), total_fwhm, rtol=1e-12, atol=0.0)
+
+
+@given(LIFETIMES, log_uniform(1e-9, 1.0), st.integers(2, 40))
+def test_coherence_splits_reproduce_the_coherence_time(lifetime, x_c, n_points):
+    tau_c = 2.0 * lifetime * x_c
+    for rate, fwhm in decompose_linewidth(lifetime, tau_c, n_points):
+        assert abs(coherence_time(lifetime, rate, fwhm) - tau_c) <= 1e-12 * tau_c
