@@ -28,9 +28,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,33 +88,67 @@ def dumps(obj: Any) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(config: RunConfig, columns: list[str], rows: list[list], stream) -> None:
-    if config.fmt == "json":
-        payload = {
-            "command": config.command,
-            "config": config.params,
-            "seed": config.seed,
-            "columns": columns,
-            "rows": rows,
-        }
-        stream.write(dumps(payload) + "\n")
-        return
-    stream.write(f"# command = {config.command}\n")
-    stream.write(f"# config = {dumps(config.params)}\n")
-    stream.write(f"# seed = {config.seed}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
-        stream.write("\n")
+# Rows rendered and written at a time: the writer's memory is bounded by one
+# block whatever the size of the table.
+_BLOCK_ROWS = 4096
 
 
-def _write_output(config: RunConfig, columns: list[str], rows: list[list]) -> None:
-    if config.out is None:
-        _emit(config, columns, rows, sys.stdout)
-        return
-    path = Path(config.out)
-    with path.open("w", newline="") as fh:
-        _emit(config, columns, rows, fh)
+@dataclass(frozen=True)
+class _Text:
+    """A float column whose cells are already rendered by :func:`_float_cells`."""
+
+    cells: list[str]
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    """:func:`format_float` of every element, rendered by one ``%`` operation
+    (``'%.17g' % x`` is ``format_float(x)`` for every float, nan and inf too)."""
+    return (("%.17g\0" * len(values)) % tuple(values.tolist())).split("\0")[:-1]
+
+
+def _row_blocks(*columns) -> Iterator[tuple]:
+    """Equal-length columns cut into blocks of ``_BLOCK_ROWS`` rows."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield tuple(column[start : start + _BLOCK_ROWS] for column in columns)
+
+
+def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -> None:
+    """Write a table to ``config.out`` (stdout if None), one row block at a time.
+
+    Each block holds one equal-length column per name: a float array, a
+    :class:`_Text`, or a list of labels or bools, which CSV writes as ``str``
+    and JSON as ``json.dumps``.  The bytes are those of writing every row with
+    :func:`format_float` per float cell and JSON through :func:`dumps`.
+    """
+    as_json = config.fmt == "json"
+    label = json.dumps if as_json else str
+    sink = open(config.out, "w", newline="") if config.out is not None else nullcontext(sys.stdout)
+    with sink as stream:
+        if as_json:
+            # the keys of the payload in sorted order: columns, command, config, rows, seed
+            head = dumps({"columns": names, "command": config.command, "config": config.params})
+            stream.write(head[:-1] + ',"rows":[')
+        else:
+            stream.write(f"# command = {config.command}\n")
+            stream.write(f"# config = {dumps(config.params)}\n")
+            stream.write(f"# seed = {config.seed}\n")
+            stream.write(",".join(names) + "\n")
+        separator = ""
+        for block in blocks:
+            cells = [
+                column.cells if isinstance(column, _Text)
+                else _float_cells(column) if isinstance(column, np.ndarray)
+                else [label(v) for v in column]
+                for column in block
+            ]
+            rows = map(",".join, zip(*cells))
+            if as_json:
+                stream.write(separator + "[" + "],[".join(rows) + "]")
+                separator = ","
+            else:
+                stream.write("\n".join(rows) + "\n")
+        if as_json:
+            stream.write(f'],"seed":{json.dumps(config.seed)}}}\n')
 
 
 # --------------------------------------------------------------------------
@@ -313,11 +348,8 @@ def cmd_g2(config: RunConfig) -> int:
 
     grid = np.linspace(-tau_max_ps * PS, tau_max_ps * PS, n_tau)
     trace = g2_trace(beam_splitter(0.5), 1, 2, 1, 2, pair, grid)
-    rows = [
-        [float(t / PS), float(g), float(g0)]
-        for t, g, g0 in zip(trace.tau_grid, trace.g2_values, trace.g2_distinguishable)
-    ]
-    _write_output(config, ["tau_ps", "g2", "g2_classical"], rows)
+    columns = (trace.tau_grid / PS, trace.g2_values, trace.g2_distinguishable)
+    _write_table(config, ["tau_ps", "g2", "g2_classical"], _row_blocks(*columns))
     return 0
 
 
@@ -328,12 +360,10 @@ def cmd_tuning(config: RunConfig) -> int:
     cfg_canonical = dict(cfg)
     cfg_canonical["detuning_ghz"] = canonical
     config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
-    rows = []
-    for dnu, res in zip(grid, tuning_curve(pair, grid * GHZ)):
-        rows.append([float(dnu), res.visibility, res.p_coinc, res.p_coinc_classical])
-    _write_output(
-        config, ["delta_nu_ghz", "visibility", "p_coinc", "p_coinc_classical"], rows
-    )
+    curve = tuning_curve(pair, grid * GHZ)
+    values = np.array([(r.visibility, r.p_coinc, r.p_coinc_classical) for r in curve])
+    names = ["delta_nu_ghz", "visibility", "p_coinc", "p_coinc_classical"]
+    _write_table(config, names, _row_blocks(grid, *values.T))
     return 0
 
 
@@ -344,13 +374,21 @@ def _cmd_map(config: RunConfig, value_name: str, evaluate) -> int:
     cfg_canonical = dict(cfg)
     cfg_canonical.update(theta_pd=pd_c, theta_sd=sd_c)
     config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
-    matrix = evaluate(pd_grid, sd_grid)
-    rows = [
-        [float(pd), float(sd), float(matrix[a, b])]
-        for a, pd in enumerate(pd_grid)
-        for b, sd in enumerate(sd_grid)
-    ]
-    _write_output(config, ["theta_pd", "theta_sd", value_name], rows)
+    # The maps are elementwise, so evaluating them a block of theta_pd rows at
+    # a time gives the same bits; each axis value is rendered once.
+    pd_text, sd_text = _float_cells(pd_grid), _float_cells(sd_grid)
+    step = max(1, _BLOCK_ROWS // len(sd_grid))
+
+    def blocks() -> Iterator[tuple]:
+        for start in range(0, len(pd_grid), step):
+            pd = pd_grid[start : start + step]
+            yield (
+                _Text([text for text in pd_text[start : start + step] for _ in sd_text]),
+                _Text(sd_text * len(pd)),
+                evaluate(pd, sd_grid).ravel(),
+            )
+
+    _write_table(config, ["theta_pd", "theta_sd", value_name], blocks())
     return 0
 
 
@@ -368,19 +406,13 @@ def cmd_decompose(config: RunConfig) -> int:
     n_points = _integer(cfg, "n_points", 1, default=200)
     cfg_canonical = {"constraint": canonical, "n_points": n_points}
     config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
-    lifetime = constraint.lifetime
-    rows = []
-    for rate, fwhm in constraint.decomposition(n_points):
-        emitter = EmitterParams(lifetime, max(rate, 0.0), fwhm)
-        norm = normalized_params(emitter)
-        rows.append(
-            [rate / MHZ, fwhm / MHZ, norm.theta_pd, norm.theta_sd, norm.x_c]
-        )
-    _write_output(
-        config,
-        ["dephasing_rate_mhz", "inhomogeneous_fwhm_mhz", "theta_pd", "theta_sd", "x_c"],
-        rows,
-    )
+    splits = np.array(constraint.decomposition(n_points), dtype=float)
+    normalized = np.array([
+        astuple(normalized_params(EmitterParams(constraint.lifetime, max(rate, 0.0), fwhm)))
+        for rate, fwhm in splits.tolist()
+    ])
+    names = ["dephasing_rate_mhz", "inhomogeneous_fwhm_mhz", "theta_pd", "theta_sd", "x_c"]
+    _write_table(config, names, _row_blocks(*(splits.T / MHZ), *normalized.T))
     return 0
 
 
@@ -391,11 +423,18 @@ def cmd_assess(config: RunConfig) -> int:
         raise ConfigError("field 'sources' must list at least one entry")
     n_points = _integer(cfg, "n_points", 1, default=200)
     canonical_sources = []
-    rows = []
+    names = []
+    ranges = []
     for n, entry in enumerate(sources):
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError("each source needs at least a 'name'")
-        name = str(entry["name"])
+        name = entry["name"]
+        if not isinstance(name, str) or any(c in name for c in ",\r\n"):
+            # a name is one CSV cell
+            raise ConfigError(
+                f"config field 'sources[{n}].name' must be a string without ',', "
+                f"'\\r' or '\\n', not {name!r}"
+            )
         constraint, c_main = _parse_constraint(
             {k: v for k, v in entry.items() if k not in ("name", "second")}, f"sources[{n}]"
         )
@@ -408,15 +447,8 @@ def cmd_assess(config: RunConfig) -> int:
         if c_second is not None:
             canonical["second"] = c_second
         canonical_sources.append(canonical)
-        rows.append(
-            [
-                name,
-                result.visibility_range[0],
-                result.visibility_range[1],
-                result.fidelity_range[0],
-                result.fidelity_range[1],
-            ]
-        )
+        names.append(name)
+        ranges.append(result.visibility_range + result.fidelity_range)
     config = RunConfig(
         config.command,
         {"sources": canonical_sources, "n_points": n_points},
@@ -424,7 +456,8 @@ def cmd_assess(config: RunConfig) -> int:
         config.fmt,
         config.seed,
     )
-    _write_output(config, ["name", "v_min", "v_max", "f_min", "f_max"], rows)
+    columns = (names, *np.array(ranges).T)
+    _write_table(config, ["name", "v_min", "v_max", "f_min", "f_max"], _row_blocks(*columns))
     return 0
 
 
@@ -439,9 +472,11 @@ def cmd_verify(config: RunConfig) -> int:
     sizes = {key: _integer(cfg, key, 1, default=default) for key, default in defaults.items()}
     config = RunConfig(config.command, dict(sizes), config.out, config.fmt, config.seed)
     report = run_verification(seed=config.seed, **sizes)
-    rows = [[c.name, c.observed, c.bound, c.passed] for c in report.checks]
-    _write_output(config, ["check", "observed", "bound", "passed"], rows)
-    for check in report.checks:
+    checks = report.checks
+    measures = np.array([(c.observed, c.bound) for c in checks], dtype=float)
+    columns = ([c.name for c in checks], *measures.T, [c.passed for c in checks])
+    _write_table(config, ["check", "observed", "bound", "passed"], _row_blocks(*columns))
+    for check in checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: observed {format_float(check.observed)} "
               f"(bound {format_float(check.bound)})", file=sys.stderr)

@@ -418,17 +418,21 @@ def _random_instance(rng: np.random.Generator):
 
 
 def _monte_carlo_check(name: str, results: list) -> VerificationCheck:
-    """3-sigma check of (Monte-Carlo estimate, closed form) pairs.
+    """3-sigma check of (Monte-Carlo estimate, closed form, scale) triples.
 
-    A stderr of at most 1e-12 of the value is rounding noise (a lag of 0, or
-    no jitter at all), so such points are held to 1e-9 relative difference
-    instead, and the name counts them; ``observed`` is the worst z of the rest.
+    ``scale`` is the size of the terms the value is summed from (the
+    distinguishable baseline of a correlation trace, 1 for a phase factor).
+    A stderr of at most 1e-12 of the larger of value and scale is rounding
+    noise (a lag of 0, or no jitter at all), so such points are held to
+    1e-9 of the larger of closed form and scale instead, and the name counts
+    them; ``observed`` is the worst z of the rest.  The scale matters where
+    the true value is 0 and both sides are rounding noise of the terms.
     """
     worst_z = 0.0
     exact = []
-    for est, closed in results:
-        if est.stderr <= 1e-12 * abs(est.value):
-            exact.append(abs(est.value - closed) <= 1e-9 * abs(closed))
+    for est, closed, scale in results:
+        if est.stderr <= 1e-12 * max(abs(est.value), scale):
+            exact.append(abs(est.value - closed) <= 1e-9 * max(abs(closed), scale))
         else:
             worst_z = max(worst_z, abs(est.value - closed) / est.stderr)
     if exact:
@@ -483,7 +487,7 @@ def run_verification(
                 seed=int(rng.integers(2**62)),
             )
             trace = g2_trace(gate, i, j, k, l, pair, tau_grid=[tau - 1.0, tau, tau + 1.0])
-            results.append((est, float(trace.g2_values[1])))
+            results.append((est, float(trace.g2_values[1]), float(trace.g2_distinguishable[1])))
     checks.append(
         _monte_carlo_check(
             f"correlation trace vs Monte-Carlo model ({mc_instances} instances x 5 lags)",
@@ -499,7 +503,7 @@ def run_verification(
         est = mc_averaged_phase_factor(
             pair, tau, trials=phase_trials, seed=int(rng.integers(2**62)), gate_phase=phase
         )
-        results.append((est, averaged_phase_factor(pair, tau, phase)))
+        results.append((est, averaged_phase_factor(pair, tau, phase), 1.0))
     checks.append(
         _monte_carlo_check("averaged phase factor vs Monte-Carlo sampling (8 cases)", results)
     )

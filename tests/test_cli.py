@@ -5,7 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpi_sim.cli import dumps, format_float, main
+from tpi_sim.bell import fidelity_map
+from tpi_sim.cli import (
+    _BLOCK_ROWS, RunConfig, _row_blocks, _write_table, dumps, format_float, main,
+)
+from tpi_sim.interference import visibility_map
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -52,6 +56,105 @@ class TestSerialization:
     def test_dumps_deterministic_and_sorted(self):
         payload = {"b": [1.5, 2], "a": {"y": True, "x": None}}
         assert dumps(payload) == '{"a":{"x":null,"y":true},"b":[1.5,2]}'
+
+
+def row_writer_text(config, columns, rows):
+    """The output of the row writer the columnar one replaced: ``format_float``
+    per float cell in CSV, ``dumps`` of the whole payload in JSON."""
+    if config.fmt == "json":
+        payload = {
+            "command": config.command,
+            "config": config.params,
+            "seed": config.seed,
+            "columns": columns,
+            "rows": rows,
+        }
+        return dumps(payload) + "\n"
+    lines = [
+        f"# command = {config.command}",
+        f"# config = {dumps(config.params)}",
+        f"# seed = {config.seed}",
+        ",".join(columns),
+    ]
+    lines += [",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1, 1e16, 1e17,
+]
+
+
+class TestColumnWriter:
+    """The columnar writer gives the bytes of the row writer it replaced."""
+
+    @staticmethod
+    def random_floats(rng, n):
+        bits = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+        return bits.view(np.float64)
+
+    @staticmethod
+    def written(tmp_path, config, names, blocks):
+        out = tmp_path / f"table.{config.fmt}"
+        _write_table(RunConfig(config.command, config.params, str(out), config.fmt, config.seed),
+                     names, blocks)
+        return out.read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_floats_labels_and_bools(self, tmp_path, fmt, n):
+        rng = np.random.default_rng(n)
+        bits = self.random_floats(rng, n)
+        special = np.resize(np.array(SPECIAL_FLOATS), n)
+        rng.shuffle(special)
+        scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, size=n)
+        words = ["qd", "nv center", 'say "hi"', "back\\slash", "ümlaut", "tab\there", ""]
+        labels = [words[k] for k in rng.integers(0, len(words), size=n)]
+        flags = [bool(b) for b in rng.integers(0, 2, size=n)]
+        config = RunConfig("assess", {"n_points": 3, "sources": [{"name": "x"}]}, None, fmt, 11)
+        names = ["name", "bits", "special", "scaled", "passed"]
+        columns = (labels, bits.tolist(), special.tolist(), scaled.tolist(), flags)
+        rows = [list(row) for row in zip(*columns)]
+        blocks = _row_blocks(labels, bits, special, scaled, flags)
+        expected = row_writer_text(config, names, rows)
+        assert self.written(tmp_path, config, names, blocks) == expected
+
+    def test_every_float_renders_as_format_float(self, tmp_path):
+        values = np.concatenate([self.random_floats(np.random.default_rng(1), 200_000),
+                                 np.array(SPECIAL_FLOATS)])
+        config = RunConfig("g2", {}, None, "csv", 0)
+        text = self.written(tmp_path, config, ["x"], _row_blocks(values))
+        assert text.splitlines()[4:] == [format_float(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command,evaluate,value_name", [
+        ("vmap", visibility_map, "visibility"),
+        ("fmap", fidelity_map, "fidelity"),
+    ])
+    def test_map_rows_not_a_multiple_of_the_block(self, tmp_path, fmt, command, evaluate,
+                                                  value_name):
+        # 4096 // 50 = 81 theta_pd rows per block: blocks of 81, 81 and 38 rows;
+        # the theta_sd range crosses the Lorentzian switch
+        params = {
+            "theta_pd": {"min": 1.0, "max": 80.0, "n": 200, "spacing": "log"},
+            "theta_sd": {"min": 1e-14, "max": 20.0, "n": 50, "spacing": "log"},
+        }
+        assert 200 % (_BLOCK_ROWS // 50) != 0
+        cfg = write_config(tmp_path, {**params, "seed": 3})
+        out = tmp_path / f"map.{fmt}"
+        assert main([command, "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        pd = np.geomspace(1.0, 80.0, 200)
+        sd = np.geomspace(1e-14, 20.0, 50)
+        matrix = evaluate(pd, sd)
+        rows = [[float(a), float(b), float(matrix[i, j])]
+                for i, a in enumerate(pd) for j, b in enumerate(sd)]
+        params = {key: {**grid, "min": float(grid["min"]), "max": float(grid["max"])}
+                  for key, grid in params.items()}
+        config = RunConfig(command, params, None, fmt, 3)
+        expected = row_writer_text(config, ["theta_pd", "theta_sd", value_name], rows)
+        assert out.read_text() == expected
 
 
 class TestG2Command:
@@ -400,6 +503,24 @@ class TestConfigBoundary:
             assert float(rows[0][header.index("x_c")]) == pytest.approx(expected, rel=1e-12)
         else:
             assert float(rows[0][header.index("v_min")]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["qd, 850\nps", "a,b", "cr\rlf", "line\n", 12, True, None,
+                                      ["qd"]])
+    def test_source_name_must_be_one_csv_cell(self, tmp_path, capsys, name):
+        payload = {"sources": [{"name": "ok", "lifetime_ps": 670, "coherence_time_ps": 330},
+                               {"name": name, "lifetime_ps": 670, "coherence_time_ps": 330}],
+                   "n_points": 3}
+        err = self.run_error(tmp_path, capsys, "assess", payload)
+        assert "'sources[1].name'" in err and err.rstrip().endswith(f"not {name!r}"), err
+
+    def test_other_source_names_accepted(self, tmp_path):
+        names = ["nv center", 'say "hi"', "ümlaut;tab\t", ""]
+        payload = {"sources": [{"name": name, "lifetime_ps": 670, "coherence_time_ps": 330}
+                               for name in names], "n_points": 3}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "assess.json"
+        assert main(["assess", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        assert [row[0] for row in json.loads(out.read_text())["rows"]] == names
 
     def test_zero_gaussian_width_accepted(self, tmp_path):
         constraint = {"lifetime_ps": 1000, "lorentzian_fwhm_max_mhz": 200, "gaussian_fwhm_mhz": 0}

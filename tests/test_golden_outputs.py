@@ -25,9 +25,15 @@ most 8.7e-9 relative (dephasing rates; Gaussian widths by at most 1.5e-10).
 In ``assess``, 10 of the 32 range values moved: those of the three Voigt
 sources by at most 1.2e-10, the fidelities of ``nv_center`` by at most
 3.3e-16.
+
+The ``verify`` pins cover the label and bool columns, which no shipped
+map or sweep has; their config is the tiny one in ``VERIFY_CONFIG``.  Both
+hashes were recorded from the row writer, before the CLI wrote its tables
+column by column in row blocks.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -72,9 +78,32 @@ GOLDEN = {
 }
 
 
+VERIFY_CONFIG = {
+    "seed": 7,
+    "closed_form_instances": 2,
+    "mc_instances": 1,
+    "mc_realizations": 200,
+    "phase_trials": 10000,
+}
+
+VERIFY_GOLDEN = {
+    "csv": "b26bbfa7f3085b7acd012144fe2686bff4b0aeba2c4bc6d7bb984d07864ce450",
+    "json": "cd8bf819e0f59ea5cc21d62b5eb0e02fd286ed47f2ac909c2da0322df6f3ee47",
+}
+
+
 @pytest.mark.parametrize("command,config,fmt", sorted(GOLDEN))
 def test_output_bytes_unchanged(tmp_path, command, config, fmt):
     out = tmp_path / f"out.{fmt}"
     argv = [command, "--config", str(CONFIG_DIR / config), "--out", str(out), "--format", fmt]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(command, config, fmt)]
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_GOLDEN))
+def test_verify_bytes_unchanged(tmp_path, fmt):
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps(VERIFY_CONFIG))
+    out = tmp_path / f"out.{fmt}"
+    assert main(["verify", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_GOLDEN[fmt]

@@ -353,40 +353,55 @@ class TestZeroVariancePoints:
         for seed in range(8):
             gate, i, j, k, l, pair = _random_instance(rng)
             est = mc_g2_estimate(gate, i, j, k, l, pair, 0.0, realizations=20, seed=seed)
-            closed = float(g2_trace(gate, i, j, k, l, pair, [-1.0, 0.0, 1.0]).g2_values[1])
+            trace = g2_trace(gate, i, j, k, l, pair, [-1.0, 0.0, 1.0])
+            closed, scale = float(trace.g2_values[1]), float(trace.g2_distinguishable[1])
             assert est.stderr <= 1e-12 * abs(est.value)
-            results.append((est, closed))
+            results.append((est, closed, scale))
         # a z from the rounding-noise stderr would fail the 3-sigma gate
-        assert max(abs(e.value - c) / e.stderr for e, c in results if e.stderr) > 3.0
+        assert max(abs(e.value - c) / e.stderr for e, c, _ in results if e.stderr) > 3.0
         check = _monte_carlo_check("trace", results)
         assert check.passed and check.observed == 0.0 and check.bound == 3.0
         assert check.name == "trace; 8 zero-variance points to 1e-9 relative"
-        est, closed = results[0]
-        assert not _monte_carlo_check("trace", [(est, closed * (1.0 + 1e-8))]).passed
+        est, closed, scale = results[0]
+        assert not _monte_carlo_check("trace", [(est, closed * (1.0 + 1e-8), scale)]).passed
 
     @pytest.mark.parametrize("tau", [-1e-9, 0.4e-9, 2e-9])
     def test_no_jitter_trace(self, tau):
         est = mc_g2_estimate(HOM, 1, 2, 1, 2, NO_JITTER, tau, realizations=20, seed=3)
         trace = g2_trace(HOM, 1, 2, 1, 2, NO_JITTER, [tau - 1.0, tau, tau + 1.0])
-        closed = float(trace.g2_values[1])
+        closed, scale = float(trace.g2_values[1]), float(trace.g2_distinguishable[1])
         assert est.stderr <= 1e-12 * abs(est.value)
-        check = _monte_carlo_check("trace", [(est, closed)])
+        check = _monte_carlo_check("trace", [(est, closed, scale)])
         assert check.passed and check.name == "trace; 1 zero-variance points to 1e-9 relative"
 
     def test_no_jitter_phase_factor(self):
         est = mc_averaged_phase_factor(NO_JITTER, 0.3e-9, trials=10_000, seed=3, gate_phase=1.0)
         assert est.stderr == 0.0  # compared too, not skipped
         closed = averaged_phase_factor(NO_JITTER, 0.3e-9, 1.0)
-        assert _monte_carlo_check("phase", [(est, closed)]).passed
-        assert not _monte_carlo_check("phase", [(est, closed + 1e-6)]).passed
+        assert _monte_carlo_check("phase", [(est, closed, 1.0)]).passed
+        assert not _monte_carlo_check("phase", [(est, closed + 1e-6, 1.0)]).passed
 
     def test_random_points_keep_the_three_sigma_gate(self):
-        noisy = (MonteCarloEstimate(1.0, 0.1), 1.25)
-        check = _monte_carlo_check("mixed", [noisy, (MonteCarloEstimate(2.0, 0.0), 2.0)])
+        noisy = (MonteCarloEstimate(1.0, 0.1), 1.25, 1.0)
+        check = _monte_carlo_check("mixed", [noisy, (MonteCarloEstimate(2.0, 0.0), 2.0, 1.0)])
         assert check.observed == pytest.approx(2.5) and check.passed
         assert check.name == "mixed; 1 zero-variance points to 1e-9 relative"
-        check = _monte_carlo_check("plain", [noisy, (MonteCarloEstimate(1.0, 0.1), 1.35)])
+        check = _monte_carlo_check("plain", [noisy, (MonteCarloEstimate(1.0, 0.1), 1.35, 1.0)])
         assert check.name == "plain" and not check.passed
+
+
+    def test_zero_true_value_held_to_the_term_scale(self):
+        # identical photons at a balanced splitter cancel exactly at tau = 0:
+        # both sides are rounding noise of terms near the 3.6e8 baseline
+        pair = PhotonPair.identical(EmitterParams(700e-12, 600e6, 1.4e9))
+        est = mc_g2_estimate(HOM, 1, 2, 1, 2, pair, 0.0, realizations=20, seed=0)
+        trace = g2_trace(HOM, 1, 2, 1, 2, pair, [-1.0, 0.0, 1.0])
+        closed, scale = float(trace.g2_values[1]), float(trace.g2_distinguishable[1])
+        assert est.stderr == 0.0 and abs(est.value) < 1e-6 and abs(closed) < 1e-6
+        assert abs(est.value - closed) > 1e-9 * abs(closed)  # a bare relative test fails
+        check = _monte_carlo_check("trace", [(est, closed, scale)])
+        assert check.passed and check.name == "trace; 1 zero-variance points to 1e-9 relative"
+        assert not _monte_carlo_check("trace", [(est, closed + 1e-8 * scale, scale)]).passed
 
 
 class TestHaarUnitary:
