@@ -38,7 +38,7 @@ import numpy as np
 from .bell import EmitterConstraint, emitter_assessment, fidelity_map
 from .emitter import EmitterParams, PhotonPair, normalized_params
 from .gates import beam_splitter
-from .interference import g2_trace, tuning_curve, visibility_map
+from .interference import _hom_arrays, g2_trace, visibility_map
 from .oracle import run_verification
 
 PS = 1e-12
@@ -192,22 +192,24 @@ def _number(obj: dict, key: str, where: str = "", default: float | None = None) 
     return value
 
 
-# The model squares rates and widths in Hz and inverts times in s; keeping
-# every nonzero physical input within this magnitude range in SI units keeps
-# those squares and inverses finite and nonzero.
+# The model squares rates and widths in Hz, inverts times in s and squares
+# the normalized linewidths of the maps; keeping every nonzero input within
+# this magnitude range in SI units keeps those squares and inverses finite
+# and nonzero.
 _SI_MAGNITUDE = (1e-150, 1e150)
 
 
 def _quantity(
     obj: dict, key: str, where: str, si_scale: float, default: float | None = None
 ) -> float:
-    """A physical field in its config unit, range-checked in SI units."""
+    """A physical field in its config unit, range-checked in SI units
+    (a dimensionless field has ``si_scale`` 1)."""
     value = _number(obj, key, where, default)
     low, high = _SI_MAGNITUDE
     if value != 0.0 and not low <= abs(value * si_scale) <= high:
         raise ConfigError(
             f"config field {_field_name(where, key)!r} = {value!r} is out of range: "
-            f"converted to s or Hz, a nonzero value must have a magnitude in [{low:g}, {high:g}]"
+            f"in SI units, a nonzero value must have a magnitude in [{low:g}, {high:g}]"
         )
     return value
 
@@ -271,10 +273,12 @@ def _parse_pair(cfg: dict) -> tuple[PhotonPair, list[dict]]:
     return PhotonPair(parsed[0][0], parsed[1][0]), [p[1] for p in parsed]
 
 
-def _parse_grid(cfg: dict, key: str, min_allowed: float = -math.inf) -> tuple[np.ndarray, dict]:
+def _parse_grid(
+    cfg: dict, key: str, si_scale: float, min_allowed: float = -math.inf
+) -> tuple[np.ndarray, dict]:
     grid_cfg = _need(cfg, key, dict)
-    lo = _number(grid_cfg, "min", key)
-    hi = _number(grid_cfg, "max", key)
+    lo = _quantity(grid_cfg, "min", key, si_scale)
+    hi = _quantity(grid_cfg, "max", key, si_scale)
     n = _integer(grid_cfg, "n", 1, key)
     spacing = grid_cfg.get("spacing", "linear")
     if hi < lo:
@@ -356,21 +360,21 @@ def cmd_g2(config: RunConfig) -> int:
 def cmd_tuning(config: RunConfig) -> int:
     cfg = config.params
     pair, _ = _parse_pair(cfg)
-    grid, canonical = _parse_grid(cfg, "detuning_ghz")
+    grid, canonical = _parse_grid(cfg, "detuning_ghz", GHZ)
     cfg_canonical = dict(cfg)
     cfg_canonical["detuning_ghz"] = canonical
     config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
-    curve = tuning_curve(pair, grid * GHZ)
-    values = np.array([(r.visibility, r.p_coinc, r.p_coinc_classical) for r in curve])
+    # the arrays behind tuning_curve, without its PhotonPair per point
+    visibility, p_coinc = _hom_arrays(pair, grid * GHZ)
     names = ["delta_nu_ghz", "visibility", "p_coinc", "p_coinc_classical"]
-    _write_table(config, names, _row_blocks(grid, *values.T))
+    _write_table(config, names, _row_blocks(grid, visibility, p_coinc, np.full(len(grid), 0.5)))
     return 0
 
 
 def _cmd_map(config: RunConfig, value_name: str, evaluate) -> int:
     cfg = config.params
-    pd_grid, pd_c = _parse_grid(cfg, "theta_pd", min_allowed=1.0)
-    sd_grid, sd_c = _parse_grid(cfg, "theta_sd", min_allowed=0.0)
+    pd_grid, pd_c = _parse_grid(cfg, "theta_pd", 1.0, min_allowed=1.0)
+    sd_grid, sd_c = _parse_grid(cfg, "theta_sd", 1.0, min_allowed=0.0)
     cfg_canonical = dict(cfg)
     cfg_canonical.update(theta_pd=pd_c, theta_sd=sd_c)
     config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)

@@ -319,16 +319,16 @@ def coincidence_probability(
 _HOM_TERMS = coincidence_terms(gate_quad(beam_splitter(0.5), 1, 2, 1, 2))
 
 
-def _hom_results(weights: np.ndarray, pairs: list[PhotonPair]) -> list[VisibilityResult]:
-    """:func:`hom_visibility` of each pair from its overlap weight, as array arithmetic."""
+def _hom_arrays(pair: PhotonPair, delta_nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(visibility, p_coinc) arrays of :func:`hom_visibility` for ``pair`` at each
+    relative detuning in ``delta_nu``, from one :func:`overlap_weight` call;
+    p_coinc_classical is 1/2 throughout."""
+    weights = overlap_weight(pair.gamma_total, pair.sigma_total, delta_nu, pair.lifetime_sum)
     p = coincidence_at_weight(_HOM_TERMS, weights)
     visibility = 1.0 - p / 0.5
     if not np.all((visibility >= -1e-9) & (visibility <= 1.0 + 1e-9)):
         raise ValueError(f"computed visibility outside [0, 1]: {visibility!r}")
-    return [
-        VisibilityResult(v, pk, 0.5, pair)
-        for v, pk, pair in zip(np.clip(visibility, 0.0, 1.0).tolist(), p.tolist(), pairs)
-    ]
+    return np.clip(visibility, 0.0, 1.0), p
 
 
 def hom_visibility(pair: PhotonPair) -> VisibilityResult:
@@ -339,7 +339,8 @@ def hom_visibility(pair: PhotonPair) -> VisibilityResult:
     [-1e-9, 1 + 1e-9] raise instead of being clamped; rounding-level
     excursions inside that window are snapped onto [0, 1].
     """
-    return _hom_results(np.array([interference_weight(pair)]), [pair])[0]
+    (visibility,), (p,) = _hom_arrays(pair, np.array([pair.delta_nu]))
+    return VisibilityResult(float(visibility), float(p), 0.5, pair)
 
 
 def visibility_pd_only(pair: PhotonPair) -> float:
@@ -375,8 +376,11 @@ def tuning_curve(
     ``hom_visibility(pair.with_relative_detuning(delta_nu_grid[k]))``.
     """
     grid = np.asarray(delta_nu_grid, dtype=float)
-    weights = overlap_weight(pair.gamma_total, pair.sigma_total, grid, pair.lifetime_sum)
-    return _hom_results(weights, [pair.with_relative_detuning(d) for d in grid.tolist()])
+    visibility, p = _hom_arrays(pair, grid)
+    return [
+        VisibilityResult(v, pk, 0.5, pair.with_relative_detuning(d))
+        for v, pk, d in zip(visibility.tolist(), p.tolist(), grid.tolist())
+    ]
 
 
 def normalized_visibility(theta_pd: float, theta_sd: float) -> float:

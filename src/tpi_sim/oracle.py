@@ -10,8 +10,11 @@ Two independent routes re-derive what the analytic module computes:
 
 Determinism: every sampler takes a 64-bit integer seed; streams for
 independent chunks are derived with ``numpy.random.SeedSequence.spawn``,
-and reductions use numpy pairwise summation, so results are bit-identical
-for a given seed regardless of chunk evaluation order.
+and every reduction over chunks runs in a fixed order once all chunks are
+done, so results are bit-identical for a given seed regardless of chunk
+evaluation order.  The chunks of both samplers may therefore run on
+threads, one per CPU in the process's affinity set, and the outputs are
+identical whatever the number of threads.
 
 Draw order of the jitter model: each chunk of ``_REALIZATION_CHUNK``
 realizations has its own child stream and consumes it as one
@@ -27,8 +30,10 @@ stream, so drawing the rows in smaller blocks changes nothing.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -70,14 +75,38 @@ each realization draws from, so changing this constant changes every
 estimate for every seed.
 """
 
-_BLOCK_ROWS = 16
+_BLOCK_ROWS = 32
 """Realizations drawn and evaluated together inside one chunk.
 
-Not part of the seed contract: a chunk's stream is consumed row after row,
-so any block size gives the same estimates bit for bit.  It only bounds
-the working memory, to about 0.1 MB per block on the default quadrature
-grid.
+Not part of the seed contract: a chunk's stream is consumed row after row
+and each row is summed over the nodes in one fixed order, so any block
+size gives the same estimates bit for bit.  It only bounds the working
+memory, to about 0.6 MB per block (and per thread) on the default
+quadrature grid.
 """
+
+
+def _worker_count(n_chunks: int) -> int:
+    """Threads for ``n_chunks`` chunks: at most one per CPU the process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_chunks, cpus)
+
+
+def _map_chunks(evaluate: Callable[[int], Any], n_chunks: int) -> list:
+    """``[evaluate(c) for c in range(n_chunks)]``, on :func:`_worker_count` threads.
+
+    Each chunk draws from its own generator and writes only its own
+    outputs, and numpy's generator fills and ufuncs release the GIL, so the
+    chunks run in parallel and the results do not depend on the thread count.
+    """
+    workers = _worker_count(n_chunks)
+    if workers <= 1:
+        return [evaluate(c) for c in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(evaluate, range(n_chunks)))
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -106,37 +135,48 @@ class JitterSample:
         return self.frequency_i - self.frequency_j
 
 
-def _draw_jitter_block(
-    pair: PhotonPair, times: np.ndarray, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample ``n`` jitter realizations for ``pair`` on a sorted time grid.
-
-    Returns (frequency_i, frequency_j) of shape (n,) and (phase_i, phase_j)
-    of shape (n, len(times)); the draw order is the one in the module doc.
-    """
-    times = np.asarray(times, dtype=float)
-    steps = len(times)
+def _jitter_scales(
+    pair: PhotonPair, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detunings and sigmas, shape (2,), and phase increment scales
+    sqrt(2 * dephasing_rate * dt), shape (2, T), of photons i and j on a
+    sorted T-point time grid."""
     dt = np.diff(times, prepend=times[0])
-    z = rng.standard_normal((n, 2 * steps + 2))
-    out = []
-    for col, emitter in ((0, pair.emitter_i), (steps + 1, pair.emitter_j)):
-        frequency = emitter.detuning + emitter.sigma * z[:, col]
-        increments = np.sqrt(2.0 * emitter.dephasing_rate * dt) * z[:, col + 1 : col + 1 + steps]
-        out.append((frequency, np.cumsum(increments, axis=1)))
-    (frequency_i, phase_i), (frequency_j, phase_j) = out
-    return frequency_i, frequency_j, phase_i, phase_j
+    emitters = (pair.emitter_i, pair.emitter_j)
+    return (
+        np.array([emitter.detuning for emitter in emitters]),
+        np.array([emitter.sigma for emitter in emitters]),
+        np.sqrt(2.0 * np.array([[emitter.dephasing_rate] for emitter in emitters]) * dt),
+    )
+
+
+def _draw_jitter_block(
+    scales: tuple[np.ndarray, np.ndarray, np.ndarray], rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``n`` jitter realizations with a pair's :func:`_jitter_scales`.
+
+    Returns the frequencies, shape (n, 2), and the phase paths, shape
+    (n, 2, T), photon i first; the draw order is the one in the module doc.
+    """
+    detuning, sigma, increment = scales
+    z = rng.standard_normal((n, 2, increment.shape[1] + 1))
+    frequency = detuning + sigma * z[:, :, 0]
+    # scaled and summed in place: the phase paths are a view of z
+    increments = z[:, :, 1:]
+    increments *= increment
+    return frequency, np.cumsum(increments, axis=2, out=increments)
 
 
 def draw_jitter(pair: PhotonPair, times: np.ndarray, rng: np.random.Generator) -> JitterSample:
     """Sample one jitter realization for ``pair`` on a sorted time grid."""
     times = np.asarray(times, dtype=float)
-    frequency_i, frequency_j, phase_i, phase_j = _draw_jitter_block(pair, times, rng, 1)
+    (frequency,), (phase,) = _draw_jitter_block(_jitter_scales(pair, times), rng, 1)
     return JitterSample(
         times=times,
-        frequency_i=float(frequency_i[0]),
-        frequency_j=float(frequency_j[0]),
-        phase_i=phase_i[0],
-        phase_j=phase_j[0],
+        frequency_i=float(frequency[0]),
+        frequency_j=float(frequency[1]),
+        phase_i=phase[0],
+        phase_j=phase[1],
     )
 
 
@@ -198,23 +238,23 @@ def mc_averaged_phase_factor(
     spread_j = math.sqrt(2.0 * pair.emitter_j.dephasing_rate * abs(tau))
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    # accumulate around the first sample so constant samples (all jitter
-    # scales zero) give exactly zero variance
-    shift = None
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    for child in children:
-        n = min(_CHUNK, trials - done)
-        rng = np.random.default_rng(child)
+
+    def sample_chunk(c: int) -> np.ndarray:
+        rng = np.random.default_rng(children[c])
+        n = min(_CHUNK, trials - c * _CHUNK)
         dnu = rng.normal(pair.delta_nu, sigma_nu, n)
         dphi = rng.normal(0.0, spread_i, n) - rng.normal(0.0, spread_j, n)
-        h = 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
-        if shift is None:
-            shift = float(h[0])
+        return 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
+
+    samples = _map_chunks(sample_chunk, n_chunks)
+    # accumulate in chunk order around the first sample, so constant samples
+    # (all jitter scales zero) give exactly zero variance
+    shift = float(samples[0][0])
+    total = 0.0
+    total_sq = 0.0
+    for h in samples:
         total += float(np.sum(h - shift))
         total_sq += float(np.sum((h - shift) ** 2))
-        done += n
     mean_shifted = total / trials
     var = max(total_sq - trials * mean_shifted * mean_shifted, 0.0) / (trials - 1)
     return MonteCarloEstimate(value=shift + mean_shifted, stderr=math.sqrt(var / trials))
@@ -315,7 +355,8 @@ def mc_g2_estimate(
         D = 2 pi (f_i - f_j) tau + [phi_i(t0+tau) - phi_i(t0)]
                                  - [phi_j(t0+tau) - phi_j(t0)],
 
-    evaluated for a block of realizations at once.
+    evaluated for a block of realizations at once and summed over the nodes
+    in node order.  The chunks of realizations run on :func:`_map_chunks`.
     """
     if realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -342,22 +383,31 @@ def mc_g2_estimate(
     beat = weights * (2.0 * abs(cross) * env_a * env_b)
     beat_phase = float(np.angle(cross))
     two_pi_tau = 2.0 * math.pi * tau
+    scales = _jitter_scales(pair, times)
 
     values = np.empty(realizations)
     n_chunks = (realizations + _REALIZATION_CHUNK - 1) // _REALIZATION_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for c, child in enumerate(children):
-        rng = np.random.default_rng(child)
+
+    def evaluate_chunk(c: int) -> None:
+        rng = np.random.default_rng(children[c])
         chunk_end = min((c + 1) * _REALIZATION_CHUNK, realizations)
         for start in range(c * _REALIZATION_CHUNK, chunk_end, _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, chunk_end - start)
-            f_i, f_j, phi_i, phi_j = _draw_jitter_block(pair, times, rng, n)
+            frequency, phase = _draw_jitter_block(scales, rng, n)
+            # take, unlike a fancy index, lets the other chunk threads run
+            step = phase.take(at_late, axis=2) - phase.take(at_early, axis=2)
             delta = (
-                two_pi_tau * (f_i - f_j)[:, None]
-                + (phi_i[:, at_late] - phi_i[:, at_early])
-                - (phi_j[:, at_late] - phi_j[:, at_early])
+                two_pi_tau * (frequency[:, 0] - frequency[:, 1])[:, None]
+                + step[:, 0]
+                - step[:, 1]
             )
-            values[start : start + n] = np.sum(direct + beat * np.cos(delta - beat_phase), axis=1)
+            density = direct + beat * np.cos(delta - beat_phase)
+            # a running sum adds the nodes in node order for any block size
+            # and memory layout; np.sum adds a contiguous row pairwise
+            values[start : start + n] = np.cumsum(density, axis=1)[:, -1]
+
+    _map_chunks(evaluate_chunk, n_chunks)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(realizations))
     return MonteCarloEstimate(value=mean, stderr=stderr)

@@ -532,6 +532,52 @@ class TestConfigBoundary:
         cfg = write_config(tmp_path, payload)
         assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
 
+    @pytest.mark.parametrize(
+        "command,payload,field",
+        [
+            # squaring theta_pd = 1e308 used to print nan, which is not JSON
+            ("vmap", {"theta_pd": {"min": 1, "max": 1e308, "n": 3},
+                      "theta_sd": {"min": 0, "max": 1e308, "n": 3}}, "theta_pd.max"),
+            ("fmap", {"theta_pd": {"min": 1, "max": 1e308, "n": 3},
+                      "theta_sd": {"min": 0, "max": 1e308, "n": 3}}, "theta_pd.max"),
+            ("vmap", {"theta_pd": {"min": 1, "max": 2, "n": 3},
+                      "theta_sd": {"min": 1e-151, "max": 1, "n": 3}}, "theta_sd.min"),
+            ("fmap", {"theta_pd": {"min": 1, "max": 2, "n": 3},
+                      "theta_sd": {"min": 0, "max": 1e151, "n": 3}}, "theta_sd.max"),
+            # the range applies in Hz: 1e142 GHz is 1e151 Hz
+            ("tuning", qd_pair_config(detuning_ghz={"min": -1e142, "max": 1.0, "n": 3}),
+             "detuning_ghz.min"),
+        ],
+    )
+    def test_grid_ends_out_of_range(self, tmp_path, capsys, command, payload, field):
+        err = self.run_error(tmp_path, capsys, command, payload)
+        assert repr(field) in err and "out of range" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["vmap", "fmap"])
+    def test_map_window_corners_are_finite(self, tmp_path, command, fmt):
+        payload = {"theta_pd": {"min": 1, "max": 1e150, "n": 2},
+                   "theta_sd": {"min": 0, "max": 1e150, "n": 2}}
+        values = []
+        for sd_min in (0, 1e-150):
+            payload["theta_sd"]["min"] = sd_min
+            cfg = write_config(tmp_path, payload)
+            out = tmp_path / f"map.{fmt}"
+            assert main([command, "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+            if fmt == "json":
+                values += [row[2] for row in json.loads(out.read_text())["rows"]]
+            else:
+                values += [float(row[2]) for row in read_csv(out)[1]]
+        assert len(values) == 8 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+
+    def test_tuning_window_ends_are_finite(self, tmp_path):
+        payload = qd_pair_config(detuning_ghz={"min": -1e141, "max": 1e141, "n": 5})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "tuning.json"
+        assert main(["tuning", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 5 and all(math.isfinite(v) for row in rows for v in row)
+
 
 class TestShippedConfigs:
     def test_all_examples_parse_and_run(self, tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy.stats import unitary_group
 
 import tpi_sim
+from tpi_sim import oracle
 
 from tpi_sim.emitter import EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix, beam_splitter
@@ -19,6 +21,7 @@ from tpi_sim.oracle import (
     _draw_jitter_block,
     _gauss_legendre_nodes,
     _haar_unitary,
+    _jitter_scales,
     _monte_carlo_check,
     _random_instance,
     draw_jitter,
@@ -133,9 +136,10 @@ class TestJitterSampling:
     def test_block_replays_single_draws(self, pair):
         times = np.unique(np.concatenate([np.linspace(0.0, 3e-9, 7), [0.4e-9, 5e-9]]))
         n = 5
-        block = _draw_jitter_block(pair, times, np.random.default_rng(99), n)
+        scales = _jitter_scales(pair, times)
+        block = _draw_jitter_block(scales, np.random.default_rng(99), n)
         rng = np.random.default_rng(99)
-        split = [_draw_jitter_block(pair, times, rng, m) for m in (2, 3)]
+        split = [_draw_jitter_block(scales, rng, m) for m in (2, 3)]
         rng = np.random.default_rng(99)
         singles = [draw_jitter(pair, times, rng) for _ in range(n)]
         rng = np.random.default_rng(99)
@@ -146,7 +150,9 @@ class TestJitterSampling:
         )[-1]
         for whole, first, second in zip(block, *split):
             assert np.all(whole == np.concatenate([first, second]))
-        f_i, f_j, phase_i, phase_j = block
+        frequency, phase = block
+        f_i, f_j = frequency.T
+        phase_i, phase_j = phase.transpose(1, 0, 2)
         assert phase_i.shape == phase_j.shape == (n, len(times))
         for r, (one, ((lf_i, lp_i), (lf_j, lp_j))) in enumerate(zip(singles, legacy)):
             assert one.frequency_i == f_i[r] == lf_i
@@ -326,6 +332,73 @@ class TestMcG2:
         a = mc_g2_estimate(HOM, 1, 2, 1, 2, QD_PAIR, 0.1e-9, realizations=200, seed=8)
         b = mc_g2_estimate(HOM, 1, 2, 1, 2, QD_PAIR, 0.1e-9, realizations=200, seed=8)
         assert a == b
+
+
+class TestBlockSplit:
+    """The block size bounds memory only: each realization is summed over the
+    quadrature nodes in node order, also when it is alone in its block."""
+
+    @pytest.mark.parametrize("realizations", [2, 17, 33, 257, 369, 513])
+    def test_estimates_equal_for_every_block_size(self, monkeypatch, realizations):
+        gate, i, j, k, l, pair = _random_instance(np.random.default_rng(realizations))
+        cases = [(HOM, 1, 2, 1, 2, QD_PAIR, -1.05e-9), (gate, i, j, k, l, pair, 0.7e-9)]
+        results = []
+        for rows in (2, 16, 32, 256):
+            monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+            results.append([mc_g2_estimate(*case, realizations=realizations, seed=0) for case in cases])
+        assert all(r == results[0] for r in results[1:])
+
+
+class TestThreadedChunks:
+    """Chunks own their random streams and outputs, so neither the number of
+    threads nor the order in which the chunks run changes an estimate."""
+
+    @staticmethod
+    def estimates():
+        return (
+            mc_g2_estimate(HOM, 1, 2, 1, 2, QD_PAIR, 0.3e-9, realizations=900, seed=5),
+            mc_g2_estimate(HOM, 1, 2, 1, 2, NO_JITTER, 0.0, realizations=600, seed=6),
+            mc_averaged_phase_factor(
+                QD_PAIR.with_relative_detuning(2e9), 0.2e-9, trials=30_000, seed=7, gate_phase=0.8
+            ),
+        )
+
+    @staticmethod
+    def reversed_chunks(evaluate, n_chunks):
+        done = {c: evaluate(c) for c in reversed(range(n_chunks))}
+        return [done[c] for c in range(n_chunks)]
+
+    def test_thread_count_and_order_leave_estimates_unchanged(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_chunks: min(n_chunks, 1))
+        serial = self.estimates()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a lost write would show
+        try:
+            for workers in (2, 3):
+                monkeypatch.setattr(
+                    oracle, "_worker_count", lambda n_chunks, w=workers: min(n_chunks, w)
+                )
+                assert self.estimates() == serial
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(oracle, "_map_chunks", self.reversed_chunks)
+        assert self.estimates() == serial
+
+    def test_chunks_run_on_pool_threads_in_index_order(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_chunks: min(n_chunks, 2))
+        threads = set()
+
+        def evaluate(c):
+            threads.add(threading.get_ident())
+            return c * c
+
+        assert oracle._map_chunks(evaluate, 7) == [c * c for c in range(7)]
+        assert threading.get_ident() not in threads and 1 <= len(threads) <= 2
+
+    def test_worker_count_is_bounded_by_chunks_and_cpus(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert oracle._worker_count(1) == 1
+        assert oracle._worker_count(10**6) == cpus
 
 
 class TestVerificationSuite:
