@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfcx
 
 from . import numerics
 from .emitter import PhotonPair, emitter_from_normalized
@@ -137,12 +136,13 @@ def overlap_weight(
             / ((gamma * gamma + 4.0 * math.pi**2 * np.float_power(delta_nu, 2)) * tau_sum)
         )
         scale = 2.0 * math.pi * math.sqrt(2.0) * sigma
-        # Two real divisions, as CPython's complex / float performs them;
-        # numpy's complex / real would multiply by a reciprocal instead.
-        z = np.empty(np.broadcast(gamma, scale, delta_nu).shape, dtype=complex)
-        z.real = 2.0 * math.pi * delta_nu / scale
-        z.imag = gamma / scale
-        general = np.real(numerics.faddeeva_w(z)) / (_SQRT_2PI * sigma * tau_sum)
+        # Re w at z = x + iy, with x and y as CPython's complex / float forms
+        # them: two real divisions.
+        shape = np.broadcast(gamma, scale, delta_nu).shape
+        x = np.broadcast_to(2.0 * math.pi * delta_nu / scale, shape).ravel()
+        y = np.broadcast_to(gamma / scale, shape).ravel()
+        re_w = numerics._faddeeva(x, y)[0].reshape(shape)
+        general = re_w / (_SQRT_2PI * sigma * tau_sum)
     out = np.where(sigma * tau_sum < SIGMA_LIFETIME_THRESHOLD, limit, general)
     return float(out) if out.ndim == 0 else out
 
@@ -310,8 +310,18 @@ def coincidence_probability(
 ) -> float:
     """Overall probability of a coincidence between outputs k and l: the
     :func:`coincidence_terms` of the gate quad at the pair's overlap weight,
-    i.e. the integral of the correlation trace over all lags."""
+    i.e. the integral of the correlation trace over all lags.
+
+    With k == l it is the probability that both photons leave by output k,
+    |U_ki U_kj|^2 (1 + w): the quad's terms then count the one outcome
+    twice, so they are halved.  Over every unordered output pair, k == l
+    included, the probabilities sum to 1.
+    """
+    if i == j:
+        raise ValueError("input modes must be distinct")
     terms = coincidence_terms(gate_quad(gate, i, j, k, l))
+    if k == l:
+        terms = tuple(0.5 * t for t in terms)
     return coincidence_at_weight(terms, interference_weight(pair))
 
 
@@ -399,7 +409,8 @@ def normalized_visibility(theta_pd: float, theta_sd: float) -> float:
     if theta_sd < math.sqrt(_LN2) * SIGMA_LIFETIME_THRESHOLD:
         return 1.0 / theta_pd
     y = math.sqrt(_LN2 / (2.0 * math.pi**2)) * theta_pd / theta_sd
-    return math.sqrt(2.0 * _LN2 / math.pi) * float(erfcx(y)) / (2.0 * theta_sd)
+    erfcx = numerics.faddeeva_w(complex(0.0, y)).real  # w(iy) = erfcx(y)
+    return math.sqrt(2.0 * _LN2 / math.pi) * erfcx / (2.0 * theta_sd)
 
 
 def visibility_map(

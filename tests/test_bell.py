@@ -120,6 +120,58 @@ class TestBellFidelity:
         )
 
 
+def full_circuit_fidelity(weight: float) -> float:
+    """Bell-state fidelity from the composed six-mode gates, outcome by outcome.
+
+    Photons enter modes 3 and 4.  A pair of overlap weight w is the mixture
+    w |perm|^2 + (1 - w) (|U_k3 U_l4|^2 + |U_k4 U_l3|^2) of the
+    indistinguishable and the distinguishable two-photon probabilities of
+    outputs (k, l); none of the affine terms of ``bell`` is used.
+    """
+
+    def p_coinc(u, k, l):
+        a, b = u[k - 1, 2] * u[l - 1, 3], u[k - 1, 3] * u[l - 1, 2]
+        return weight * abs(a + b) ** 2 + (1.0 - weight) * (abs(a) ** 2 + abs(b) ** 2)
+
+    base = compose(cnot_gate(), prep_gate())
+    probs, success = {}, []
+    for basis in TOMOGRAPHY_BASES:
+        u = compose(tomography_gate(basis), base).matrix
+        probs[basis] = p_coinc(u, 3, 5)
+        success.append(sum(p_coinc(u, k, l) for k in (2, 3) for l in (4, 5)))
+    signed = probs["HH"] + probs["VV"] + probs["DD"] + probs["AA"] - probs["RR"] - probs["LL"]
+    return signed / (2.0 * float(np.mean(success)))
+
+
+class TestAffineAgainstFullCircuit:
+    def random_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            emitters = [
+                EmitterParams(
+                    10 ** rng.uniform(-11.0, -8.0),
+                    float(rng.choice([0.0, 10 ** rng.uniform(6.0, 10.5)])),
+                    float(rng.choice([0.0, 10 ** rng.uniform(6.0, 10.5)])),
+                    float(rng.choice([0.0, rng.uniform(-5e9, 5e9)])),
+                )
+                for _ in range(2)
+            ]
+            yield PhotonPair.identical(emitters[0])
+            yield PhotonPair(*emitters)
+
+    @pytest.mark.parametrize("seed", [51, 52])
+    def test_bell_fidelity_and_fidelity_at_weight(self, seed):
+        for pair in self.random_pairs(seed):
+            weight = interference_weight(pair)
+            reference = full_circuit_fidelity(weight)
+            assert abs(bell_fidelity(pair).fidelity - reference) <= 1e-13
+            assert abs(fidelity_at_weight(weight) - reference) <= 1e-13
+
+    def test_covers_the_weight_range(self):
+        weights = [interference_weight(p) for p in self.random_pairs(51)]
+        assert min(weights) < 0.05 and max(weights) > 0.9
+
+
 class TestFidelityAtWeight:
     def test_frozen_anchor_points(self):
         # frozen from the amplitude-level prototype of this circuit:

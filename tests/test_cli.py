@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpi_sim
 from tpi_sim.bell import fidelity_map
 from tpi_sim.cli import (
     _BLOCK_ROWS, RunConfig, _row_blocks, _write_table, dumps, format_float, main,
@@ -601,3 +605,48 @@ class TestShippedConfigs:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+# one tiny config per subcommand
+TINY_CONFIGS = {
+    "g2": {"emitters": [{"lifetime_ps": 700.0}, {"lifetime_ps": 650.0}], "tau_max_ps": 1000.0,
+           "n_tau": 3},
+    "tuning": {"emitters": [{"lifetime_ps": 700.0, "inhomogeneous_fwhm_mhz": 800.0},
+                            {"lifetime_ps": 650.0}],
+               "detuning_ghz": {"min": -1.0, "max": 1.0, "n": 3}},
+    "vmap": {"theta_pd": {"min": 1.0, "max": 10.0, "n": 2}, "theta_sd": {"min": 0.0, "max": 1.0, "n": 2}},
+    "fmap": {"theta_pd": {"min": 1.0, "max": 10.0, "n": 2}, "theta_sd": {"min": 0.0, "max": 1.0, "n": 2}},
+    "decompose": {"constraint": {"lifetime_ps": 1720.0, "total_fwhm_mhz": 119.0}, "n_points": 3},
+    "assess": {"n_points": 3, "sources": [
+        {"name": "pair", "lifetime_ps": 600.0, "coherence_time_ps": 500.0,
+         "second": {"lifetime_ps": 500.0, "coherence_time_ps": 400.0}},
+        {"name": "voigt", "lifetime_ps": 1720.0, "total_fwhm_mhz": 119.0},
+    ]},
+    "verify": {"seed": 1, "closed_form_instances": 1, "mc_instances": 1, "mc_realizations": 2,
+               "phase_trials": 10000},
+}
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """The package needs numpy only: every subcommand runs without a scipy module."""
+    for command, payload in TINY_CONFIGS.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(payload))
+    code = (
+        "import sys\n"
+        "from tpi_sim import cli\n"
+        f"for command in {sorted(TINY_CONFIGS)!r}:\n"
+        "    argv = [command, '--config', command + '.json', '--out', command + '.csv']\n"
+        "    assert cli.main(argv) == 0, command\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(tpi_sim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "[]"

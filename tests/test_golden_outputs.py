@@ -28,8 +28,23 @@ sources by at most 1.2e-10, the fidelities of ``nv_center`` by at most
 
 The ``verify`` pins cover the label and bool columns, which no shipped
 map or sweep has; their config is the tiny one in ``VERIFY_CONFIG``.  Both
-hashes were recorded from the row writer, before the CLI wrote its tables
-column by column in row blocks.
+hashes were first recorded from the row writer, before the CLI wrote its
+tables column by column in row blocks.
+
+Twelve hashes were re-pinned when ``scipy.special.wofz`` gave way to the
+package's own Faddeeva kernel (the modified trapezoidal rule of
+``numerics.faddeeva_w``) and the Voigt solves went from bisection to a
+safeguarded Newton iteration: ``decompose`` on ``decompose_linewidth.json``,
+``assess``, ``tuning``, ``vmap``, ``fmap`` and ``verify``, each in CSV and
+JSON.  Values moved (CSV value columns): ``vmap`` 26,115 of 40,000
+visibilities (65%) and ``fmap`` 5,891 of 40,000 fidelities (15%), each by
+at most 1.0e-15 relative; ``tuning`` 38 of 161 visibilities (at most
+1.7e-14) and p_coinc values (3.1e-16); ``assess`` 15 of 32 range values,
+by at most 5.9e-15; ``decompose_linewidth.json`` 198 of 200 dephasing
+rates, by at most 1.2e-12 (the rates near zero; the split now reproduces
+its FWHM to about 1e-15), and 199 of 200 Gaussian widths, by at most
+1.3e-14; ``verify`` the closed-form-vs-quadrature discrepancy, 8.3e-17 ->
+5.6e-17.  The ``decompose_coherence.json`` and ``g2`` hashes did not move.
 """
 
 import hashlib
@@ -44,21 +59,21 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN = {
     ("decompose", "decompose_linewidth.json", "csv"):
-        "5d2dce5e4c7f266a4ba60aa846efb3c4ea61ea183fb5ee2ec9d431e93db784b3",
+        "ab54421b5b30fbfbf2439214c6df3bcc419bb44ffc19f3b9266125f2bc3c6bbd",
     ("decompose", "decompose_linewidth.json", "json"):
-        "4eddea5bf5d667bce9578b27e885c5d3ac5745dea9fab6174af21f2b0926c485",
+        "3c84304421042dcb66e88af38e957d87d4326f0114a2020b9d1249698f865d3e",
     ("decompose", "decompose_coherence.json", "csv"):
         "b19b20ff45671c4834e383d24d5fd33d30dc2519fae1e64e52c02f8c3325ca06",
     ("decompose", "decompose_coherence.json", "json"):
         "375346047d08a95b5774e348a5beb67ae8e0d186ff17a94aa2ee04c644f89d3d",
     ("assess", "assess_benchmarks.json", "csv"):
-        "5c9e8143954e5a08ad6b7507168f7af3cc40b332e052760539c89b823d77a380",
+        "ad12c7e941ad06883933448e26e37671ca3f4356d25644a89568c01d6d6bbf6a",
     ("assess", "assess_benchmarks.json", "json"):
-        "26397a20943c5705cbf33da52f56d3398e479a9cf47906dcbae3604802233c5a",
+        "c2f799c866b50368f36c16ba689534a073cfde67a899258f0c22ae85703c249c",
     ("tuning", "tuning_curve.json", "csv"):
-        "e68e71013a684452e4fcecf66ad787a6cbf6bbe6362f2e6e70e88532444dbfc4",
+        "612768ec60219e11e7d31462be6a4e3b0f66263449a6db418414dbda439ff939",
     ("tuning", "tuning_curve.json", "json"):
-        "2d601991944b0ff2ba5218880a2915f8779ef8151497bfe9925c5417075eee1d",
+        "4c429fe5788ae1c792835369041ee21e2bc9f5fac4b94bcc2d8e104f2141087f",
     ("g2", "g2_trace_detuned.json", "csv"):
         "d495ba32273b3509f9a11332ae476f3b2cb1e9d84dd5a6e9b5a067e62a39636e",
     ("g2", "g2_trace_detuned.json", "json"):
@@ -68,13 +83,13 @@ GOLDEN = {
     ("g2", "g2_trace_resonant.json", "json"):
         "c8410e1f1d639480378c1cb7e301174208105d22ec26f0394349338d9ca49459",
     ("vmap", "visibility_map.json", "csv"):
-        "5aa8cfc09795ddcb32930e415e376c6df482d4e5afc09cd272bd7b1b83d1e31c",
+        "766f107ff1ae4fb344c643a13bab0e9f2ae8771bde653ef5bc300d040ad90403",
     ("vmap", "visibility_map.json", "json"):
-        "0349bef3c131e99f72761f341a232fac9f49e9933136142db51087286e063d54",
+        "e481d16774b8c2319e811d9fbe1d5dfffe1810b6cbbbca025da0f35acaf48589",
     ("fmap", "fidelity_map.json", "csv"):
-        "530f3ba9639c27d6eccb00ca7f907eca5578e07ffdda1978252fa7b2760157cb",
+        "19c50cff7ba12cf220d4747bed19b89b955639980b0509343511411238fe0cfb",
     ("fmap", "fidelity_map.json", "json"):
-        "889db891d2810f917abe5507f5046dda0a5748f1e1cd19efb2ec5f142bd40da0",
+        "b826b6cdf1c846c6a0449e5ce7ee3c00292f1b60689647e857bd6bdfcd05841e",
 }
 
 
@@ -87,8 +102,8 @@ VERIFY_CONFIG = {
 }
 
 VERIFY_GOLDEN = {
-    "csv": "b26bbfa7f3085b7acd012144fe2686bff4b0aeba2c4bc6d7bb984d07864ce450",
-    "json": "cd8bf819e0f59ea5cc21d62b5eb0e02fd286ed47f2ac909c2da0322df6f3ee47",
+    "csv": "ec08ee103d556701022606899c5aab3864b46d7217e91255c15f3006d6c6b58b",
+    "json": "81f10f87bda2cbe27ee14138d4bce095de94a5cb268c4ff487e278ad73f59419",
 }
 
 

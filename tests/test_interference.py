@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -177,6 +178,20 @@ class TestCoincidenceProbability:
         p = coincidence_probability(HOM, 1, 2, 1, 2, QD_PAIR)
         assert p == pytest.approx(0.5 * (1.0 - QD_V_RESONANT), rel=1e-12)
 
+    def test_bunched_outputs_at_the_balanced_splitter(self):
+        # both photons leave by one output: |U_k1 U_k2|^2 (1 + w) = (1 + w) / 4
+        for pair in (fourier_pair(), QD_PAIR):
+            weight = interference_weight(pair)
+            bunched = [coincidence_probability(HOM, 1, 2, k, k, pair) for k in (1, 2)]
+            assert bunched == [pytest.approx(0.25 * (1.0 + weight), rel=1e-15)] * 2
+            total = sum(bunched) + coincidence_probability(HOM, 1, 2, 1, 2, pair)
+            assert total == pytest.approx(1.0, abs=1e-15)
+        assert coincidence_probability(HOM, 1, 2, 2, 2, fourier_pair()) == pytest.approx(0.5)
+
+    def test_one_input_mode_twice_is_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            coincidence_probability(HOM, 1, 1, 1, 2, QD_PAIR)
+
     def test_matches_quadrature_on_random_instances(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -337,6 +352,50 @@ class TestNormalizedVisibility:
             normalized_visibility(0.8, 0.0)
         with pytest.raises(ValueError):
             normalized_visibility(1.0, -0.2)
+
+
+def erfcx_visibility(theta_pd, theta_sd):
+    """The closed form of normalized_visibility to 30 digits, with its switch
+    to the Lorentzian limit 1 / theta_pd below sqrt(ln 2) * 1e-6.  exp(y^2)
+    loses the digits of y^2 (up to 23 here), so the work runs at 60."""
+    if theta_sd < math.sqrt(math.log(2.0)) * SIGMA_LIFETIME_THRESHOLD:
+        return 1.0 / mp.mpf(theta_pd)
+    with mp.workdps(60):
+        ln2 = mp.log(2)
+        y = mp.sqrt(ln2 / (2 * mp.pi**2)) * mp.mpf(theta_pd) / mp.mpf(theta_sd)
+        erfcx = mp.exp(y * y) * mp.erfc(y)
+        return mp.sqrt(2 * ln2 / mp.pi) * erfcx / (2 * mp.mpf(theta_sd))
+
+
+class TestAgainstMpmath:
+    """normalized_visibility and visibility_map share the package's Faddeeva
+    kernel, so both are held to an mpmath evaluation of the erfcx form."""
+
+    @staticmethod
+    def grids(seed):
+        rng = np.random.default_rng(seed)
+        theta_pd = np.concatenate([[1.0], 10 ** rng.uniform(0.0, 6.0, 15)])
+        theta_sd = np.concatenate([
+            10 ** rng.uniform(-12.0, -7.0, 3),  # Lorentzian limit
+            10 ** rng.uniform(-5.0, 4.0, 13),
+        ])
+        return theta_pd, theta_sd
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_normalized_visibility(self, seed):
+        for tp in self.grids(seed)[0].tolist():
+            for ts in self.grids(seed)[1].tolist():
+                ref = erfcx_visibility(tp, ts)
+                assert abs(normalized_visibility(tp, ts) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_visibility_map(self, seed):
+        theta_pd, theta_sd = self.grids(seed)
+        got = visibility_map(theta_pd, theta_sd)
+        for a, tp in enumerate(theta_pd.tolist()):
+            for b, ts in enumerate(theta_sd.tolist()):
+                ref = erfcx_visibility(tp, ts)
+                assert abs(got[a, b] - ref) <= 1e-14 * ref
 
 
 class TestVisibilityMap:

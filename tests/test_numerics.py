@@ -74,6 +74,79 @@ class TestFaddeeva:
         assert vals[0] == 1.0 + 0.0j
 
 
+def w_reference_wide(z: complex) -> mp.mpc:
+    """w(z) to 30 digits anywhere in the closed upper half-plane: the closed
+    form with the digits exp(-z^2) cancels added back, and from |z| = 1e4 the
+    asymptotic series i / (sqrt(pi) z) sum_k (2k - 1)!! / (2 z^2)^k, whose
+    terms fall below 1e-32 within four terms there (the e^(-x^2) it omits is
+    zero in double precision)."""
+    zm = mp.mpc(z)
+    if abs(z) < 1e4:
+        with mp.workdps(40 + int(2 * math.log10(max(abs(z), 1.0)))):
+            return mp.exp(-zm * zm) * mp.erfc(-1j * zm)
+    with mp.workdps(40):
+        total, term, k = mp.mpf(0), mp.mpf(1), 0
+        while abs(term) > mp.mpf(10) ** -35:
+            total += term
+            k += 1
+            term *= (2 * k - 1) / (2 * zm * zm)
+        return 1j / (mp.sqrt(mp.pi) * zm) * total
+
+
+def seeded_points(seed: int) -> np.ndarray:
+    """Upper half-plane points: |z| from 1e-6 to 1e300, Im z down to 1e-12,
+    the real axis, and the neighbourhoods of the quarter-step rule switches."""
+    rng = np.random.default_rng(seed)
+    radius, angle = 10 ** rng.uniform(-6.0, 300.0, 300), rng.uniform(0.0, math.pi, 300)
+    general = radius * np.exp(1j * angle)
+    general.imag = np.abs(general.imag)
+    near_axis = rng.uniform(-30.0, 30.0, 250) + 1j * 10 ** rng.uniform(-12.0, 0.5, 250)
+    real_axis = np.concatenate([rng.uniform(-30.0, 30.0, 100), 10 ** rng.uniform(-6.0, 300.0, 50)])
+    switches = rng.integers(-40, 40, 100) / 4.0 + rng.uniform(-1e-3, 1e-3, 100)
+    switches = switches + 1j * 10 ** rng.uniform(-12.0, 0.8, 100)
+    return np.concatenate([general, near_axis, real_axis + 0j, switches])
+
+
+class TestFaddeevaKernel:
+    """The modified trapezoidal rule behind faddeeva_w against mpmath."""
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_against_mpmath_over_the_half_plane(self, seed):
+        zs = seeded_points(seed)
+        got = faddeeva_w(zs)
+        tiny = np.finfo(float).tiny
+        for z, w in zip(zs.tolist(), got.tolist()):
+            ref = w_reference_wide(z)
+            assert abs(w - complex(ref)) <= 1e-14 * abs(ref), z
+            if abs(ref.real) >= tiny:  # Re w is a normal float
+                assert abs(w.real - ref.real) <= 1e-13 * abs(ref.real), z
+
+    def test_erfcx_on_the_imaginary_axis(self):
+        rng = np.random.default_rng(43)
+        ys = np.concatenate([[0.0, 5e-324, 1e300], 10 ** rng.uniform(-12.0, 300.0, 300)])
+        got = faddeeva_w(1j * ys)
+        assert got[0] == 1.0 and np.all(got.imag == 0.0)
+        for y, w in zip(ys.tolist(), got.real.tolist()):
+            ref = w_reference_wide(1j * y).real
+            assert abs(w - ref) <= 1e-14 * ref, y
+
+    def test_finite_for_every_finite_input(self):
+        big, small = np.finfo(float).max, 5e-324
+        parts = [0.0, small, 1e-300, 1.0, 6.25, 1e3, 1e154, 1e300, big]
+        zs = np.array([complex(s * x, y) for x in parts for y in parts for s in (1.0, -1.0)])
+        w = faddeeva_w(zs)
+        assert np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))
+
+    def test_array_equals_elementwise_scalar_calls(self):
+        zs = seeded_points(44)
+        got = faddeeva_w(zs.reshape(25, -1)).ravel()
+        assert all(faddeeva_w(z) == w for z, w in zip(zs.tolist(), got.tolist()))
+
+    def test_reflection_is_exact(self):
+        zs = seeded_points(45)
+        assert np.array_equal(faddeeva_w(-zs.conj()), faddeeva_w(zs).conj())
+
+
 class TestVoigt:
     def test_gaussian_peak(self):
         sigma = 0.8e9

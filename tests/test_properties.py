@@ -2,13 +2,16 @@
 
 ``interference_weight``, ``hom_visibility``, ``tuning_curve`` and
 ``visibility_map`` all evaluate ``overlap_weight``; ``normalized_visibility``
-is the independent lifetime-free ``erfcx`` closed form they are checked
-against.  Input ranges are wide on purpose: lifetimes from 0.1 ps to 1 ms,
-rates, widths and detunings from 1 to 1e15 (or exactly zero).  The
+is the lifetime-free ``erfcx`` closed form they are checked against (both
+sit on the package's Faddeeva kernel, which ``test_interference.py`` holds
+to mpmath).  Input ranges are wide on purpose: lifetimes from 0.1 ps to
+1 ms, rates, widths and detunings from 1 to 1e15 (or exactly zero).  The
 correlation trace's interference term is checked against its
-distinguishable baseline on random unitaries of dimension 2-6 and on the
-balanced splitter.  Every split of both linewidth decompositions must
-reproduce the linewidth it was solved for.
+distinguishable baseline, and the coincidence probabilities of all output
+pairs (bunched ones included) against probability conservation, on random
+unitaries of dimension 2-6 and on the balanced splitter.  Every split of
+both linewidth decompositions must reproduce the linewidth it was solved
+for.
 """
 
 import math
@@ -28,6 +31,7 @@ from tpi_sim.interference import (
     SIGMA_LIFETIME_THRESHOLD,
     _baseline,
     _interference_term,
+    coincidence_probability,
     hom_visibility,
     interference_weight,
     normalized_visibility,
@@ -150,6 +154,27 @@ def test_interference_term_bounded_by_baseline(instance, pair, lags):
     assert np.all(np.abs(_interference_term(quad, pair, tau)) <= baseline * (1.0 + 1e-12))
 
 
+@given(
+    st.one_of(
+        st.just(beam_splitter(0.5)),
+        st.builds(_unitary, st.integers(2, 6), st.integers(0, 2**32 - 1)),
+    ).flatmap(
+        lambda gate: st.tuples(
+            st.just(gate), st.lists(st.integers(1, gate.dim), min_size=2, max_size=2, unique=True)
+        )
+    ),
+    st.one_of(PAIRS, EMITTERS.map(PhotonPair.identical)),
+)
+def test_output_probabilities_sum_to_one(instance, pair):
+    # sum_{k<l} p_kl + sum_k p_kk = 1: bunched outputs close the sum
+    gate, (i, j) = instance
+    outputs = range(1, gate.dim + 1)
+    total = sum(
+        coincidence_probability(gate, i, j, k, l, pair) for k in outputs for l in outputs if k <= l
+    )
+    assert abs(total - 1.0) <= 1e-14
+
+
 # how far a linewidth lies above the Fourier limit, as a ratio minus one
 EXCESS = zero_or(log_uniform(1e-12, 1e6))
 
@@ -159,7 +184,7 @@ def test_voigt_splits_reproduce_the_linewidth(lifetime, excess, n_points):
     total_fwhm = (1.0 + excess) / (2.0 * math.pi * lifetime)
     rates, gauss = np.array(decompose_voigt_fwhm(lifetime, total_fwhm, n_points)).T
     lorentz = (rates + 0.5 / lifetime) / math.pi
-    np.testing.assert_allclose(voigt_fwhm(lorentz, gauss), total_fwhm, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(voigt_fwhm(lorentz, gauss), total_fwhm, rtol=1e-14, atol=0.0)
 
 
 @given(LIFETIMES, log_uniform(1e-9, 1.0), st.integers(2, 40))
