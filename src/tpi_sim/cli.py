@@ -20,6 +20,15 @@ Outputs are deterministic: identical config and seed give byte-identical
 files.  CSV uses '.' decimals and embeds the parsed config in a
 ``# config = {...}`` comment; JSON output carries the same config object.
 Floats are emitted with 17 significant digits in both formats.
+
+Every table goes through one writer, :func:`_write_table`, a block of
+``_BLOCK_ROWS`` rows at a time.  A block is built as one byte matrix with a
+column per table row: the float cells come from one call of the numpy
+kernel :func:`_float_matrix`, which gives the bytes of ``'%.17g' % x``
+(:func:`format_float`) NUL-padded to a fixed width; labels and bools come
+as encoded, NUL-padded bytes and the separators as constant rows.  The
+matrix is written with its NUL bytes deleted, in one write per block, so
+memory is bounded by a block whatever the size of the table.
 """
 
 from __future__ import annotations
@@ -92,18 +101,131 @@ def dumps(obj: Any) -> str:
 # block whatever the size of the table.
 _BLOCK_ROWS = 4096
 
+# Byte rows of a rendered cell: '%.17g' of a float is at most 24 characters
+# long ('-1.2345678901234567e-308').
+_CELL_WIDTH = 24
 
-@dataclass(frozen=True)
-class _Text:
-    """A float column whose cells are already rendered by :func:`_float_cells`."""
-
-    cells: list[str]
+# 10**q for q = 0..22, each exact in binary64.
+_POW10 = np.array([float(10**q) for q in range(23)])
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    """:func:`format_float` of every element, rendered by one ``%`` operation
-    (``'%.17g' % x`` is ``format_float(x)`` for every float, nan and inf too)."""
-    return (("%.17g\0" * len(values)) % tuple(values.tolist())).split("\0")[:-1]
+def _halves(a):
+    """Veltkamp's split: ``hi + lo == a`` with at most 26 significant bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _times_pow10(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's two-product: ``p + e == a * 10**q`` exactly, ``p`` the rounded product."""
+    a_hi, a_lo = _halves(a)
+    b_hi, b_lo = _POW10_HI[q], _POW10_LO[q]
+    p = a * _POW10[q]
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+_DIGIT_SLOTS = np.arange(17, dtype=np.int8)[:, None]
+# "0.000" in the prefix rows; a row is shown where _PREFIX_AT + k <= 1
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
+_PREFIX_AT = np.array([2, 2, 3, 4, 5], dtype=np.int8)[:, None]
+
+
+def _float_matrix(values: np.ndarray) -> np.ndarray:
+    """:func:`format_float` of every element as the columns of a NUL-padded
+    ``(_CELL_WIDTH, n)`` byte matrix: deleting the NULs of column i gives
+    ``'%.17g' % values[i]``, which is ``format_float`` for every float.
+
+    Where '%.17g' is positional (finite nonzero x whose decimal exponent k,
+    after rounding to 17 significant digits, lies in [-4, 16]) the digits
+    are computed exactly: N = x * 10**(16 - k) rounded half to even, from
+    Dekker's error-free product (Numer. Math. 18, 224 (1971)).  The rows
+    hold the sign, the "0.000" prefix of k < 0, then the 17 digits with a
+    point slot after digit k; trailing fraction zeros are NUL.  Every other
+    value (zeros, subnormals, nan, inf, exponential notation) is rendered by
+    one '%.17g' ``%`` operation.  The values are taken ``_BLOCK_ROWS`` at a
+    time, which bounds the temporaries.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    cells = np.empty((_CELL_WIDTH, len(x)), np.uint8)
+    for start in range(0, len(x), _BLOCK_ROWS):
+        cells[:, start : start + _BLOCK_ROWS] = _float_slice(x[start : start + _BLOCK_ROWS])
+    return cells
+
+
+def _float_slice(x: np.ndarray) -> np.ndarray:
+    """The :func:`_float_matrix` of a slice of floats."""
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # nan
+        positional = (a >= 1e-5) & (a < 1e17)
+    a = np.where(positional, a, 1.0)  # 1.0 stands in for the other cells
+    # floor(log10 |x|) may be one decade off next to a power of ten: the
+    # exact product p + e then lies outside [1e16, 1e17) and k moves
+    k = np.minimum(np.floor(np.log10(a)), 16.0).astype(np.int64)
+    p, e = _times_pow10(a, 16 - k)
+    low = (p < 1e16) | ((p == 1e16) & (e < 0.0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0.0))
+    k += high
+    k -= low
+    redo = np.flatnonzero((low | high) & (k <= 16))
+    if len(redo):
+        p[redo], e[redo] = _times_pow10(a[redo], 16 - k[redo])
+    # p >= 2**53 is an even integer, so p + rint(e) rounds p + e half to even
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    up = n == 10**17  # 18 digits: it is 10**16 one decade up
+    n[up] = 10**16
+    k += up
+    positional &= (k >= -4) & (k <= 16)
+    k = k.astype(np.int8)
+
+    # the 17 digits, most significant first: 9 from n // 10**8, 8 from n % 10**8
+    halves = np.empty((2, len(x)), np.uint32)
+    halves[0] = n // 100_000_000
+    halves[1] = n % 100_000_000
+    quotient = np.empty_like(halves)
+    digits = np.empty((17, len(x)), np.uint8)
+    ten = np.uint32(10)
+    for j in range(8, -1, -1):
+        np.floor_divide(halves, ten, out=quotient)
+        halves -= quotient * ten
+        digits[j] = halves[0]
+        if j:
+            digits[j + 8] = halves[1]
+        halves, quotient = quotient, halves
+    last = ((digits != 0) * _DIGIT_SLOTS).max(axis=0)  # last nonzero digit
+    digits += ord("0")
+    digits *= _DIGIT_SLOTS <= np.maximum(last, k)
+
+    cells = np.empty((_CELL_WIDTH, len(x)), np.uint8)
+    cells[0] = (x < 0.0) * np.uint8(ord("-"))
+    cells[1:6] = np.where(_PREFIX_AT + k <= 1, _PREFIX, 0)
+    # digit j goes to row 6 + j up to digit k, to row 7 + j after it
+    before = _DIGIT_SLOTS <= k
+    np.multiply(digits, before, out=cells[6:23])
+    cells[23] = 0
+    cells[7:24] += digits * ~before
+    point = np.flatnonzero((k >= 0) & (last > k))
+    cells[7 + k[point], point] = ord(".")
+
+    rest = np.flatnonzero(~positional)
+    if len(rest):
+        text = ("%.17g\0" * len(rest)) % tuple(x[rest].tolist())
+        rendered = np.array(text.split("\0")[:-1], dtype=f"S{_CELL_WIDTH}")
+        cells[:, rest] = rendered.view(np.uint8).reshape(len(rest), _CELL_WIDTH).T
+    return cells
+
+
+def _label_matrix(labels: list[str]) -> np.ndarray:
+    """UTF-8 bytes of each label as the columns of a NUL-padded byte matrix."""
+    encoded = np.array([label.encode() for label in labels], dtype=bytes)
+    return encoded.view(np.uint8).reshape(len(labels), -1).T
+
+
+def _constant_rows(text: bytes, n: int) -> np.ndarray:
+    """The bytes of ``text`` as the rows of a ``(len(text), n)`` byte matrix."""
+    return np.frombuffer(text, np.uint8)[:, None].repeat(n, axis=1)
 
 
 def _row_blocks(*columns) -> Iterator[tuple]:
@@ -116,12 +238,19 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
     """Write a table to ``config.out`` (stdout if None), one row block at a time.
 
     Each block holds one equal-length column per name: a float array, a
-    :class:`_Text`, or a list of labels or bools, which CSV writes as ``str``
-    and JSON as ``json.dumps``.  The bytes are those of writing every row with
+    byte matrix from :func:`_float_matrix` (cells already rendered), or a
+    list of labels or bools, which CSV writes as ``str`` and JSON as
+    ``json.dumps``.  A block becomes one byte matrix with a column per row:
+    the float arrays rendered by one :func:`_float_matrix` call, the labels
+    encoded, the separators constant rows; its NULs are deleted and the
+    rest written at once.  The bytes are those of writing every row with
     :func:`format_float` per float cell and JSON through :func:`dumps`.
     """
     as_json = config.fmt == "json"
     label = json.dumps if as_json else str
+    # the bytes before the first cell, between two cells and after the last
+    # cell of a row; a JSON row's leading comma is dropped for the first row
+    lead, between, end = (b",[", b",", b"]") if as_json else (b"", b",", b"\n")
     sink = open(config.out, "w", newline="") if config.out is not None else nullcontext(sys.stdout)
     with sink as stream:
         if as_json:
@@ -133,20 +262,30 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
             stream.write(f"# config = {dumps(config.params)}\n")
             stream.write(f"# seed = {config.seed}\n")
             stream.write(",".join(names) + "\n")
-        separator = ""
+        first = True
         for block in blocks:
-            cells = [
-                column.cells if isinstance(column, _Text)
-                else _float_cells(column) if isinstance(column, np.ndarray)
-                else [label(v) for v in column]
-                for column in block
-            ]
-            rows = map(",".join, zip(*cells))
-            if as_json:
-                stream.write(separator + "[" + "],[".join(rows) + "]")
-                separator = ","
-            else:
-                stream.write("\n".join(rows) + "\n")
+            # rows: the length of a column, the width of a rendered matrix
+            n = block[0].shape[-1] if isinstance(block[0], np.ndarray) else len(block[0])
+            floats = [c for c in block if isinstance(c, np.ndarray) and c.ndim == 1]
+            rendered = iter(
+                np.split(_float_matrix(np.concatenate(floats)), len(floats), axis=1) if floats else []
+            )
+            parts = [_constant_rows(lead, n)]
+            for column in block:
+                if not isinstance(column, np.ndarray):
+                    parts.append(_label_matrix([label(v) for v in column]))
+                else:
+                    parts.append(next(rendered) if column.ndim == 1 else column)
+                parts.append(_constant_rows(between, n))
+            parts[-1] = _constant_rows(end, n)
+            matrix = np.concatenate(parts)
+            if as_json and first:
+                matrix[0, 0] = 0
+            first = False
+            # rows that are NUL in every cell (often the sign and prefix) are
+            # dropped before the transposing copy
+            matrix = matrix[matrix.max(axis=1) > 0]
+            stream.write(matrix.T.tobytes().translate(None, b"\0").decode())
         if as_json:
             stream.write(f'],"seed":{json.dumps(config.seed)}}}\n')
 
@@ -380,15 +519,15 @@ def _cmd_map(config: RunConfig, value_name: str, evaluate) -> int:
     config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
     # The maps are elementwise, so evaluating them a block of theta_pd rows at
     # a time gives the same bits; each axis value is rendered once.
-    pd_text, sd_text = _float_cells(pd_grid), _float_cells(sd_grid)
+    pd_cells, sd_cells = _float_matrix(pd_grid), _float_matrix(sd_grid)
     step = max(1, _BLOCK_ROWS // len(sd_grid))
 
     def blocks() -> Iterator[tuple]:
         for start in range(0, len(pd_grid), step):
             pd = pd_grid[start : start + step]
             yield (
-                _Text([text for text in pd_text[start : start + step] for _ in sd_text]),
-                _Text(sd_text * len(pd)),
+                np.repeat(pd_cells[:, start : start + step], len(sd_grid), axis=1),
+                np.tile(sd_cells, len(pd)),
                 evaluate(pd, sd_grid).ravel(),
             )
 
@@ -433,11 +572,11 @@ def cmd_assess(config: RunConfig) -> int:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError("each source needs at least a 'name'")
         name = entry["name"]
-        if not isinstance(name, str) or any(c in name for c in ",\r\n"):
-            # a name is one CSV cell
+        if not isinstance(name, str) or any(c in name for c in ",\r\n\0"):
+            # a name is one CSV cell, and the writer deletes NUL bytes
             raise ConfigError(
                 f"config field 'sources[{n}].name' must be a string without ',', "
-                f"'\\r' or '\\n', not {name!r}"
+                f"'\\r', '\\n' or '\\0', not {name!r}"
             )
         constraint, c_main = _parse_constraint(
             {k: v for k, v in entry.items() if k not in ("name", "second")}, f"sources[{n}]"
@@ -504,13 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-photon interference statistics for remote emitters "
         "at linear optical gates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} analysis")
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("command", choices=_COMMANDS, help="the analysis to run")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

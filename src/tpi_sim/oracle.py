@@ -12,9 +12,10 @@ Determinism: every sampler takes a 64-bit integer seed; streams for
 independent chunks are derived with ``numpy.random.SeedSequence.spawn``,
 and every reduction over chunks runs in a fixed order once all chunks are
 done, so results are bit-identical for a given seed regardless of chunk
-evaluation order.  The chunks of both samplers may therefore run on
+evaluation order.  The chunks of :func:`mc_g2_estimate` therefore run on
 threads, one per CPU in the process's affinity set, and the outputs are
-identical whatever the number of threads.
+identical whatever the number of threads; :func:`mc_averaged_phase_factor`
+draws its short chunks in a plain loop.
 
 Draw order of the jitter model: each chunk of ``_REALIZATION_CHUNK``
 realizations has its own child stream and consumes it as one
@@ -239,20 +240,19 @@ def mc_averaged_phase_factor(
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
 
-    def sample_chunk(c: int) -> np.ndarray:
-        rng = np.random.default_rng(children[c])
+    # the chunks are short numpy calls, too short to gain from threads; their
+    # sums accumulate in chunk order around the first sample, so constant
+    # samples (all jitter scales zero) give exactly zero variance
+    total = 0.0
+    total_sq = 0.0
+    for c, child in enumerate(children):
+        rng = np.random.default_rng(child)
         n = min(_CHUNK, trials - c * _CHUNK)
         dnu = rng.normal(pair.delta_nu, sigma_nu, n)
         dphi = rng.normal(0.0, spread_i, n) - rng.normal(0.0, spread_j, n)
-        return 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
-
-    samples = _map_chunks(sample_chunk, n_chunks)
-    # accumulate in chunk order around the first sample, so constant samples
-    # (all jitter scales zero) give exactly zero variance
-    shift = float(samples[0][0])
-    total = 0.0
-    total_sq = 0.0
-    for h in samples:
+        h = 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
+        if c == 0:
+            shift = float(h[0])
         total += float(np.sum(h - shift))
         total_sq += float(np.sum((h - shift) ** 2))
     mean_shifted = total / trials
@@ -373,7 +373,9 @@ def mc_g2_estimate(
     width = 40.0 * pair.t_plus
     t0, weights = _gauss_legendre_nodes(lo, lo + width, panels)
     late = t0 + tau
-    times = np.unique(np.concatenate([t0, late]))
+    # the sorted distinct times, as np.unique finds them (which would import numpy.ma)
+    times = np.sort(np.concatenate([t0, late]))
+    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     at_early = np.searchsorted(times, t0)
     at_late = np.searchsorted(times, late)
     lifetime_i, lifetime_j = pair.emitter_i.lifetime, pair.emitter_j.lifetime

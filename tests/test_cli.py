@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import tpi_sim
 from tpi_sim.bell import fidelity_map
 from tpi_sim.cli import (
-    _BLOCK_ROWS, RunConfig, _row_blocks, _write_table, dumps, format_float, main,
+    _BLOCK_ROWS, RunConfig, _float_matrix, _row_blocks, _write_table, dumps, format_float, main,
 )
 from tpi_sim.interference import visibility_map
 
@@ -158,6 +159,92 @@ class TestColumnWriter:
                   for key, grid in params.items()}
         config = RunConfig(command, params, None, fmt, 3)
         expected = row_writer_text(config, ["theta_pd", "theta_sd", value_name], rows)
+        assert out.read_text() == expected
+
+
+def rendered_cells(values):
+    """The text of every cell of :func:`_float_matrix`, NULs deleted."""
+    return [bytes(cell).translate(None, b"\0").decode() for cell in _float_matrix(values).T]
+
+
+def format_floats(values):
+    return [format_float(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+class TestFloatMatrix:
+    """The numpy '%.17g' kernel against :func:`format_float`, where the exact
+    digits are hardest: decade edges, ties and round-ups to 10**17."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_both_sides_of_every_power_of_ten(self, sign):
+        values = []
+        for k in range(-6, 19):
+            for direction in (0.0, math.inf):
+                v = sign * 10.0**k
+                for _ in range(6):
+                    values.append(v)
+                    v = math.nextafter(v, sign * direction)
+        assert rendered_cells(values) == format_floats(values)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exact_ties_round_half_to_even(self, sign):
+        # x * 10**(16 - k) of a quarter in [1e15, 1e16) (k = 15) or of an
+        # eighth in [1e14, 1e15) (k = 14) is an exact tie where x is exact and odd
+        rng = np.random.default_rng(3)
+        values = sign * np.concatenate([
+            rng.integers(4 * 10**15, 4 * 10**16, size=20_000) / 4,
+            rng.integers(8 * 10**14, 8 * 10**15, size=20_000) / 8,
+        ])
+        assert rendered_cells(values) == format_floats(values)
+        scaled = [Fraction(v) * 10 ** (16 - math.floor(math.log10(abs(v))))
+                  for v in values.tolist()]
+        assert sum(x.denominator == 2 for x in scaled) > 2000
+
+    def test_round_up_to_the_next_decade(self):
+        # the doubles nearest 10**j and a few ulps either side, over the whole
+        # exponent range; some round up to 17 digits "10000000000000000"
+        values = []
+        for j in range(-307, 309):
+            v = float(f"1e{j}")
+            for _ in range(3):
+                v = math.nextafter(v, 0.0)
+            for _ in range(7):
+                values += [v, -v]
+                v = math.nextafter(v, math.inf)
+        expected = format_floats(values)
+        assert rendered_cells(values) == expected
+        rounded_up = [
+            v for v, text in zip(values, expected)
+            if text.lstrip("-").split("e")[0].replace(".", "").strip("0") == "1"
+            and abs(Fraction(v)) < Fraction(10) ** round(math.log10(abs(v)))
+        ]
+        assert len(rounded_up) >= 20
+
+    def test_wide_positional_range_and_specials(self):
+        rng = np.random.default_rng(8)
+        values = np.concatenate([
+            rng.standard_normal(50_000) * 10.0 ** rng.integers(-6, 19, size=50_000),
+            rng.random(20_000),
+            np.round(rng.random(5_000) * 1e5) / 10.0 ** rng.integers(0, 6, size=5_000),
+            np.array(SPECIAL_FLOATS),
+        ])
+        assert rendered_cells(values) == format_floats(values)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_multi_column_blocks(self, tmp_path, fmt, n):
+        rng = np.random.default_rng(n)
+        columns = [
+            rng.standard_normal(n) * 10.0 ** rng.integers(-6, 19, size=n),
+            np.linspace(-7000.0, 7000.0, n),
+            rng.random(n),
+        ]
+        config = RunConfig("g2", {"n_tau": n}, None, fmt, 2)
+        rows = [list(row) for row in zip(*(column.tolist() for column in columns))]
+        expected = row_writer_text(config, ["a", "b", "c"], rows)
+        out = tmp_path / f"table.{fmt}"
+        _write_table(RunConfig("g2", {"n_tau": n}, str(out), fmt, 2), ["a", "b", "c"],
+                     _row_blocks(*columns))
         assert out.read_text() == expected
 
 
@@ -508,8 +595,8 @@ class TestConfigBoundary:
         else:
             assert float(rows[0][header.index("v_min")]) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["qd, 850\nps", "a,b", "cr\rlf", "line\n", 12, True, None,
-                                      ["qd"]])
+    @pytest.mark.parametrize("name", ["qd, 850\nps", "a,b", "cr\rlf", "line\n", "nul\0name", 12,
+                                      True, None, ["qd"]])
     def test_source_name_must_be_one_csv_cell(self, tmp_path, capsys, name):
         payload = {"sources": [{"name": "ok", "lifetime_ps": 670, "coherence_time_ps": 330},
                                {"name": name, "lifetime_ps": 670, "coherence_time_ps": 330}],
@@ -606,6 +693,12 @@ class TestShippedConfigs:
             main([])
         assert err.value.code == 2
 
+    def test_usage_error_on_unknown_command(self, tmp_path):
+        cfg = write_config(tmp_path, {})
+        with pytest.raises(SystemExit) as err:
+            main(["vmapp", "--config", cfg])
+        assert err.value.code == 2
+
 
 # one tiny config per subcommand
 TINY_CONFIGS = {
@@ -627,17 +720,17 @@ TINY_CONFIGS = {
 }
 
 
-def test_runtime_imports_no_scipy(tmp_path):
-    """The package needs numpy only: every subcommand runs without a scipy module."""
+def modules_after_tiny_runs(tmp_path):
+    """The modules a fresh interpreter holds after one tiny config of every subcommand."""
     for command, payload in TINY_CONFIGS.items():
         (tmp_path / f"{command}.json").write_text(json.dumps(payload))
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from tpi_sim import cli\n"
         f"for command in {sorted(TINY_CONFIGS)!r}:\n"
         "    argv = [command, '--config', command + '.json', '--out', command + '.csv']\n"
         "    assert cli.main(argv) == 0, command\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     src = str(Path(tpi_sim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -649,4 +742,15 @@ def test_runtime_imports_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    assert done.stdout.strip().splitlines()[-1] == "[]"
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """The package needs numpy only: every subcommand runs without a scipy module."""
+    assert [m for m in modules_after_tiny_runs(tmp_path) if m.startswith("scipy")] == []
+
+
+def test_runtime_imports_no_numpy_ma(tmp_path):
+    """No subcommand loads numpy.ma, which np.unique imports on first use."""
+    modules = modules_after_tiny_runs(tmp_path)
+    assert "numpy" in modules and "numpy.ma" not in modules
