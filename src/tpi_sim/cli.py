@@ -15,6 +15,16 @@ Subcommands (all driven by a JSON config file):
 Units at this boundary follow common lab usage: lifetimes and coherence
 times in ps, linewidths and rates in MHz, detuning scans in GHz.  Field
 names carry their unit suffix.  Everything is converted to SI on entry.
+The emitter and constraint objects are read by one field table each
+(:func:`_read_fields`): an unknown field, a wrong type, a value out of
+range or of the wrong sign is refused with an error naming its path.
+
+A run is a pipeline: :func:`main` reads the config file and the seed, the
+subcommand (``cmd_*``) turns the config object and seed into its
+canonical config, column names, row blocks and exit status, and ``main``
+writes that table with :func:`_write_table`.  Only ``verify`` prints
+anything itself: one ``[pass]``/``[FAIL]`` line per check on stderr,
+before the table is written.
 
 Outputs are deterministic: identical config and seed give byte-identical
 files.  CSV uses '.' decimals and embeds the parsed config in a
@@ -338,18 +348,20 @@ def _number(obj: dict, key: str, where: str = "", default: float | None = None) 
 _SI_MAGNITUDE = (1e-150, 1e150)
 
 
-def _quantity(
-    obj: dict, key: str, where: str, si_scale: float, default: float | None = None
-) -> float:
-    """A physical field in its config unit, range-checked in SI units
-    (a dimensionless field has ``si_scale`` 1)."""
-    value = _number(obj, key, where, default)
+def _quantity(obj: dict, key: str, where: str, si_scale: float, sign: str | None = None) -> float:
+    """A required physical field in its config unit, range-checked in SI
+    units (a dimensionless field has ``si_scale`` 1), then checked against
+    the sign rule ``sign``: None for either sign, ">= 0" or "positive"."""
+    value = _number(obj, key, where)
+    name = _field_name(where, key)
     low, high = _SI_MAGNITUDE
     if value != 0.0 and not low <= abs(value * si_scale) <= high:
         raise ConfigError(
-            f"config field {_field_name(where, key)!r} = {value!r} is out of range: "
+            f"config field {name!r} = {value!r} is out of range: "
             f"in SI units, a nonzero value must have a magnitude in [{low:g}, {high:g}]"
         )
+    if sign is not None and (value < 0.0 or (value == 0.0 and sign == "positive")):
+        raise ConfigError(f"config field {name!r} must be {sign}, not {obj[key]!r}")
     return value
 
 
@@ -364,58 +376,66 @@ def _integer(obj: dict, key: str, minimum: int, where: str = "", default: int | 
     return value
 
 
-def _check_signs(canonical: dict, obj: dict, where: str, zero_ok: tuple[str, ...]) -> None:
-    """Refuse every field of ``canonical`` that is negative, or zero unless
-    listed in ``zero_ok``; ``obj`` is the config object the fields came from."""
-    for key, value in canonical.items():
-        zero_allowed = key in zero_ok
-        if value < 0.0 or (value == 0.0 and not zero_allowed):
-            raise ConfigError(
-                f"config field {_field_name(where, key)!r} must be "
-                f"{'>= 0' if zero_allowed else 'positive'}, not {obj[key]!r}"
-            )
-
-
-def _parse_emitter(obj: dict, where: str) -> tuple[EmitterParams, dict]:
+def _known_fields(obj: Any, where: str, known: Iterable[str]) -> None:
+    """Refuse a config object ``obj`` at path ``where`` that is not a JSON
+    object or has a field outside ``known``."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    scales = {
-        "lifetime_ps": PS,
-        "dephasing_rate_mhz": MHZ,
-        "inhomogeneous_fwhm_mhz": MHZ,
-        "detuning_mhz": MHZ,
-    }
-    unknown = set(obj) - set(scales)
+        raise ConfigError(f"config field {where!r} must be an object")
+    unknown = sorted(set(obj) - set(known))
     if unknown:
-        raise ConfigError(f"unknown emitter fields: {sorted(unknown)}")
-    canonical = {
-        key: _quantity(obj, key, where, scale, None if key == "lifetime_ps" else 0.0)
-        for key, scale in scales.items()
-    }
-    signed = {k: v for k, v in canonical.items() if k != "detuning_mhz"}  # detuning: either sign
-    _check_signs(signed, obj, where, zero_ok=("dephasing_rate_mhz", "inhomogeneous_fwhm_mhz"))
-    # finite, in range and of the right sign: EmitterParams accepts these
-    emitter = EmitterParams(
-        lifetime=canonical["lifetime_ps"] * PS,
-        dephasing_rate=canonical["dephasing_rate_mhz"] * MHZ,
-        inhomogeneous_fwhm=canonical["inhomogeneous_fwhm_mhz"] * MHZ,
-        detuning=canonical["detuning_mhz"] * MHZ,
-    )
-    return emitter, canonical
+        raise ConfigError(f"config object {where!r} has unknown fields {unknown}")
 
 
-def _parse_pair(cfg: dict) -> tuple[PhotonPair, list[dict]]:
+# The physical fields of each kind of config object, in the order they are
+# checked: config key -> (model keyword, SI units per config unit, sign rule
+# of _quantity, required).  An optional field that is absent is left out,
+# so the model's default applies.
+_EMITTER_FIELDS = {
+    "lifetime_ps": ("lifetime", PS, "positive", True),
+    "dephasing_rate_mhz": ("dephasing_rate", MHZ, ">= 0", False),
+    "inhomogeneous_fwhm_mhz": ("inhomogeneous_fwhm", MHZ, ">= 0", False),
+    "detuning_mhz": ("detuning", MHZ, None, False),
+}
+_CONSTRAINT_FIELDS = {
+    "lifetime_ps": ("lifetime", PS, "positive", True),
+    "coherence_time_ps": ("coherence_time", PS, "positive", False),
+    "total_fwhm_mhz": ("total_fwhm", MHZ, "positive", False),
+    "lorentzian_fwhm_mhz": ("lorentzian_fwhm", MHZ, "positive", False),
+    "lorentzian_fwhm_max_mhz": ("lorentzian_fwhm_max", MHZ, "positive", False),
+    "gaussian_fwhm_mhz": ("gaussian_fwhm", MHZ, ">= 0", False),  # 0: a pure Lorentzian
+}
+
+
+def _read_fields(obj: Any, where: str, fields: dict) -> tuple[dict, dict]:
+    """The config object ``obj`` at path ``where``, read by the field table
+    ``fields``: its canonical form (config units) and the SI keyword
+    arguments of its model, each field checked in table order for type,
+    range and sign."""
+    _known_fields(obj, where, fields)
+    canonical, kwargs = {}, {}
+    for key, (keyword, si_scale, sign, required) in fields.items():
+        if required or key in obj:
+            canonical[key] = _quantity(obj, key, where, si_scale, sign)
+            kwargs[keyword] = canonical[key] * si_scale
+    return canonical, kwargs
+
+
+def _parse_pair(cfg: dict) -> PhotonPair:
     raw = _need(cfg, "emitters", list)
     if len(raw) != 2:
         raise ConfigError("field 'emitters' must list exactly two emitters")
-    parsed = [_parse_emitter(e, f"emitters[{n}]") for n, e in enumerate(raw)]
-    return PhotonPair(parsed[0][0], parsed[1][0]), [p[1] for p in parsed]
+    emitters = [
+        EmitterParams(**_read_fields(e, f"emitters[{n}]", _EMITTER_FIELDS)[1])
+        for n, e in enumerate(raw)
+    ]
+    return PhotonPair(*emitters)
 
 
 def _parse_grid(
     cfg: dict, key: str, si_scale: float, min_allowed: float = -math.inf
 ) -> tuple[np.ndarray, dict]:
-    grid_cfg = _need(cfg, key, dict)
+    grid_cfg = _need(cfg, key)
+    _known_fields(grid_cfg, key, ("min", "max", "n", "spacing"))
     lo = _quantity(grid_cfg, "min", key, si_scale)
     hi = _quantity(grid_cfg, "max", key, si_scale)
     n = _integer(grid_cfg, "n", 1, key)
@@ -436,87 +456,49 @@ def _parse_grid(
     return grid, canonical
 
 
-def _parse_constraint(obj: dict, where: str) -> tuple[EmitterConstraint, dict]:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    scales = {
-        "lifetime_ps": PS,
-        "coherence_time_ps": PS,
-        "total_fwhm_mhz": MHZ,
-        "lorentzian_fwhm_mhz": MHZ,
-        "lorentzian_fwhm_max_mhz": MHZ,
-        "gaussian_fwhm_mhz": MHZ,
-    }
-    unknown = set(obj) - set(scales)
-    if unknown:
-        raise ConfigError(f"unknown constraint fields: {sorted(unknown)}")
-    if "lifetime_ps" not in obj:
-        raise ConfigError(f"config is missing required field {where + '.lifetime_ps'!r}")
-    canonical = {k: _quantity(obj, k, where, scale) for k, scale in scales.items() if k in obj}
-    _check_signs(canonical, obj, where, zero_ok=("gaussian_fwhm_mhz",))  # a pure Lorentzian
-
-    def get(key: str):
-        return canonical[key] * scales[key] if key in canonical else None
-
+def _parse_constraint(obj: Any, where: str) -> tuple[EmitterConstraint, dict]:
+    canonical, kwargs = _read_fields(obj, where, _CONSTRAINT_FIELDS)
     try:
-        constraint = EmitterConstraint(
-            lifetime=get("lifetime_ps"),
-            coherence_time=get("coherence_time_ps"),
-            total_fwhm=get("total_fwhm_mhz"),
-            lorentzian_fwhm=get("lorentzian_fwhm_mhz"),
-            lorentzian_fwhm_max=get("lorentzian_fwhm_max_mhz"),
-            gaussian_fwhm=get("gaussian_fwhm_mhz"),
-        )
+        return EmitterConstraint(**kwargs), canonical
     except ValueError as exc:
-        raise ConfigError(f"invalid constraint: {exc}") from exc
-    return constraint, canonical
+        raise ConfigError(f"invalid constraint {where!r}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
-# Subcommands.
+# Subcommands: (config object, seed) -> (canonical config, column names,
+# row blocks, exit status).  main writes the table.
 # --------------------------------------------------------------------------
 
+Table = tuple[dict, list[str], Iterable[tuple], int]
 
-def cmd_g2(config: RunConfig) -> int:
-    cfg = config.params
-    pair, _ = _parse_pair(cfg)
+
+def cmd_g2(cfg: dict, seed: int) -> Table:
+    pair = _parse_pair(cfg)
     n_tau = _integer(cfg, "n_tau", 2, default=4001)
     default_span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime) / PS
     tau_max_ps = _number(cfg, "tau_max_ps", default=default_span)
     if not tau_max_ps > 0.0:
         raise ConfigError("config field 'tau_max_ps' must be positive")
-    cfg_canonical = dict(cfg)
-    cfg_canonical.update(n_tau=n_tau, tau_max_ps=tau_max_ps)
-    config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
-
     grid = np.linspace(-tau_max_ps * PS, tau_max_ps * PS, n_tau)
     trace = g2_trace(beam_splitter(0.5), 1, 2, 1, 2, pair, grid)
     columns = (trace.tau_grid / PS, trace.g2_values, trace.g2_distinguishable)
-    _write_table(config, ["tau_ps", "g2", "g2_classical"], _row_blocks(*columns))
-    return 0
+    canonical = {**cfg, "n_tau": n_tau, "tau_max_ps": tau_max_ps}
+    return canonical, ["tau_ps", "g2", "g2_classical"], _row_blocks(*columns), 0
 
 
-def cmd_tuning(config: RunConfig) -> int:
-    cfg = config.params
-    pair, _ = _parse_pair(cfg)
-    grid, canonical = _parse_grid(cfg, "detuning_ghz", GHZ)
-    cfg_canonical = dict(cfg)
-    cfg_canonical["detuning_ghz"] = canonical
-    config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
+def cmd_tuning(cfg: dict, seed: int) -> Table:
+    pair = _parse_pair(cfg)
+    grid, grid_canonical = _parse_grid(cfg, "detuning_ghz", GHZ)
     # the arrays behind tuning_curve, without its PhotonPair per point
     visibility, p_coinc = _hom_arrays(pair, grid * GHZ)
+    columns = (grid, visibility, p_coinc, np.full(len(grid), 0.5))
     names = ["delta_nu_ghz", "visibility", "p_coinc", "p_coinc_classical"]
-    _write_table(config, names, _row_blocks(grid, visibility, p_coinc, np.full(len(grid), 0.5)))
-    return 0
+    return {**cfg, "detuning_ghz": grid_canonical}, names, _row_blocks(*columns), 0
 
 
-def _cmd_map(config: RunConfig, value_name: str, evaluate) -> int:
-    cfg = config.params
+def _cmd_map(cfg: dict, value_name: str, evaluate) -> Table:
     pd_grid, pd_c = _parse_grid(cfg, "theta_pd", 1.0, min_allowed=1.0)
     sd_grid, sd_c = _parse_grid(cfg, "theta_sd", 1.0, min_allowed=0.0)
-    cfg_canonical = dict(cfg)
-    cfg_canonical.update(theta_pd=pd_c, theta_sd=sd_c)
-    config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
     # The maps are elementwise, so evaluating them a block of theta_pd rows at
     # a time gives the same bits; each axis value is rendered once.
     pd_cells, sd_cells = _float_matrix(pd_grid), _float_matrix(sd_grid)
@@ -531,36 +513,32 @@ def _cmd_map(config: RunConfig, value_name: str, evaluate) -> int:
                 evaluate(pd, sd_grid).ravel(),
             )
 
-    _write_table(config, ["theta_pd", "theta_sd", value_name], blocks())
-    return 0
+    canonical = {**cfg, "theta_pd": pd_c, "theta_sd": sd_c}
+    return canonical, ["theta_pd", "theta_sd", value_name], blocks(), 0
 
 
-def cmd_vmap(config: RunConfig) -> int:
-    return _cmd_map(config, "visibility", visibility_map)
+def cmd_vmap(cfg: dict, seed: int) -> Table:
+    return _cmd_map(cfg, "visibility", visibility_map)
 
 
-def cmd_fmap(config: RunConfig) -> int:
-    return _cmd_map(config, "fidelity", fidelity_map)
+def cmd_fmap(cfg: dict, seed: int) -> Table:
+    return _cmd_map(cfg, "fidelity", fidelity_map)
 
 
-def cmd_decompose(config: RunConfig) -> int:
-    cfg = config.params
+def cmd_decompose(cfg: dict, seed: int) -> Table:
     constraint, canonical = _parse_constraint(cfg.get("constraint", {}), "constraint")
     n_points = _integer(cfg, "n_points", 1, default=200)
-    cfg_canonical = {"constraint": canonical, "n_points": n_points}
-    config = RunConfig(config.command, cfg_canonical, config.out, config.fmt, config.seed)
     splits = np.array(constraint.decomposition(n_points), dtype=float)
     normalized = np.array([
         astuple(normalized_params(EmitterParams(constraint.lifetime, max(rate, 0.0), fwhm)))
         for rate, fwhm in splits.tolist()
     ])
     names = ["dephasing_rate_mhz", "inhomogeneous_fwhm_mhz", "theta_pd", "theta_sd", "x_c"]
-    _write_table(config, names, _row_blocks(*(splits.T / MHZ), *normalized.T))
-    return 0
+    columns = (*(splits.T / MHZ), *normalized.T)
+    return {"constraint": canonical, "n_points": n_points}, names, _row_blocks(*columns), 0
 
 
-def cmd_assess(config: RunConfig) -> int:
-    cfg = config.params
+def cmd_assess(cfg: dict, seed: int) -> Table:
     sources = _need(cfg, "sources", list)
     if not sources:
         raise ConfigError("field 'sources' must list at least one entry")
@@ -569,43 +547,33 @@ def cmd_assess(config: RunConfig) -> int:
     names = []
     ranges = []
     for n, entry in enumerate(sources):
+        where = f"sources[{n}]"
         if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError("each source needs at least a 'name'")
+            raise ConfigError(f"config field {where!r} must be an object with a 'name'")
         name = entry["name"]
         if not isinstance(name, str) or any(c in name for c in ",\r\n\0"):
             # a name is one CSV cell, and the writer deletes NUL bytes
             raise ConfigError(
-                f"config field 'sources[{n}].name' must be a string without ',', "
+                f"config field '{where}.name' must be a string without ',', "
                 f"'\\r', '\\n' or '\\0', not {name!r}"
             )
-        constraint, c_main = _parse_constraint(
-            {k: v for k, v in entry.items() if k not in ("name", "second")}, f"sources[{n}]"
+        constraint, canonical = _parse_constraint(
+            {k: v for k, v in entry.items() if k not in ("name", "second")}, where
         )
+        canonical["name"] = name
         second = None
-        c_second = None
         if "second" in entry:
-            second, c_second = _parse_constraint(entry["second"], f"sources[{n}].second")
+            second, canonical["second"] = _parse_constraint(entry["second"], f"{where}.second")
         result = emitter_assessment(constraint, second, n_points)
-        canonical = {"name": name, **c_main}
-        if c_second is not None:
-            canonical["second"] = c_second
         canonical_sources.append(canonical)
         names.append(name)
         ranges.append(result.visibility_range + result.fidelity_range)
-    config = RunConfig(
-        config.command,
-        {"sources": canonical_sources, "n_points": n_points},
-        config.out,
-        config.fmt,
-        config.seed,
-    )
-    columns = (names, *np.array(ranges).T)
-    _write_table(config, ["name", "v_min", "v_max", "f_min", "f_max"], _row_blocks(*columns))
-    return 0
+    canonical = {"sources": canonical_sources, "n_points": n_points}
+    columns = _row_blocks(names, *np.array(ranges).T)
+    return canonical, ["name", "v_min", "v_max", "f_min", "f_max"], columns, 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    cfg = config.params
+def cmd_verify(cfg: dict, seed: int) -> Table:
     defaults = {
         "closed_form_instances": 100,
         "mc_instances": 10,
@@ -613,17 +581,16 @@ def cmd_verify(config: RunConfig) -> int:
         "phase_trials": 100_000,
     }
     sizes = {key: _integer(cfg, key, 1, default=default) for key, default in defaults.items()}
-    config = RunConfig(config.command, dict(sizes), config.out, config.fmt, config.seed)
-    report = run_verification(seed=config.seed, **sizes)
+    report = run_verification(seed=seed, **sizes)
     checks = report.checks
     measures = np.array([(c.observed, c.bound) for c in checks], dtype=float)
     columns = ([c.name for c in checks], *measures.T, [c.passed for c in checks])
-    _write_table(config, ["check", "observed", "bound", "passed"], _row_blocks(*columns))
     for check in checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: observed {format_float(check.observed)} "
               f"(bound {format_float(check.bound)})", file=sys.stderr)
-    return 0 if report.all_passed else 1
+    names = ["check", "observed", "bound", "passed"]
+    return sizes, names, _row_blocks(*columns), 0 if report.all_passed else 1
 
 
 _COMMANDS = {
@@ -669,11 +636,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: config field 'seed' must be an integer, not {seed!r}", file=sys.stderr)
         return 1
     params = {k: v for k, v in raw.items() if k != "seed"}
-    config = RunConfig(
-        command=args.command, params=params, out=args.out, fmt=args.format, seed=seed
-    )
     try:
-        return _COMMANDS[args.command](config)
+        canonical, names, blocks, status = _COMMANDS[args.command](params, seed)
+        _write_table(RunConfig(args.command, canonical, args.out, args.format, seed), names, blocks)
+        return status
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

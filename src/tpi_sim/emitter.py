@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import GAUSS_FWHM_PER_SIGMA, _faddeeva, _newton
+from .numerics import GAUSS_FWHM_PER_SIGMA, VOIGT_FWHM_RTOL, _faddeeva, _newton
 
 __all__ = [
     "EmitterParams",
@@ -262,9 +262,10 @@ def decompose_voigt_fwhm(
     Voigt profile at the target (see :func:`_solve_width`): the Lorentzian
     width of every interior split at its fixed Gaussian width, and the
     largest Gaussian width at the Fourier-limited Lorentzian.  Both stop at
-    a Newton step of 1e-13 relative, so every pair reproduces
-    ``total_fwhm`` to about 1e-15 relative (at most 5.9e-16 off a 40-digit
-    mpmath evaluation on sampled splits of the shipped Voigt sources).
+    a Newton step of ``VOIGT_FWHM_RTOL`` (1e-13) relative, so every pair
+    reproduces ``total_fwhm`` to about 1e-15 relative (at most 5.9e-16 off
+    a 40-digit mpmath evaluation on sampled splits of the shipped Voigt
+    sources).
     Endpoints (all-Lorentzian and Fourier-limited Lorentzian plus maximal
     Gaussian) are exact; interior points are geometric in the Gaussian FWHM.
 
@@ -348,7 +349,7 @@ def _solve_width(total_fwhm: float, fixed: np.ndarray, unknown: str) -> np.ndarr
         g = f - 0.5346 * fixed
         start = np.sqrt(np.maximum(g * g - 0.2166 * (fixed * fixed), 0.0))
     start = np.clip(start, 1e-3 * f, 2.0 * f)
-    return _newton(residual, start, hi, 1e-13)  # voigt_fwhm's default tolerance
+    return _newton(residual, start, hi, VOIGT_FWHM_RTOL)
 
 
 def normalized_params(emitter: EmitterParams) -> NormalizedParams:

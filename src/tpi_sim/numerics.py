@@ -49,6 +49,9 @@ _POLE_Y = math.pi / _STEP
 _FAR = 1e3
 # Points per block of the node sums, so that temporaries stay small.
 _BLOCK = 4096
+# Relative tolerance of the Newton solves for Voigt widths (voigt_fwhm and
+# emitter.decompose_voigt_fwhm).
+VOIGT_FWHM_RTOL = 1e-13
 
 
 class QuadratureError(RuntimeError):
@@ -261,62 +264,30 @@ def voigt_value(
     x = np.asarray(x, dtype=float)
     sigma = np.asarray(gaussian_sigma, dtype=float)
     hwhm = np.asarray(lorentzian_hwhm, dtype=float)
-    shape = np.broadcast(x, sigma, hwhm).shape
-    if np.any(np.minimum(sigma, hwhm) <= 0.0):
-        out = _voigt_limits(x, sigma, hwhm, shape)
-    else:
-        out = _faddeeva_voigt(sigma, hwhm, shape)(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def _faddeeva_voigt(
-    sigma: np.ndarray, hwhm: np.ndarray, shape: tuple[int, ...]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> Re w(z) / (sigma sqrt(2 pi)), z = (x + i hwhm) / (sigma sqrt(2)).
-
-    ``shape`` is the broadcast shape of the results.  The parts that do not
-    depend on ``x`` are computed once, for callers that evaluate one
-    profile at many offsets.
-    """
-    d = sigma * math.sqrt(2.0)
-    norm = sigma * _SQRT_2PI
-    y = np.broadcast_to(hwhm / d, shape).ravel()
-
-    def density(x: np.ndarray | float) -> np.ndarray:
-        x = np.broadcast_to(np.divide(x, d), shape).ravel()
-        return _faddeeva(x, y)[0].reshape(shape) / norm
-
-    return density
-
-
-def _voigt_limits(
-    x: np.ndarray, sigma: np.ndarray, hwhm: np.ndarray, shape: tuple[int, ...]
-) -> np.ndarray:
-    """:func:`voigt_value` where some width is not positive.
-
-    Negative widths and two zero widths are rejected; where one width is
-    zero the profile is the pure Gaussian or pure Lorentzian.
-    """
     if np.any(sigma < 0.0) or np.any(hwhm < 0.0):
         raise ValueError("Voigt widths must be nonnegative")
     gauss = hwhm == 0.0
     lorentz = sigma == 0.0
     if np.any(gauss & lorentz):
         raise ValueError("Voigt profile is degenerate when both widths are zero")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    shape = np.broadcast(x, sigma, hwhm).shape
+    # All three forms are computed everywhere and selected per element: the
+    # Faddeeva and Gaussian ones divide by zero where sigma = 0, which the
+    # selection never takes, and squares may overflow to inf.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Re w(z) / (sigma sqrt(2 pi)), z = (x + i hwhm) / (sigma sqrt(2))
+        d = sigma * math.sqrt(2.0)
+        z_re = np.broadcast_to(x / d, shape).ravel()
+        z_im = np.broadcast_to(hwhm / d, shape).ravel()
+        out = _faddeeva(z_re, z_im)[0].reshape(shape) / (sigma * _SQRT_2PI)
         arg = x / sigma
-        out = np.where(
-            gauss,
-            np.exp(-0.5 * arg * arg) / (sigma * _SQRT_2PI),
-            _faddeeva_voigt(sigma, hwhm, shape)(x),
-        )
-        return np.where(lorentz, hwhm / math.pi / (x * x + hwhm * hwhm), out)
+        out = np.where(gauss, np.exp(-0.5 * arg * arg) / (sigma * _SQRT_2PI), out)
+        out = np.where(lorentz, hwhm / math.pi / (x * x + hwhm * hwhm), out)
+    return float(out) if out.ndim == 0 else out
 
 
 def voigt_fwhm(
-    lorentzian_fwhm: float | np.ndarray,
-    gaussian_fwhm: float | np.ndarray,
-    rtol: float = 1e-13,
+    lorentzian_fwhm: float | np.ndarray, gaussian_fwhm: float | np.ndarray
 ) -> float | np.ndarray:
     """Full width at half maximum of a Voigt profile, by a safeguarded Newton solve.
 
@@ -324,7 +295,7 @@ def voigt_fwhm(
     half-maximum of :func:`voigt_value` rather than through an analytic
     approximation (that of Olivero and Longbothum, J. Quant. Spectrosc.
     Radiat. Transfer 17, 233 (1977), only starts the solve), so the result
-    is exact to about ``rtol``.
+    is exact to about ``VOIGT_FWHM_RTOL``, the relative tolerance of the solve.
 
     The widths broadcast against each other; a scalar result is returned
     as a float.  All elements are solved in lockstep by :func:`_newton`,
@@ -357,7 +328,7 @@ def voigt_fwhm(
     if np.any(residual(hi, np.ones(hi.shape, dtype=bool))[0] <= 0.0):
         raise QuadratureError("failed to bracket the Voigt half maximum")
     start = 0.5 * (0.5346 * fl + np.sqrt(0.2166 * fl * fl + fg * fg))
-    out[mixed] = 2.0 * _newton(residual, start, hi, rtol)
+    out[mixed] = 2.0 * _newton(residual, start, hi, VOIGT_FWHM_RTOL)
     return float(out) if out.ndim == 0 else out
 
 

@@ -76,6 +76,15 @@ each realization draws from, so changing this constant changes every
 estimate for every seed.
 """
 
+_PANELS = 12
+"""Gauss-Legendre panels (16 nodes each) over t0 in :func:`mc_g2_estimate`.
+
+Part of the seed contract: the panels fix the quadrature nodes, hence the
+times at which every Wiener path is sampled and the number of normals each
+realization draws, so changing this constant changes every estimate for
+every seed.
+"""
+
 _BLOCK_ROWS = 32
 """Realizations drawn and evaluated together inside one chunk.
 
@@ -336,13 +345,13 @@ def mc_g2_estimate(
     tau: float,
     realizations: int = 2000,
     seed: RngSeed = 0,
-    panels: int = 12,
 ) -> MonteCarloEstimate:
     """Monte-Carlo cross-correlation at one lag from the microscopic model.
 
     Each realization draws a jitter sample (frequencies and Wiener phase
     paths) and integrates the joint detection probability
-    |ca A + cb B|^2 over t0 on a fixed composite Gauss-Legendre rule, with
+    |ca A + cb B|^2 over t0 on a fixed composite Gauss-Legendre rule
+    (``_PANELS`` panels), with
     ca = U_li U_kj, cb = U_lj U_ki, A = zeta_i(t0+tau) zeta_j(t0) and
     B = zeta_j(t0+tau) zeta_i(t0).  The Wiener paths are sampled exactly
     at every evaluation time (quadrature nodes and their tau-shifted
@@ -371,7 +380,7 @@ def mc_g2_estimate(
 
     lo = max(0.0, -tau)
     width = 40.0 * pair.t_plus
-    t0, weights = _gauss_legendre_nodes(lo, lo + width, panels)
+    t0, weights = _gauss_legendre_nodes(lo, lo + width, _PANELS)
     late = t0 + tau
     # the sorted distinct times, as np.unique finds them (which would import numpy.ma)
     times = np.sort(np.concatenate([t0, late]))

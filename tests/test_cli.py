@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tpi_sim
+from tpi_sim import cli
 from tpi_sim.bell import fidelity_map
 from tpi_sim.cli import (
     _BLOCK_ROWS, RunConfig, _float_matrix, _row_blocks, _write_table, dumps, format_float, main,
@@ -566,6 +567,46 @@ class TestConfigBoundary:
         field = f"emitters[1].{key}"
         assert repr(field) in err and err.rstrip().endswith(f"not {bad!r}"), err
 
+    @pytest.mark.parametrize("command", ["decompose", "assess"])
+    def test_fields_checked_one_at_a_time_in_table_order(self, tmp_path, capsys, command):
+        # lifetime_ps comes first in the table: its sign is refused before
+        # the range of total_fwhm_mhz is looked at
+        constraint = {"lifetime_ps": -1720, "total_fwhm_mhz": 1e150}
+        if command == "decompose":
+            payload, field = {"constraint": constraint}, "constraint.lifetime_ps"
+        else:
+            payload, field = {"sources": [{"name": "a", **constraint}]}, "sources[0].lifetime_ps"
+        err = self.run_error(tmp_path, capsys, command, payload)
+        assert repr(field) in err and err.rstrip().endswith("not -1720"), err
+
+    @pytest.mark.parametrize(
+        "command,payload,where",
+        [
+            ("vmap", {"theta_pd": {"min": 1, "max": 2, "n": 3, "spacng": "log"},
+                      "theta_sd": {"min": 0, "max": 1, "n": 3}}, "theta_pd"),
+            ("tuning", qd_pair_config(detuning_ghz={"min": -1, "max": 1, "n": 3, "step": 1}),
+             "detuning_ghz"),
+            ("g2", {"emitters": [{"lifetime_ps": 700},
+                                 {"lifetime_ps": 650, "dephasing_mhz": 300}]}, "emitters[1]"),
+            ("assess", {"sources": [{"name": "a", "lifetime_ps": 670, "coherence_time_ps": 330,
+                                     "second": {"lifetime_ps": 650, "coherence_ps": 300}}]},
+             "sources[0].second"),
+            ("decompose", {"constraint": {"lifetime_ps": 670, "coherence_time": 330}},
+             "constraint"),
+        ],
+    )
+    def test_unknown_fields_named_with_their_object(self, tmp_path, capsys, command, payload,
+                                                    where):
+        err = self.run_error(tmp_path, capsys, command, payload)
+        assert repr(where) in err and "unknown fields" in err, err
+
+    @pytest.mark.parametrize("entry", [{"lifetime_ps": 670, "coherence_time_ps": 330}, "qd"])
+    def test_source_without_a_name_named_by_its_index(self, tmp_path, capsys, entry):
+        source = {"name": "ok", "lifetime_ps": 670, "coherence_time_ps": 330}
+        payload = {"sources": [source, source, entry], "n_points": 3}
+        err = self.run_error(tmp_path, capsys, "assess", payload)
+        assert "'sources[2]'" in err and "'name'" in err, err
+
     @pytest.mark.parametrize("command", ["g2", "tuning"])
     def test_zero_widths_and_negative_detuning_accepted(self, tmp_path, command):
         payload = self.pair_payload(command)
@@ -718,6 +759,24 @@ TINY_CONFIGS = {
     "verify": {"seed": 1, "closed_form_instances": 1, "mc_instances": 1, "mc_realizations": 2,
                "phase_trials": 10000},
 }
+
+
+@pytest.mark.parametrize("command", sorted(TINY_CONFIGS))
+def test_subcommand_returns_the_table_main_writes(tmp_path, capsys, command):
+    """A subcommand maps (config object, seed) to (canonical config, column
+    names, row blocks, exit status) and writes nothing; main writes the table."""
+    params = dict(TINY_CONFIGS[command])
+    seed = params.pop("seed", 0)
+    canonical, names, blocks, status = cli._COMMANDS[command](params, seed)
+    assert status == 0 and capsys.readouterr().out == ""
+    cfg = write_config(tmp_path, TINY_CONFIGS[command])
+    out = tmp_path / "out.json"
+    assert main([command, "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    text = out.read_text()
+    assert f'"config":{dumps(canonical)},' in text
+    data = json.loads(text)
+    assert data["config"] == canonical and data["columns"] == names
+    assert len(data["rows"]) == sum(len(block[-1]) for block in blocks)
 
 
 def modules_after_tiny_runs(tmp_path):
