@@ -18,6 +18,9 @@ names carry their unit suffix.  Everything is converted to SI on entry.
 The emitter and constraint objects are read by one field table each
 (:func:`_read_fields`): an unknown field, a wrong type, a value out of
 range or of the wrong sign is refused with an error naming its path.
+A top-level key outside the subcommand's own fields (and ``seed``) is
+refused the same way.  An output file that cannot be opened or written
+ends the run with one ``error:`` line too.
 
 A run is a pipeline: :func:`main` reads the config file and the seed, the
 subcommand (``cmd_*``) turns the config object and seed into its
@@ -377,13 +380,14 @@ def _integer(obj: dict, key: str, minimum: int, where: str = "", default: int | 
 
 
 def _known_fields(obj: Any, where: str, known: Iterable[str]) -> None:
-    """Refuse a config object ``obj`` at path ``where`` that is not a JSON
-    object or has a field outside ``known``."""
+    """Refuse a config object ``obj`` at path ``where`` (empty for the top
+    level) that is not a JSON object or has a field outside ``known``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"config field {where!r} must be an object")
     unknown = sorted(set(obj) - set(known))
     if unknown:
-        raise ConfigError(f"config object {where!r} has unknown fields {unknown}")
+        owner = f"object {where!r}" if where else "top level"
+        raise ConfigError(f"config {owner} has unknown fields {unknown}")
 
 
 # The physical fields of each kind of config object, in the order they are
@@ -573,14 +577,16 @@ def cmd_assess(cfg: dict, seed: int) -> Table:
     return canonical, ["name", "v_min", "v_max", "f_min", "f_max"], columns, 0
 
 
+_VERIFY_SIZES = {
+    "closed_form_instances": 100,
+    "mc_instances": 10,
+    "mc_realizations": 3000,
+    "phase_trials": 100_000,
+}
+
+
 def cmd_verify(cfg: dict, seed: int) -> Table:
-    defaults = {
-        "closed_form_instances": 100,
-        "mc_instances": 10,
-        "mc_realizations": 3000,
-        "phase_trials": 100_000,
-    }
-    sizes = {key: _integer(cfg, key, 1, default=default) for key, default in defaults.items()}
+    sizes = {key: _integer(cfg, key, 1, default=default) for key, default in _VERIFY_SIZES.items()}
     report = run_verification(seed=seed, **sizes)
     checks = report.checks
     measures = np.array([(c.observed, c.bound) for c in checks], dtype=float)
@@ -592,6 +598,17 @@ def cmd_verify(cfg: dict, seed: int) -> Table:
     names = ["check", "observed", "bound", "passed"]
     return sizes, names, _row_blocks(*columns), 0 if report.all_passed else 1
 
+
+# The top-level config fields of each subcommand; main reads "seed" itself.
+_TOP_LEVEL_FIELDS = {
+    "g2": ("emitters", "n_tau", "tau_max_ps"),
+    "tuning": ("emitters", "detuning_ghz"),
+    "vmap": ("theta_pd", "theta_sd"),
+    "fmap": ("theta_pd", "theta_sd"),
+    "decompose": ("constraint", "n_points"),
+    "assess": ("sources", "n_points"),
+    "verify": tuple(_VERIFY_SIZES),
+}
 
 _COMMANDS = {
     "g2": cmd_g2,
@@ -637,6 +654,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     params = {k: v for k, v in raw.items() if k != "seed"}
     try:
+        _known_fields(params, "", _TOP_LEVEL_FIELDS[args.command])
         canonical, names, blocks, status = _COMMANDS[args.command](params, seed)
         _write_table(RunConfig(args.command, canonical, args.out, args.format, seed), names, blocks)
         return status
@@ -649,6 +667,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as exc:  # opening or writing --out
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

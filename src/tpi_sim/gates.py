@@ -97,20 +97,12 @@ class GateQuad:
     p0_terms: tuple[float, float]
 
 
-def beam_splitter(reflectivity: float, transmissivity: float | None = None) -> GateMatrix:
-    """Two-mode splitter [[sqrt(R), sqrt(T)], [sqrt(T), -sqrt(R)]].
-
-    ``transmissivity`` defaults to 1 - R and must otherwise satisfy
-    R + T = 1 to within 1e-12.
-    """
+def beam_splitter(reflectivity: float) -> GateMatrix:
+    """Two-mode splitter [[sqrt(R), sqrt(T)], [sqrt(T), -sqrt(R)]] with T = 1 - R."""
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
-    if transmissivity is None:
-        transmissivity = 1.0 - reflectivity
-    if abs(reflectivity + transmissivity - 1.0) > 1e-12:
-        raise ValueError("reflectivity + transmissivity must equal 1")
     r = math.sqrt(reflectivity)
-    t = math.sqrt(max(transmissivity, 0.0))
+    t = math.sqrt(1.0 - reflectivity)
     return GateMatrix(np.array([[r, t], [t, -r]], dtype=complex))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numerics
 from .emitter import PhotonPair, emitter_from_normalized
-from .gates import GateMatrix, GateQuad, beam_splitter, gate_quad
+from .gates import GateMatrix, GateQuad, gate_quad
 
 __all__ = [
     "CorrelationTrace",
@@ -325,29 +325,26 @@ def coincidence_probability(
     return coincidence_at_weight(terms, interference_weight(pair))
 
 
-# one photon in each input of a symmetric beam splitter, both outputs fire
-_HOM_TERMS = coincidence_terms(gate_quad(beam_splitter(0.5), 1, 2, 1, 2))
-
-
 def _hom_arrays(pair: PhotonPair, delta_nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(visibility, p_coinc) arrays of :func:`hom_visibility` for ``pair`` at each
-    relative detuning in ``delta_nu``, from one :func:`overlap_weight` call;
-    p_coinc_classical is 1/2 throughout."""
+    relative detuning in ``delta_nu``, from one :func:`overlap_weight` call: the
+    visibility is the weight, and p_coinc = 1/4 + 1/4 - V/2 from the exact terms
+    of a balanced splitter; p_coinc_classical is 1/2 throughout."""
     weights = overlap_weight(pair.gamma_total, pair.sigma_total, delta_nu, pair.lifetime_sum)
-    p = coincidence_at_weight(_HOM_TERMS, weights)
-    visibility = 1.0 - p / 0.5
-    if not np.all((visibility >= -1e-9) & (visibility <= 1.0 + 1e-9)):
-        raise ValueError(f"computed visibility outside [0, 1]: {visibility!r}")
-    return np.clip(visibility, 0.0, 1.0), p
+    if not np.all((weights >= -1e-9) & (weights <= 1.0 + 1e-9)):
+        raise ValueError(f"computed visibility outside [0, 1]: {weights!r}")
+    visibility = np.clip(weights, 0.0, 1.0)
+    return visibility, 0.5 * (1.0 - visibility)
 
 
 def hom_visibility(pair: PhotonPair) -> VisibilityResult:
     """Hong-Ou-Mandel visibility of the pair at a symmetric beam splitter.
 
-    V = 1 - p_coinc / p_coinc_classical with p_coinc_classical = 1/2; this
-    equals :func:`interference_weight` directly.  Values outside
-    [-1e-9, 1 + 1e-9] raise instead of being clamped; rounding-level
-    excursions inside that window are snapped onto [0, 1].
+    V is :func:`interference_weight`, bit for bit wherever that lies in
+    [0, 1], and p_coinc = (1 - V) / 2 against p_coinc_classical = 1/2, so
+    V = 1 - p_coinc / p_coinc_classical.  Weights outside [-1e-9, 1 + 1e-9]
+    raise instead of being clamped; rounding-level excursions inside that
+    window are snapped onto [0, 1].
     """
     (visibility,), (p,) = _hom_arrays(pair, np.array([pair.delta_nu]))
     return VisibilityResult(float(visibility), float(p), 0.5, pair)
@@ -383,7 +380,8 @@ def tuning_curve(
     """HOM visibility as a function of the relative detuning of the pair.
 
     One :func:`overlap_weight` call over the grid; element k is, bit for bit,
-    ``hom_visibility(pair.with_relative_detuning(delta_nu_grid[k]))``.
+    ``hom_visibility(pair.with_relative_detuning(delta_nu_grid[k]))``, whose
+    visibility is the overlap weight at that detuning.
     """
     grid = np.asarray(delta_nu_grid, dtype=float)
     visibility, p = _hom_arrays(pair, grid)
@@ -396,21 +394,14 @@ def tuning_curve(
 def normalized_visibility(theta_pd: float, theta_sd: float) -> float:
     """HOM visibility of identical emitters from normalized linewidths only.
 
+    The scalar entry of :func:`visibility_map`, bit for bit: the overlap
+    weight of the identical pair, in closed form
     V = sqrt(2 ln2 / pi) * erfcx(y) / (2 theta_sd) with
     y = sqrt(ln2 / (2 pi^2)) * theta_pd / theta_sd, and V = 1 / theta_pd in
-    the vanishing-theta_sd limit.  Matches ``hom_visibility`` of a concrete
-    identical pair exactly, independent of the lifetime.
+    the vanishing-theta_sd limit.  It is independent of the lifetime.
+    Raises ``ValueError`` for theta_pd < 1 or theta_sd < 0.
     """
-    if theta_pd < 1.0 - 1e-12:
-        raise ValueError("theta_pd < 1 is unphysical")
-    if theta_sd < 0.0:
-        raise ValueError("theta_sd must be >= 0")
-    # Same switch as interference_weight: theta_sd = sqrt(ln2) * Sigma*(ti+tj).
-    if theta_sd < math.sqrt(_LN2) * SIGMA_LIFETIME_THRESHOLD:
-        return 1.0 / theta_pd
-    y = math.sqrt(_LN2 / (2.0 * math.pi**2)) * theta_pd / theta_sd
-    erfcx = numerics.faddeeva_w(complex(0.0, y)).real  # w(iy) = erfcx(y)
-    return math.sqrt(2.0 * _LN2 / math.pi) * erfcx / (2.0 * theta_sd)
+    return float(visibility_map([theta_pd], [theta_sd])[0, 0])
 
 
 def visibility_map(
@@ -419,6 +410,8 @@ def visibility_map(
 ) -> np.ndarray:
     """Visibility on the outer product of normalized-linewidth grids.
 
+    Every element is :func:`overlap_weight` of the identical resonant pair
+    with those normalized linewidths (see :func:`normalized_visibility`).
     Returns shape (len(theta_pd_grid), len(theta_sd_grid)).
     """
     pd = np.asarray(theta_pd_grid, dtype=float)
@@ -428,8 +421,10 @@ def visibility_map(
     if np.any(pd < 1.0 - 1e-12) or np.any(sd < 0.0):
         raise ValueError("grids violate theta_pd >= 1, theta_sd >= 0")
     # The identical pair at tau_r = 1: gamma = theta_pd, tau_i + tau_j = 2,
-    # Sigma = theta_sd / (2 sqrt(ln2)); in this form (not sqrt(2) theta_sd /
-    # GAUSS_FWHM_PER_SIGMA) the switch flips where normalized_visibility's does.
+    # Sigma = theta_sd / (2 sqrt(ln2)).  This form of Sigma (not
+    # sqrt(2) theta_sd / GAUSS_FWHM_PER_SIGMA) fixes the last bit of every
+    # map value, and the Lorentzian switch fires exactly where
+    # theta_sd < sqrt(ln2) * SIGMA_LIFETIME_THRESHOLD.
     return overlap_weight(pd[:, None], sd[None, :] / (2.0 * math.sqrt(_LN2)), 0.0, 2.0)
 
 

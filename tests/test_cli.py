@@ -600,6 +600,24 @@ class TestConfigBoundary:
         err = self.run_error(tmp_path, capsys, command, payload)
         assert repr(where) in err and "unknown fields" in err, err
 
+    @pytest.mark.parametrize(
+        "command,typo",
+        [
+            ("g2", "n_tua"),
+            ("tuning", "detuning_gz"),
+            ("vmap", "thta_sd"),
+            ("fmap", "theta_pdd"),
+            ("decompose", "n_point"),
+            ("assess", "n_point"),
+            ("verify", "mc_realisations"),
+        ],
+    )
+    def test_unknown_top_level_fields_named(self, tmp_path, capsys, command, typo):
+        # a valid config plus one misspelt key: the key is refused, not ignored
+        payload = {**TINY_CONFIGS[command], typo: 3}
+        err = self.run_error(tmp_path, capsys, command, payload)
+        assert "top level" in err and repr(typo) in err, err
+
     @pytest.mark.parametrize("entry", [{"lifetime_ps": 670, "coherence_time_ps": 330}, "qd"])
     def test_source_without_a_name_named_by_its_index(self, tmp_path, capsys, entry):
         source = {"name": "ok", "lifetime_ps": 670, "coherence_time_ps": 330}
@@ -728,6 +746,14 @@ class TestShippedConfigs:
 
     def test_error_on_missing_config(self):
         assert main(["g2", "--config", "/nonexistent/cfg.json"]) == 1
+
+    def test_error_on_output_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, TINY_CONFIGS["g2"])
+        assert main(["g2", "--config", cfg, "--out", "missing_dir/out.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "missing_dir/out.csv" in err
 
     def test_usage_error_without_subcommand(self):
         with pytest.raises(SystemExit) as err:

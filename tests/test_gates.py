@@ -59,7 +59,8 @@ class TestBeamSplitter:
         assert np.allclose(g.matrix, [[r, t], [t, -r]])
 
     def test_r_plus_t_must_be_one(self):
-        with pytest.raises(ValueError):
+        # T is 1 - R by construction: a second argument is not accepted
+        with pytest.raises(TypeError):
             beam_splitter(0.5, 0.6)
         with pytest.raises(ValueError):
             beam_splitter(1.2)

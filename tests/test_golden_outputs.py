@@ -45,6 +45,15 @@ rates, by at most 1.2e-12 (the rates near zero; the split now reproduces
 its FWHM to about 1e-15), and 199 of 200 Gaussian widths, by at most
 1.3e-14; ``verify`` the closed-form-vs-quadrature discrepancy, 8.3e-17 ->
 5.6e-17.  The ``decompose_coherence.json`` and ``g2`` hashes did not move.
+
+The two ``tuning`` hashes (CSV and JSON) were re-pinned when the HOM
+visibility became the overlap weight itself, V = clip(w, 0, 1), with
+p_coinc = (1 - V) / 2, instead of V = 1 - p / 0.5 from the balanced
+splitter's rounded coincidence terms.  All 161 visibilities moved, by at
+most 7.4e-14 relative, and all 161 p_coinc values, by at most 6.3e-16.
+Against a 40-digit mpmath weight (``test_accuracy.py``) every moved cell
+is closer or as close: the worst visibility went from 7.4e-14 to 5.4e-16
+relative, the worst p_coinc from 6.6e-16 to 1.7e-16.  No other hash moved.
 """
 
 import hashlib
@@ -71,9 +80,9 @@ GOLDEN = {
     ("assess", "assess_benchmarks.json", "json"):
         "c2f799c866b50368f36c16ba689534a073cfde67a899258f0c22ae85703c249c",
     ("tuning", "tuning_curve.json", "csv"):
-        "612768ec60219e11e7d31462be6a4e3b0f66263449a6db418414dbda439ff939",
+        "5b42864375f57b7cd8732ed07f4d385ac3247b3a301158e0179045d207e394ab",
     ("tuning", "tuning_curve.json", "json"):
-        "4c429fe5788ae1c792835369041ee21e2bc9f5fac4b94bcc2d8e104f2141087f",
+        "420a9d85aa7f6c2346c461f2a09e9ece1285c1d804e6c627cb7259ac60ec84d5",
     ("g2", "g2_trace_detuned.json", "csv"):
         "d495ba32273b3509f9a11332ae476f3b2cb1e9d84dd5a6e9b5a067e62a39636e",
     ("g2", "g2_trace_detuned.json", "json"):

@@ -355,9 +355,10 @@ class TestNormalizedVisibility:
 
 
 def erfcx_visibility(theta_pd, theta_sd):
-    """The closed form of normalized_visibility to 30 digits, with its switch
-    to the Lorentzian limit 1 / theta_pd below sqrt(ln 2) * 1e-6.  exp(y^2)
-    loses the digits of y^2 (up to 23 here), so the work runs at 60."""
+    """The lifetime-free erfcx closed form of the identical-pair visibility
+    to 30 digits, with its switch to the Lorentzian limit 1 / theta_pd below
+    sqrt(ln 2) * 1e-6.  exp(y^2) loses the digits of y^2 (up to 23 here), so
+    the work runs at 60."""
     if theta_sd < math.sqrt(math.log(2.0)) * SIGMA_LIFETIME_THRESHOLD:
         return 1.0 / mp.mpf(theta_pd)
     with mp.workdps(60):
@@ -368,8 +369,9 @@ def erfcx_visibility(theta_pd, theta_sd):
 
 
 class TestAgainstMpmath:
-    """normalized_visibility and visibility_map share the package's Faddeeva
-    kernel, so both are held to an mpmath evaluation of the erfcx form."""
+    """normalized_visibility is visibility_map's scalar entry, on the
+    package's Faddeeva kernel, so both are held to an mpmath evaluation of
+    the erfcx form."""
 
     @staticmethod
     def grids(seed):

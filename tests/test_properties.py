@@ -1,17 +1,18 @@
 """Property tests over the one overlap kernel behind every visibility.
 
-``interference_weight``, ``hom_visibility``, ``tuning_curve`` and
-``visibility_map`` all evaluate ``overlap_weight``; ``normalized_visibility``
-is the lifetime-free ``erfcx`` closed form they are checked against (both
-sit on the package's Faddeeva kernel, which ``test_interference.py`` holds
-to mpmath).  Input ranges are wide on purpose: lifetimes from 0.1 ps to
-1 ms, rates, widths and detunings from 1 to 1e15 (or exactly zero).  The
-correlation trace's interference term is checked against its
-distinguishable baseline, and the coincidence probabilities of all output
-pairs (bunched ones included) against probability conservation, on random
-unitaries of dimension 2-6 and on the balanced splitter.  Every split of
-both linewidth decompositions must reproduce the linewidth it was solved
-for.
+``interference_weight``, ``hom_visibility``, ``tuning_curve``,
+``visibility_map`` and ``normalized_visibility`` (the map's scalar entry)
+all evaluate ``overlap_weight``.  ``hom_visibility`` is the weight bit for
+bit wherever it lies in [0, 1], with p_coinc = (1 - V) / 2, and the map is
+held to ``test_interference.erfcx_visibility``, an mpmath evaluation of the
+lifetime-free ``erfcx`` closed form, as its independent reference.  Input
+ranges are wide on purpose: lifetimes from 0.1 ps to 1 ms, rates, widths
+and detunings from 1 to 1e15 (or exactly zero).  The correlation trace's
+interference term is checked against its distinguishable baseline, and the
+coincidence probabilities of all output pairs (bunched ones included)
+against probability conservation, on random unitaries of dimension 2-6 and
+on the balanced splitter.  Every split of both linewidth decompositions
+must reproduce the linewidth it was solved for.
 """
 
 import math
@@ -34,11 +35,12 @@ from tpi_sim.interference import (
     coincidence_probability,
     hom_visibility,
     interference_weight,
-    normalized_visibility,
     tuning_curve,
     visibility_map,
 )
 from tpi_sim.numerics import voigt_fwhm
+
+from test_interference import erfcx_visibility
 
 
 def log_uniform(lo, hi):
@@ -85,6 +87,15 @@ def test_weight_of_physical_pairs_is_a_probability(pair):
     assert 0.0 <= weight <= 1.0 + 1e-12
 
 
+@given(PAIRS)
+def test_hom_visibility_is_the_overlap_weight(pair):
+    weight = interference_weight(pair)
+    res = hom_visibility(pair)
+    if 0.0 <= weight <= 1.0:
+        assert res.visibility.hex() == weight.hex()
+    assert res.p_coinc.hex() == (0.5 * (1.0 - res.visibility)).hex()
+
+
 @given(PAIRS, st.lists(DETUNINGS, min_size=1, max_size=8))
 def test_tuning_curve_is_hom_visibility_bit_for_bit(pair, grid):
     curve = tuning_curve(pair, np.array(grid))
@@ -100,7 +111,7 @@ def test_tuning_curve_is_hom_visibility_bit_for_bit(pair, grid):
 @given(st.lists(THETA_PD, min_size=1, max_size=6), st.lists(THETA_SD, min_size=1, max_size=6))
 def test_visibility_map_matches_erfcx_closed_form(theta_pd, theta_sd):
     m = visibility_map(theta_pd, theta_sd)
-    ref = np.array([[normalized_visibility(p, s) for s in theta_sd] for p in theta_pd])
+    ref = np.array([[float(erfcx_visibility(p, s)) for s in theta_sd] for p in theta_pd])
     np.testing.assert_allclose(m, ref, rtol=1e-14, atol=0.0)
 
 
