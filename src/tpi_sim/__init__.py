@@ -53,14 +53,24 @@ from .bell import (
     fidelity_map,
 )
 from .numerics import faddeeva_w, integrate, voigt_fwhm, voigt_value
-from .oracle import (
-    MonteCarloEstimate,
-    exponential_wave,
-    mc_averaged_phase_factor,
-    mc_g2_estimate,
-    quadrature_g2,
-    quadrature_p_coinc,
-    run_verification,
-)
 
 __version__ = "0.1.0"
+
+# served on first use (PEP 562), so that only verify imports the oracle
+_ORACLE_NAMES = (
+    "MonteCarloEstimate",
+    "exponential_wave",
+    "mc_averaged_phase_factor",
+    "mc_g2_estimate",
+    "quadrature_g2",
+    "quadrature_p_coinc",
+    "run_verification",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -50,10 +50,10 @@ import argparse
 import json
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from .bell import EmitterConstraint, emitter_assessment, fidelity_map
 from .emitter import EmitterParams, PhotonPair, normalized_params
 from .gates import beam_splitter
 from .interference import _hom_arrays, g2_trace, visibility_map
-from .oracle import run_verification
 
 PS = 1e-12
 MHZ = 1e6
@@ -264,17 +263,16 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
     # the bytes before the first cell, between two cells and after the last
     # cell of a row; a JSON row's leading comma is dropped for the first row
     lead, between, end = (b",[", b",", b"]") if as_json else (b"", b",", b"\n")
-    sink = open(config.out, "w", newline="") if config.out is not None else nullcontext(sys.stdout)
-    with sink as stream:
+    with _byte_sink(config.out) as write:
         if as_json:
             # the keys of the payload in sorted order: columns, command, config, rows, seed
             head = dumps({"columns": names, "command": config.command, "config": config.params})
-            stream.write(head[:-1] + ',"rows":[')
+            write((head[:-1] + ',"rows":[').encode())
         else:
-            stream.write(f"# command = {config.command}\n")
-            stream.write(f"# config = {dumps(config.params)}\n")
-            stream.write(f"# seed = {config.seed}\n")
-            stream.write(",".join(names) + "\n")
+            write(f"# command = {config.command}\n".encode())
+            write(f"# config = {dumps(config.params)}\n".encode())
+            write(f"# seed = {config.seed}\n".encode())
+            write((",".join(names) + "\n").encode())
         first = True
         for block in blocks:
             # rows: the length of a column, the width of a rendered matrix
@@ -298,9 +296,28 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
             # rows that are NUL in every cell (often the sign and prefix) are
             # dropped before the transposing copy
             matrix = matrix[matrix.max(axis=1) > 0]
-            stream.write(matrix.T.tobytes().translate(None, b"\0").decode())
+            write(matrix.T.tobytes().translate(None, b"\0"))
         if as_json:
-            stream.write(f'],"seed":{json.dumps(config.seed)}}}\n')
+            write(f'],"seed":{json.dumps(config.seed)}}}\n'.encode())
+
+
+@contextmanager
+def _byte_sink(out: str | None) -> Iterator[Callable[[bytes], Any]]:
+    """A function that writes UTF-8 bytes to the file ``out``, or to stdout if None.
+
+    Bytes go to stdout's binary buffer, after what its text layer holds;
+    a text-only stream (such as ``io.StringIO`` under ``redirect_stdout``)
+    gets them decoded.
+    """
+    if out is not None:
+        with open(out, "wb") as stream:
+            yield stream.write
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        yield sys.stdout.buffer.write
+        sys.stdout.buffer.flush()
+    else:
+        yield lambda data: sys.stdout.write(data.decode())
 
 
 # --------------------------------------------------------------------------
@@ -586,6 +603,9 @@ _VERIFY_SIZES = {
 
 
 def cmd_verify(cfg: dict, seed: int) -> Table:
+    # imported here: the oracle and its thread pool are needed by verify only
+    from .oracle import run_verification
+
     sizes = {key: _integer(cfg, key, 1, default=default) for key, default in _VERIFY_SIZES.items()}
     report = run_verification(seed=seed, **sizes)
     checks = report.checks

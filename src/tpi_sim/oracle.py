@@ -12,10 +12,14 @@ Determinism: every sampler takes a 64-bit integer seed; streams for
 independent chunks are derived with ``numpy.random.SeedSequence.spawn``,
 and every reduction over chunks runs in a fixed order once all chunks are
 done, so results are bit-identical for a given seed regardless of chunk
-evaluation order.  The chunks of :func:`mc_g2_estimate` therefore run on
-threads, one per CPU in the process's affinity set, and the outputs are
-identical whatever the number of threads; :func:`mc_averaged_phase_factor`
-draws its short chunks in a plain loop.
+evaluation order.  A sampler's set-up therefore returns its work as jobs
+(one per 256-realization chunk of :func:`mc_g2_estimate`, one per
+:func:`mc_averaged_phase_factor` case, whose short chunks run in order
+inside it) and a ``finish`` that reduces their outputs.
+:func:`run_verification` runs the jobs of every sampler of a run on one
+thread pool, one thread per CPU in the process's affinity set, while the
+calling thread does the quadrature checks; the outputs are identical
+whatever the number of threads.
 
 Draw order of the jitter model: each chunk of ``_REALIZATION_CHUNK``
 realizations has its own child stream and consumes it as one
@@ -25,7 +29,10 @@ photon i, the T phase increments of photon i, the frequency of photon j
 and the T phase increments of photon j; each value is loc + scale * z, so
 a zero scale still consumes its normal.  This is the order in which
 successive single-realization draws (:func:`draw_jitter`) consume the
-stream, so drawing the rows in smaller blocks changes nothing.
+stream, so drawing the rows in smaller blocks changes nothing.  The
+Monte-Carlo density depends on the phases only through phi_i - phi_j, so
+:func:`mc_g2_estimate` sums one difference path per realization from the
+same normals rather than both photons' paths.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -105,18 +113,28 @@ def _worker_count(n_chunks: int) -> int:
     return min(n_chunks, cpus)
 
 
-def _map_chunks(evaluate: Callable[[int], Any], n_chunks: int) -> list:
+def _map_chunks(
+    evaluate: Callable[[int], Any], n_chunks: int, meanwhile: Callable[[], Any] | None = None
+) -> list:
     """``[evaluate(c) for c in range(n_chunks)]``, on :func:`_worker_count` threads.
 
     Each chunk draws from its own generator and writes only its own
     outputs, and numpy's generator fills and ufuncs release the GIL, so the
     chunks run in parallel and the results do not depend on the thread count.
+    ``meanwhile()``, if given, runs on the calling thread while the pool
+    works (after the chunks when there is no pool).
     """
     workers = _worker_count(n_chunks)
     if workers <= 1:
-        return [evaluate(c) for c in range(n_chunks)]
+        results = [evaluate(c) for c in range(n_chunks)]
+        if meanwhile is not None:
+            meanwhile()
+        return results
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, range(n_chunks)))
+        pending = pool.map(evaluate, range(n_chunks))
+        if meanwhile is not None:
+            meanwhile()
+        return list(pending)
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -241,32 +259,51 @@ def mc_averaged_phase_factor(
     variance 2 * dephasing_rate * |tau|; the closed form is
     :func:`tpi_sim.interference.averaged_phase_factor`.
     """
+    jobs, finish = _phase_factor_chunks(pair, tau, trials, seed, gate_phase)
+    _map_chunks(lambda c: jobs[c](), len(jobs))
+    return finish()
+
+
+def _phase_factor_chunks(
+    pair: PhotonPair, tau: float, trials: int, seed: RngSeed, gate_phase: float
+) -> tuple[list[Callable[[], None]], Callable[[], MonteCarloEstimate]]:
+    """Set-up of :func:`mc_averaged_phase_factor`: one job and its ``finish``."""
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a meaningful estimate")
+    delta_nu = pair.delta_nu
     sigma_nu = pair.sigma_total
     spread_i = math.sqrt(2.0 * pair.emitter_i.dephasing_rate * abs(tau))
     spread_j = math.sqrt(2.0 * pair.emitter_j.dephasing_rate * abs(tau))
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
+    sums: list[float] = []
 
-    # the chunks are short numpy calls, too short to gain from threads; their
-    # sums accumulate in chunk order around the first sample, so constant
-    # samples (all jitter scales zero) give exactly zero variance
-    total = 0.0
-    total_sq = 0.0
-    for c, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        n = min(_CHUNK, trials - c * _CHUNK)
-        dnu = rng.normal(pair.delta_nu, sigma_nu, n)
-        dphi = rng.normal(0.0, spread_i, n) - rng.normal(0.0, spread_j, n)
-        h = 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
-        if c == 0:
-            shift = float(h[0])
-        total += float(np.sum(h - shift))
-        total_sq += float(np.sum((h - shift) ** 2))
-    mean_shifted = total / trials
-    var = max(total_sq - trials * mean_shifted * mean_shifted, 0.0) / (trials - 1)
-    return MonteCarloEstimate(value=shift + mean_shifted, stderr=math.sqrt(var / trials))
+    def job() -> None:
+        # the chunks are short numpy calls, too short to gain from threads of
+        # their own, so they run in order in one job; their sums accumulate in
+        # chunk order around the first sample, so constant samples (all
+        # jitter scales zero) give exactly zero variance
+        total = 0.0
+        total_sq = 0.0
+        for c, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            n = min(_CHUNK, trials - c * _CHUNK)
+            dnu = rng.normal(delta_nu, sigma_nu, n)
+            dphi = rng.normal(0.0, spread_i, n) - rng.normal(0.0, spread_j, n)
+            h = 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
+            if c == 0:
+                shift = float(h[0])
+            total += float(np.sum(h - shift))
+            total_sq += float(np.sum((h - shift) ** 2))
+        sums[:] = shift, total, total_sq
+
+    def finish() -> MonteCarloEstimate:
+        shift, total, total_sq = sums
+        mean_shifted = total / trials
+        var = max(total_sq - trials * mean_shifted * mean_shifted, 0.0) / (trials - 1)
+        return MonteCarloEstimate(value=shift + mean_shifted, stderr=math.sqrt(var / trials))
+
+    return [job], finish
 
 
 def quadrature_p_coinc(
@@ -365,7 +402,30 @@ def mc_g2_estimate(
                                  - [phi_j(t0+tau) - phi_j(t0)],
 
     evaluated for a block of realizations at once and summed over the nodes
-    in node order.  The chunks of realizations run on :func:`_map_chunks`.
+    in node order.  The chunks of realizations run on :func:`_map_chunks`;
+    only the difference phi_i - phi_j of each realization's paths is summed.
+    """
+    jobs, finish = _g2_chunks(gate, i, j, k, l, pair, tau, realizations, seed)
+    _map_chunks(lambda c: jobs[c](), len(jobs))
+    return finish()
+
+
+def _g2_chunks(
+    gate: GateMatrix,
+    i: int,
+    j: int,
+    k: int,
+    l: int,
+    pair: PhotonPair,
+    tau: float,
+    realizations: int,
+    seed: RngSeed,
+) -> tuple[list[Callable[[], None]], Callable[[], MonteCarloEstimate]]:
+    """Set-up of :func:`mc_g2_estimate`, on the calling thread: ``(jobs, finish)``.
+
+    ``jobs[c]()`` fills chunk c of the realization values from its own child
+    stream, calling only numpy and private helpers, so the jobs may run on
+    any threads in any order; ``finish()`` reduces the values once all ran.
     """
     if realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -394,7 +454,8 @@ def mc_g2_estimate(
     beat = weights * (2.0 * abs(cross) * env_a * env_b)
     beat_phase = float(np.angle(cross))
     two_pi_tau = 2.0 * math.pi * tau
-    scales = _jitter_scales(pair, times)
+    detuning, sigma, increment = _jitter_scales(pair, times)
+    scale_i, scale_j = increment
 
     values = np.empty(realizations)
     n_chunks = (realizations + _REALIZATION_CHUNK - 1) // _REALIZATION_CHUNK
@@ -405,23 +466,27 @@ def mc_g2_estimate(
         chunk_end = min((c + 1) * _REALIZATION_CHUNK, realizations)
         for start in range(c * _REALIZATION_CHUNK, chunk_end, _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, chunk_end - start)
-            frequency, phase = _draw_jitter_block(scales, rng, n)
+            # the normals of _draw_jitter_block; D needs only phi_i - phi_j,
+            # so the two photons' increments are summed as one path
+            z = rng.standard_normal((n, 2, len(times) + 1))
+            frequency = detuning + sigma * z[:, :, 0]
+            path = z[:, 0, 1:] * scale_i
+            path -= z[:, 1, 1:] * scale_j
+            np.cumsum(path, axis=1, out=path)
             # take, unlike a fancy index, lets the other chunk threads run
-            step = phase.take(at_late, axis=2) - phase.take(at_early, axis=2)
-            delta = (
-                two_pi_tau * (frequency[:, 0] - frequency[:, 1])[:, None]
-                + step[:, 0]
-                - step[:, 1]
-            )
+            step = path.take(at_late, axis=1) - path.take(at_early, axis=1)
+            delta = two_pi_tau * (frequency[:, 0] - frequency[:, 1])[:, None] + step
             density = direct + beat * np.cos(delta - beat_phase)
             # a running sum adds the nodes in node order for any block size
             # and memory layout; np.sum adds a contiguous row pairwise
             values[start : start + n] = np.cumsum(density, axis=1)[:, -1]
 
-    _map_chunks(evaluate_chunk, n_chunks)
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(realizations))
-    return MonteCarloEstimate(value=mean, stderr=stderr)
+    def finish() -> MonteCarloEstimate:
+        mean = float(np.mean(values))
+        stderr = float(np.std(values, ddof=1) / math.sqrt(realizations))
+        return MonteCarloEstimate(value=mean, stderr=stderr)
+
+    return [partial(evaluate_chunk, c) for c in range(n_chunks)], finish
 
 
 # ---------------------------------------------------------------------------
@@ -519,68 +584,79 @@ def run_verification(
     its sampled estimate (3 standard errors, see :func:`_monte_carlo_check`).
     """
     rng = np.random.default_rng(seed)
-    checks: list[VerificationCheck] = []
-
-    worst = 0.0
-    for _ in range(closed_form_instances):
-        gate, i, j, k, l, pair = _random_instance(rng)
-        analytic = coincidence_probability(gate, i, j, k, l, pair)
-        numeric = quadrature_p_coinc(gate, i, j, k, l, pair)
-        worst = max(worst, abs(analytic - numeric))
-    checks.append(
-        VerificationCheck(
-            name=f"coincidence closed form vs quadrature ({closed_form_instances} instances)",
-            observed=worst,
-            bound=1e-6,
-            passed=bool(worst <= 1e-6),
-        )
-    )
-
-    results = []
-    for idx in range(mc_instances):
+    # every draw from rng comes first, in the suite's order: the quadrature
+    # instances, the Monte-Carlo instances with their lag seeds, the
+    # phase-factor cases
+    quadrature_cases = [_random_instance(rng) for _ in range(closed_form_instances)]
+    lag_cases = []
+    for _ in range(mc_instances):
         gate, i, j, k, l, pair = _random_instance(rng)
         slowest = max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
         for mult in (-1.5, -0.5, 0.25, 1.0, 2.5):
-            tau = mult * slowest
-            est = mc_g2_estimate(
-                gate, i, j, k, l, pair, tau,
-                realizations=mc_realizations,
-                seed=int(rng.integers(2**62)),
-            )
-            trace = g2_trace(gate, i, j, k, l, pair, tau_grid=[tau - 1.0, tau, tau + 1.0])
-            results.append((est, float(trace.g2_values[1]), float(trace.g2_distinguishable[1])))
-    checks.append(
-        _monte_carlo_check(
-            f"correlation trace vs Monte-Carlo model ({mc_instances} instances x 5 lags)",
-            results,
-        )
-    )
-
-    results = []
+            lag_cases.append((gate, i, j, k, l, pair, mult * slowest, int(rng.integers(2**62))))
+    phase_cases = []
     for _ in range(8):
         _, _, _, _, _, pair = _random_instance(rng)
         tau = float(rng.uniform(-0.5e-9, 0.5e-9))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        est = mc_averaged_phase_factor(
-            pair, tau, trials=phase_trials, seed=int(rng.integers(2**62)), gate_phase=phase
-        )
-        results.append((est, averaged_phase_factor(pair, tau, phase), 1.0))
-    checks.append(
-        _monte_carlo_check("averaged phase factor vs Monte-Carlo sampling (8 cases)", results)
-    )
+        phase_cases.append((pair, tau, phase_trials, int(rng.integers(2**62)), phase))
 
-    hom = beam_splitter(0.5)
-    pair_far = PhotonPair(
-        EmitterParams(lifetime=0.7e-9, inhomogeneous_fwhm=1e15),
-        EmitterParams(lifetime=0.65e-9, inhomogeneous_fwhm=1e15),
-    )
-    p0 = quadrature_p_coinc(hom, 1, 2, 1, 2, pair_far)
-    checks.append(
-        VerificationCheck(
-            name="distinguishable-limit coincidence at a symmetric splitter",
-            observed=abs(p0 - 0.5),
-            bound=1e-4,
-            passed=bool(abs(p0 - 0.5) <= 1e-4),
+    # every Monte-Carlo job of the run goes to one pool, whose threads run
+    # private code and numpy only; the public closed forms and quadratures
+    # run on this thread
+    jobs: list[Callable[[], None]] = []
+    lag_finishes, phase_finishes = [], []
+    for *instance, tau, lag_seed in lag_cases:
+        case_jobs, finish = _g2_chunks(*instance, tau, mc_realizations, lag_seed)
+        jobs += case_jobs
+        lag_finishes.append(finish)
+    for case in phase_cases:
+        case_jobs, finish = _phase_factor_chunks(*case)
+        jobs += case_jobs
+        phase_finishes.append(finish)
+    quadrature_checks: list[VerificationCheck] = []
+
+    def check_quadratures() -> None:
+        worst = max(
+            (abs(coincidence_probability(*c) - quadrature_p_coinc(*c)) for c in quadrature_cases),
+            default=0.0,
         )
+        pair_far = PhotonPair(
+            EmitterParams(lifetime=0.7e-9, inhomogeneous_fwhm=1e15),
+            EmitterParams(lifetime=0.65e-9, inhomogeneous_fwhm=1e15),
+        )
+        p0 = quadrature_p_coinc(beam_splitter(0.5), 1, 2, 1, 2, pair_far)
+        quadrature_checks.extend([
+            VerificationCheck(
+                name=f"coincidence closed form vs quadrature ({closed_form_instances} instances)",
+                observed=worst,
+                bound=1e-6,
+                passed=bool(worst <= 1e-6),
+            ),
+            VerificationCheck(
+                name="distinguishable-limit coincidence at a symmetric splitter",
+                observed=abs(p0 - 0.5),
+                bound=1e-4,
+                passed=bool(abs(p0 - 0.5) <= 1e-4),
+            ),
+        ])
+
+    _map_chunks(lambda c: jobs[c](), len(jobs), meanwhile=check_quadratures)
+
+    results = []
+    for (gate, i, j, k, l, pair, tau, _), finish in zip(lag_cases, lag_finishes):
+        trace = g2_trace(gate, i, j, k, l, pair, tau_grid=[tau - 1.0, tau, tau + 1.0])
+        results.append((finish(), float(trace.g2_values[1]), float(trace.g2_distinguishable[1])))
+    trace_check = _monte_carlo_check(
+        f"correlation trace vs Monte-Carlo model ({mc_instances} instances x 5 lags)", results
     )
+    results = [
+        (finish(), averaged_phase_factor(pair, tau, phase), 1.0)
+        for (pair, tau, _, _, phase), finish in zip(phase_cases, phase_finishes)
+    ]
+    phase_check = _monte_carlo_check(
+        "averaged phase factor vs Monte-Carlo sampling (8 cases)", results
+    )
+    closed_form_check, limit_check = quadrature_checks
+    checks = [closed_form_check, trace_check, phase_check, limit_check]
     return VerificationReport(seed=seed, checks=checks)

@@ -805,14 +805,15 @@ def test_subcommand_returns_the_table_main_writes(tmp_path, capsys, command):
     assert len(data["rows"]) == sum(len(block[-1]) for block in blocks)
 
 
-def modules_after_tiny_runs(tmp_path):
-    """The modules a fresh interpreter holds after one tiny config of every subcommand."""
+def modules_after_tiny_runs(tmp_path, commands=tuple(sorted(TINY_CONFIGS))):
+    """The modules a fresh interpreter holds after one tiny config of each
+    of ``commands`` (every subcommand by default)."""
     for command, payload in TINY_CONFIGS.items():
         (tmp_path / f"{command}.json").write_text(json.dumps(payload))
     code = (
         "import json, sys\n"
         "from tpi_sim import cli\n"
-        f"for command in {sorted(TINY_CONFIGS)!r}:\n"
+        f"for command in {list(commands)!r}:\n"
         "    argv = [command, '--config', command + '.json', '--out', command + '.csv']\n"
         "    assert cli.main(argv) == 0, command\n"
         "print(json.dumps(sorted(sys.modules)))\n"
@@ -839,3 +840,12 @@ def test_runtime_imports_no_numpy_ma(tmp_path):
     """No subcommand loads numpy.ma, which np.unique imports on first use."""
     modules = modules_after_tiny_runs(tmp_path)
     assert "numpy" in modules and "numpy.ma" not in modules
+
+
+def test_only_verify_imports_the_oracle(tmp_path):
+    """The oracle and its thread pool are imported by verify alone."""
+    others = [command for command in sorted(TINY_CONFIGS) if command != "verify"]
+    modules = modules_after_tiny_runs(tmp_path, others)
+    assert "tpi_sim.oracle" not in modules and "concurrent.futures" not in modules
+    modules = modules_after_tiny_runs(tmp_path, [*others, "verify"])
+    assert "tpi_sim.oracle" in modules and "concurrent.futures" in modules

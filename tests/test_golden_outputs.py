@@ -54,13 +54,31 @@ most 7.4e-14 relative, and all 161 p_coinc values, by at most 6.3e-16.
 Against a 40-digit mpmath weight (``test_accuracy.py``) every moved cell
 is closer or as close: the worst visibility went from 7.4e-14 to 5.4e-16
 relative, the worst p_coinc from 6.6e-16 to 1.7e-16.  No other hash moved.
+
+The two ``verify`` hashes (CSV and JSON) were re-pinned when the
+Monte-Carlo correlation trace began to sum one difference path
+phi_i - phi_j per realization, formed from the same normals, instead of
+both photons' paths.  Only the rounding of the path sums changed: the one
+moved cell is the worst z of the correlation-trace row, 1.736018465823721
+-> 1.7360184658237081 (7.4e-15 relative).  No other hash moved.
+
+``test_stdout_bytes_equal_the_file_bytes`` holds the writer to these pins
+on its other routes: a subprocess's stdout, which gets the bytes on its
+binary buffer, and a text-only ``io.StringIO`` under ``redirect_stdout``.
 """
 
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+
+import tpi_sim
 
 from tpi_sim.cli import main
 
@@ -111,8 +129,8 @@ VERIFY_CONFIG = {
 }
 
 VERIFY_GOLDEN = {
-    "csv": "ec08ee103d556701022606899c5aab3864b46d7217e91255c15f3006d6c6b58b",
-    "json": "81f10f87bda2cbe27ee14138d4bce095de94a5cb268c4ff487e278ad73f59419",
+    "csv": "ffe420d7731967b29d6453381d2c067bf98975131aa57d19331bfaecd6edd69a",
+    "json": "ed35ada7ca6f887e9bb0ca5ba1d8ca274a4f2356d2ebd6c1279d9c87ecbbb521",
 }
 
 
@@ -131,3 +149,40 @@ def test_verify_bytes_unchanged(tmp_path, fmt):
     out = tmp_path / f"out.{fmt}"
     assert main(["verify", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_GOLDEN[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_bytes_equal_the_file_bytes(tmp_path, fmt):
+    """Every pinned table, and the verify table with its label and bool
+    columns, is written byte for byte the same to --out, to a text-only
+    stdout and to a subprocess's stdout, after text printed before it."""
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps(VERIFY_CONFIG))
+    runs = [[c, "--config", str(CONFIG_DIR / name), "--format", fmt] for c, name, f in sorted(GOLDEN) if f == fmt]
+    runs.append(["verify", "--config", str(config), "--format", fmt])
+    expected = [b"before\n"]
+    for argv in runs:
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        expected.append(out.read_bytes())
+        text = io.StringIO()
+        with redirect_stdout(text):
+            assert main(argv) == 0
+        assert text.getvalue().encode() == expected[-1]
+    code = (
+        "from tpi_sim.cli import main\n"
+        "print('before')\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(tpi_sim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # a buffered stdout, so text its text layer holds would come out late
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={**env, "PYTHONPATH": path},
+        check=True,
+    )
+    assert done.stdout == b"".join(expected)

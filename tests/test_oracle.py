@@ -1,8 +1,12 @@
+import functools
+import importlib
+import inspect
 import math
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,12 @@ from tpi_sim import oracle
 
 from tpi_sim.emitter import EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix, beam_splitter
-from tpi_sim.interference import averaged_phase_factor, g2_trace, joint_detection_probability
+from tpi_sim.interference import (
+    averaged_phase_factor,
+    coincidence_probability,
+    g2_trace,
+    joint_detection_probability,
+)
 from tpi_sim.numerics import integrate
 from tpi_sim.oracle import (
     MonteCarloEstimate,
@@ -415,6 +424,166 @@ class TestVerificationSuite:
         for check in report.checks:
             assert check.passed, f"{check.name}: {check.observed} > {check.bound}"
         assert report.all_passed
+
+
+def reference_report(seed, closed_form_instances, mc_instances, mc_realizations, phase_trials):
+    """The suite as a plain loop over the public samplers, one call at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(closed_form_instances):
+        case = _random_instance(rng)
+        worst = max(worst, abs(coincidence_probability(*case) - quadrature_p_coinc(*case)))
+    results = []
+    for _ in range(mc_instances):
+        gate, i, j, k, l, pair = _random_instance(rng)
+        slowest = max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
+        for mult in (-1.5, -0.5, 0.25, 1.0, 2.5):
+            tau = mult * slowest
+            est = mc_g2_estimate(
+                gate, i, j, k, l, pair, tau, mc_realizations, seed=int(rng.integers(2**62))
+            )
+            trace = g2_trace(gate, i, j, k, l, pair, [tau - 1.0, tau, tau + 1.0])
+            results.append((est, float(trace.g2_values[1]), float(trace.g2_distinguishable[1])))
+    phases = []
+    for _ in range(8):
+        pair = _random_instance(rng)[-1]
+        tau = float(rng.uniform(-0.5e-9, 0.5e-9))
+        phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        est = mc_averaged_phase_factor(pair, tau, phase_trials, int(rng.integers(2**62)), phase)
+        phases.append((est, averaged_phase_factor(pair, tau, phase), 1.0))
+    p0 = quadrature_p_coinc(HOM, 1, 2, 1, 2, PhotonPair(
+        EmitterParams(lifetime=0.7e-9, inhomogeneous_fwhm=1e15),
+        EmitterParams(lifetime=0.65e-9, inhomogeneous_fwhm=1e15),
+    ))
+    return [
+        (worst, worst <= 1e-6),
+        *[(c.observed, c.passed) for c in (
+            _monte_carlo_check("trace", results), _monte_carlo_check("phase", phases)
+        )],
+        (abs(p0 - 0.5), abs(p0 - 0.5) <= 1e-4),
+    ]
+
+
+def legacy_phase_factor(pair, tau, trials, seed, gate_phase):
+    """The phase-factor sampler as a serial loop over its 4096-trial chunks."""
+    spread_i = math.sqrt(2.0 * pair.emitter_i.dephasing_rate * abs(tau))
+    spread_j = math.sqrt(2.0 * pair.emitter_j.dephasing_rate * abs(tau))
+    children = np.random.SeedSequence(seed).spawn((trials + 4095) // 4096)
+    total = total_sq = 0.0
+    for c, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        n = min(4096, trials - c * 4096)
+        dnu = rng.normal(pair.delta_nu, pair.sigma_total, n)
+        dphi = rng.normal(0.0, spread_i, n) - rng.normal(0.0, spread_j, n)
+        h = 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
+        if c == 0:
+            shift = float(h[0])
+        total += float(np.sum(h - shift))
+        total_sq += float(np.sum((h - shift) ** 2))
+    mean_shifted = total / trials
+    var = max(total_sq - trials * mean_shifted * mean_shifted, 0.0) / (trials - 1)
+    return MonteCarloEstimate(shift + mean_shifted, math.sqrt(var / trials))
+
+
+class TestOnePool:
+    """run_verification runs every Monte-Carlo job of a run on one pool while
+    the calling thread does the quadratures; the report is that of the plain
+    loop over the public samplers, whatever the threads and job order."""
+
+    SIZES = dict(
+        seed=11, closed_form_instances=2, mc_instances=2, mc_realizations=300, phase_trials=20_000
+    )
+
+    def test_report_independent_of_threads_and_job_order(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_chunks: min(n_chunks, 1))
+        serial = run_verification(**self.SIZES)
+        assert [(c.observed, c.passed) for c in serial.checks] == reference_report(**self.SIZES)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a lost write would show
+        try:
+            for workers in (2, 3):
+                monkeypatch.setattr(
+                    oracle, "_worker_count", lambda n_chunks, w=workers: min(n_chunks, w)
+                )
+                assert run_verification(**self.SIZES) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+        def reversed_jobs(evaluate, n_chunks, meanwhile=None):
+            if meanwhile is not None:
+                meanwhile()
+            return TestThreadedChunks.reversed_chunks(evaluate, n_chunks)
+
+        monkeypatch.setattr(oracle, "_map_chunks", reversed_jobs)
+        assert run_verification(**self.SIZES) == serial
+
+    def test_one_thread_pool_per_run(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_chunks: min(n_chunks, 2))
+        pools = []
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", counting_pool)
+        run_verification(**self.SIZES)
+        assert pools == [{"max_workers": 2}]
+
+    def test_pool_threads_call_no_public_function(self, monkeypatch):
+        # a public function called from a pool thread would corrupt
+        # call-stack tracers that wrap the public functions
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_chunks: min(n_chunks, 2))
+        callers, job_threads = set(), set()
+
+        def recording(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrappers = {}
+        for short in ("oracle", "interference", "gates", "numerics"):
+            module = importlib.import_module(f"tpi_sim.{short}")
+            for name, obj in vars(module).items():
+                if inspect.isfunction(obj) and obj.__module__ == module.__name__ and name[0] != "_":
+                    wrappers[obj] = recording(obj)
+        for name, module in list(sys.modules.items()):
+            if name == "tpi_sim" or name.startswith("tpi_sim."):
+                for attr, obj in list(vars(module).items()):
+                    if inspect.isfunction(obj) and obj in wrappers:
+                        monkeypatch.setattr(module, attr, wrappers[obj])
+        map_chunks = oracle._map_chunks
+
+        def recording_map(evaluate, n_chunks, meanwhile=None):
+            def run(c):
+                job_threads.add(threading.get_ident())
+                return evaluate(c)
+
+            return map_chunks(run, n_chunks, meanwhile)
+
+        monkeypatch.setattr(oracle, "_map_chunks", recording_map)
+        oracle.run_verification(**self.SIZES)
+        assert callers == {threading.get_ident()}
+        assert job_threads and threading.get_ident() not in job_threads
+
+    def test_phase_factor_job_on_a_pool_equals_the_serial_loop(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_chunks: min(n_chunks, 2))
+        cases = [
+            (QD_PAIR, 0.3e-9, 30_000, 4, 1.0),
+            (NO_JITTER, -0.2e-9, 10_000, 5, 2.0),
+            (QD_PAIR.with_relative_detuning(1e9), 0.1e-9, 12_345, 6, 0.5),
+        ]
+        jobs, finishes = [], []
+        for case in cases:
+            case_jobs, finish = oracle._phase_factor_chunks(*case)
+            jobs += case_jobs
+            finishes.append(finish)
+        oracle._map_chunks(lambda c: jobs[c](), len(jobs))
+        expected = [legacy_phase_factor(*case) for case in cases]
+        assert [finish() for finish in finishes] == expected
+        assert [mc_averaged_phase_factor(*case) for case in cases] == expected
 
 
 class TestZeroVariancePoints:
