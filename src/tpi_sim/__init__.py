@@ -8,6 +8,7 @@ linewidth decompositions, and post-selected CNOT Bell-state fidelities.
 """
 
 from .emitter import (
+    EmitterConstraint,
     EmitterParams,
     InfeasibleDecompositionError,
     NormalizedParams,
@@ -46,7 +47,6 @@ from .interference import (
 )
 from .bell import (
     AssessmentResult,
-    EmitterConstraint,
     FidelityResult,
     bell_fidelity,
     emitter_assessment,

@@ -18,20 +18,13 @@ in every tomography setting), so ideal photons give exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .emitter import (
-    InfeasibleDecompositionError,
-    NormalizedParams,
-    PhotonPair,
-    decompose_linewidth,
-    decompose_voigt_fwhm,
-    normalized_params,
-)
+from .emitter import EmitterConstraint, NormalizedParams, PhotonPair, normalized_params
 from .gates import (
     GateMatrix,
     TOMOGRAPHY_BASES,
@@ -48,7 +41,6 @@ from .interference import (
     overlap_weight,
     visibility_map,
 )
-from .numerics import GAUSS_FWHM_PER_SIGMA
 
 __all__ = [
     "FidelityResult",
@@ -193,78 +185,6 @@ def fidelity_map(
 
 
 @dataclass(frozen=True)
-class EmitterConstraint:
-    """What is known about one emitter, for sweeping the unknown split.
-
-    Exactly one of these input modes must be provided besides ``lifetime``:
-
-    * ``coherence_time`` -- sweep all dephasing/inhomogeneous splits with
-      this coherence time,
-    * ``total_fwhm`` -- sweep all splits whose Voigt linewidth matches,
-    * ``lorentzian_fwhm`` together with ``gaussian_fwhm`` -- fully known
-      split, a single point,
-    * ``lorentzian_fwhm_max`` together with ``gaussian_fwhm`` -- Lorentzian
-      component bounded above (for example by a fast-scan linewidth), with
-      a fixed, independently measured Gaussian spread.
-    """
-
-    lifetime: float
-    coherence_time: float | None = None
-    total_fwhm: float | None = None
-    lorentzian_fwhm: float | None = None
-    lorentzian_fwhm_max: float | None = None
-    gaussian_fwhm: float | None = None
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.name != "lifetime":
-                continue
-            zero_ok = f.name == "gaussian_fwhm"  # a pure Lorentzian
-            if not ((value >= 0.0 if zero_ok else value > 0.0) and math.isfinite(value)):
-                bound = ">= 0" if zero_ok else "positive"
-                raise ValueError(f"{f.name} must be {bound} and finite, not {value!r}")
-        modes = [
-            self.coherence_time is not None,
-            self.total_fwhm is not None,
-            self.lorentzian_fwhm is not None,
-            self.lorentzian_fwhm_max is not None,
-        ]
-        if sum(modes) != 1:
-            raise ValueError(
-                "provide exactly one of coherence_time, total_fwhm, "
-                "lorentzian_fwhm, lorentzian_fwhm_max"
-            )
-        needs_gauss = self.lorentzian_fwhm is not None or self.lorentzian_fwhm_max is not None
-        if needs_gauss and self.gaussian_fwhm is None:
-            raise ValueError("a known or bounded Lorentzian width needs gaussian_fwhm")
-        if not needs_gauss and self.gaussian_fwhm is not None:
-            raise ValueError("gaussian_fwhm only combines with a Lorentzian width")
-
-    def decomposition(self, n_points: int = 200) -> list[tuple[float, float]]:
-        """(dephasing_rate, inhomogeneous_fwhm) samples consistent with this constraint."""
-        fourier_rate = 0.5 / self.lifetime
-        if self.coherence_time is not None:
-            return decompose_linewidth(self.lifetime, self.coherence_time, n_points)
-        if self.total_fwhm is not None:
-            return decompose_voigt_fwhm(self.lifetime, self.total_fwhm, n_points)
-        if self.lorentzian_fwhm is not None:
-            rate = math.pi * self.lorentzian_fwhm - fourier_rate
-            if rate < -1e-9 * fourier_rate:
-                raise InfeasibleDecompositionError(
-                    "lorentzian_fwhm is below the Fourier limit"
-                )
-            return [(max(rate, 0.0), float(self.gaussian_fwhm))]
-        rate_max = math.pi * self.lorentzian_fwhm_max - fourier_rate
-        if rate_max < -1e-9 * fourier_rate:
-            raise InfeasibleDecompositionError(
-                "lorentzian_fwhm_max is below the Fourier limit"
-            )
-        rates = np.linspace(0.0, max(rate_max, 0.0), n_points)
-        return [(float(r), float(self.gaussian_fwhm)) for r in rates]
-
-
-@dataclass(frozen=True)
 class AssessmentPoint:
     dephasing_rate: float
     inhomogeneous_fwhm: float
@@ -298,12 +218,12 @@ def emitter_assessment(
     """
     # One kernel call on the joint sums PhotonPair forms (gamma_i + gamma_j, sigma_i^2 +
     # sigma_j^2): of the curve with itself, or the outer sum of both curves.
-    rates, fwhms, gamma_i, var_i = _curve_widths(constraint, n_points)
+    rates, fwhms, gamma_i, var_i, theta_pd, theta_sd = constraint.curve(n_points)
     if second is None:
         gamma_j, var_j, lifetime_j = gamma_i, var_i, constraint.lifetime
     else:
         gamma_i, var_i = gamma_i[:, None], var_i[:, None]
-        _, _, gamma_j, var_j = _curve_widths(second, n_points)
+        _, _, gamma_j, var_j, _, _ = second.curve(n_points)
         lifetime_j = second.lifetime
     weights = overlap_weight(
         gamma_i + gamma_j, np.sqrt(var_i + var_j), 0.0, constraint.lifetime + lifetime_j
@@ -311,22 +231,10 @@ def emitter_assessment(
     fidelities = fidelity_at_weight(weights)
     points = None
     if second is None:
-        # theta_pd and theta_sd as normalized_params forms them
-        tau_r = constraint.lifetime
-        columns = (rates, fwhms, 1.0 + 2.0 * rates * tau_r, fwhms * tau_r, weights, fidelities)
+        columns = (rates, fwhms, theta_pd, theta_sd, weights, fidelities)
         points = tuple(AssessmentPoint(*row) for row in zip(*(c.tolist() for c in columns)))
     return AssessmentResult(
         visibility_range=(float(weights.min()), float(weights.max())),
         fidelity_range=(float(fidelities.min()), float(fidelities.max())),
         points=points,
     )
-
-
-def _curve_widths(constraint: EmitterConstraint, n_points: int) -> tuple[np.ndarray, ...]:
-    """Dephasing rate, inhomogeneous FWHM, gamma_h and sigma^2 of every
-    emitter on the decomposition curve, as EmitterParams forms them."""
-    rates, fwhms = np.array(constraint.decomposition(n_points), dtype=float).T
-    rates = np.maximum(rates, 0.0)
-    gamma = 0.5 / constraint.lifetime + rates
-    # float_power calls the C library's pow, as Python's sigma**2 does
-    return rates, fwhms, gamma, np.float_power(fwhms / GAUSS_FWHM_PER_SIGMA, 2)

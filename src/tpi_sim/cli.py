@@ -51,14 +51,14 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bell import EmitterConstraint, emitter_assessment, fidelity_map
-from .emitter import EmitterParams, PhotonPair, normalized_params
+from .bell import emitter_assessment, fidelity_map
+from .emitter import EmitterConstraint, EmitterParams, PhotonPair, coherence_time
 from .gates import beam_splitter
 from .interference import _hom_arrays, g2_trace, visibility_map
 
@@ -338,11 +338,22 @@ def _field_name(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
-def _number(obj: dict, key: str, where: str = "", default: float | None = None) -> float:
-    """Finite number at ``obj[key]`` (``default`` when absent), as a float.
+# The model squares rates and widths in Hz, inverts times in s and squares
+# the normalized linewidths of the maps; keeping every nonzero input within
+# this magnitude range in SI units keeps those squares and inverses finite
+# and nonzero.
+_SI_MAGNITUDE = (1e-150, 1e150)
 
-    ``where`` is the path of ``obj`` in the config, for error messages.
-    JSON true and false parse as bool, a subtype of int, and are refused.
+
+def _quantity(obj: dict, key: str, where: str, si_scale: float, sign: str | None = None,
+              default: float | None = None) -> float:
+    """The finite number at ``obj[key]`` (``default`` when absent, required
+    if None) as a float: a physical field in its config unit, range-checked
+    in SI units (a dimensionless field has ``si_scale`` 1), then checked
+    against the sign rule ``sign``: None for either sign, ">= 0" or
+    "positive".  ``where`` is the path of ``obj`` in the config, for error
+    messages.  JSON true and false parse as bool, a subtype of int, and are
+    refused.
     """
     name = _field_name(where, key)
     if key not in obj:
@@ -358,22 +369,6 @@ def _number(obj: dict, key: str, where: str = "", default: float | None = None) 
         value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"config field {name!r} must be finite, not {value!r}")
-    return value
-
-
-# The model squares rates and widths in Hz, inverts times in s and squares
-# the normalized linewidths of the maps; keeping every nonzero input within
-# this magnitude range in SI units keeps those squares and inverses finite
-# and nonzero.
-_SI_MAGNITUDE = (1e-150, 1e150)
-
-
-def _quantity(obj: dict, key: str, where: str, si_scale: float, sign: str | None = None) -> float:
-    """A required physical field in its config unit, range-checked in SI
-    units (a dimensionless field has ``si_scale`` 1), then checked against
-    the sign rule ``sign``: None for either sign, ">= 0" or "positive"."""
-    value = _number(obj, key, where)
-    name = _field_name(where, key)
     low, high = _SI_MAGNITUDE
     if value != 0.0 and not low <= abs(value * si_scale) <= high:
         raise ConfigError(
@@ -497,9 +492,7 @@ def cmd_g2(cfg: dict, seed: int) -> Table:
     pair = _parse_pair(cfg)
     n_tau = _integer(cfg, "n_tau", 2, default=4001)
     default_span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime) / PS
-    tau_max_ps = _number(cfg, "tau_max_ps", default=default_span)
-    if not tau_max_ps > 0.0:
-        raise ConfigError("config field 'tau_max_ps' must be positive")
+    tau_max_ps = _quantity(cfg, "tau_max_ps", "", PS, "positive", default=default_span)
     grid = np.linspace(-tau_max_ps * PS, tau_max_ps * PS, n_tau)
     trace = g2_trace(beam_splitter(0.5), 1, 2, 1, 2, pair, grid)
     columns = (trace.tau_grid / PS, trace.g2_values, trace.g2_distinguishable)
@@ -547,15 +540,15 @@ def cmd_fmap(cfg: dict, seed: int) -> Table:
 
 
 def cmd_decompose(cfg: dict, seed: int) -> Table:
-    constraint, canonical = _parse_constraint(cfg.get("constraint", {}), "constraint")
+    constraint, canonical = _parse_constraint(_need(cfg, "constraint"), "constraint")
     n_points = _integer(cfg, "n_points", 1, default=200)
-    splits = np.array(constraint.decomposition(n_points), dtype=float)
-    normalized = np.array([
-        astuple(normalized_params(EmitterParams(constraint.lifetime, max(rate, 0.0), fwhm)))
-        for rate, fwhm in splits.tolist()
-    ])
+    rates, fwhms, _, _, theta_pd, theta_sd = constraint.curve(n_points)
+    tau_r = constraint.lifetime
+    splits = zip(rates.tolist(), fwhms.tolist())
+    tau_c = np.array([coherence_time(tau_r, rate, fwhm) for rate, fwhm in splits])
     names = ["dephasing_rate_mhz", "inhomogeneous_fwhm_mhz", "theta_pd", "theta_sd", "x_c"]
-    columns = (*(splits.T / MHZ), *normalized.T)
+    # x_c as normalized_params forms it
+    columns = (rates / MHZ, fwhms / MHZ, theta_pd, theta_sd, tau_c / (2.0 * tau_r))
     return {"constraint": canonical, "n_points": n_points}, names, _row_blocks(*columns), 0
 
 
@@ -668,12 +661,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not isinstance(raw, dict):
         print("error: config must be a JSON object", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        print(f"error: config field 'seed' must be an integer, not {seed!r}", file=sys.stderr)
-        return 1
     params = {k: v for k, v in raw.items() if k != "seed"}
     try:
+        seed = _integer(raw if args.seed is None else {"seed": args.seed}, "seed", 0, default=0)
         _known_fields(params, "", _TOP_LEVEL_FIELDS[args.command])
         canonical, names, blocks, status = _COMMANDS[args.command](params, seed)
         _write_table(RunConfig(args.command, canonical, args.out, args.format, seed), names, blocks)

@@ -18,18 +18,25 @@ error-prone part of the whole model):
   gamma_h = 1/(2 tau_r) + dephasing_rate, so a lifetime of 410 ps maps to
   a 388 MHz Fourier-limited linewidth and 12 ns maps to 13 MHz,
 * Gaussian FWHM and standard deviation are related by fwhm = 2 sqrt(2 ln 2) sigma.
+
+What is known of a partly characterized emitter (a coherence time, a Voigt
+linewidth, or a bounded Lorentzian) is an :class:`EmitterConstraint`; its
+split curve of (dephasing_rate, inhomogeneous_fwhm) pairs, and the array
+view of that curve, are formed here only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from .numerics import GAUSS_FWHM_PER_SIGMA, VOIGT_FWHM_RTOL, _faddeeva, _newton
 
 __all__ = [
+    "EmitterConstraint",
     "EmitterParams",
     "PhotonPair",
     "NormalizedParams",
@@ -206,12 +213,6 @@ def coherence_time(lifetime: float, dephasing_rate: float, inhomogeneous_fwhm: f
     return 4.0 * _LN2 / math.pi**2 / (k + math.hypot(k, root_c * inhomogeneous_fwhm))
 
 
-def _max_inhomogeneous_fwhm(lifetime: float, tau_c: float) -> float:
-    """Gaussian FWHM that alone (dephasing_rate = 0) yields ``tau_c``."""
-    excess = 1.0 / tau_c - 0.5 / lifetime
-    return 2.0 / math.pi * math.sqrt(_LN2 * excess / tau_c)
-
-
 def decompose_linewidth(
     lifetime: float, tau_c: float, n_points: int = 200
 ) -> list[tuple[float, float]]:
@@ -238,18 +239,16 @@ def decompose_linewidth(
     if tau_c >= 2.0 * lifetime:
         return [(0.0, 0.0)]
 
-    fwhm_max = _max_inhomogeneous_fwhm(lifetime, tau_c)
     rate_max = 1.0 / tau_c - 0.5 / lifetime
-    pairs: list[tuple[float, float]] = [(rate_max, 0.0)]
-    for fwhm in np.geomspace(fwhm_max * 1e-3, fwhm_max, n_points - 1):
-        if fwhm == fwhm_max:
-            pairs.append((0.0, float(fwhm)))
-            continue
-        # Invert the coherence relation at fixed Gaussian width:
-        # gamma_h = 1/tau_c - pi^2 s'^2 tau_c / (4 ln2).
-        gamma_h = 1.0 / tau_c - math.pi**2 * fwhm * fwhm * tau_c / (4.0 * _LN2)
-        pairs.append((gamma_h - 0.5 / lifetime, float(fwhm)))
-    return pairs
+    # the Gaussian FWHM that alone (dephasing_rate = 0) yields tau_c
+    fwhm_max = 2.0 / math.pi * math.sqrt(_LN2 * rate_max / tau_c)
+
+    def rates_at(fwhms: np.ndarray) -> np.ndarray:
+        # the coherence relation inverted at fixed Gaussian width:
+        # gamma_h = 1/tau_c - pi^2 s'^2 tau_c / (4 ln2)
+        return 1.0 / tau_c - math.pi**2 * fwhms * fwhms * tau_c / (4.0 * _LN2) - 0.5 / lifetime
+
+    return _split_curve(rate_max, fwhm_max, n_points, rates_at)
 
 
 def decompose_voigt_fwhm(
@@ -289,15 +288,24 @@ def decompose_voigt_fwhm(
 
     rate_max = math.pi * total_fwhm - 0.5 / lifetime
     (gauss_max,) = _solve_width(total_fwhm, np.array([fourier_fwhm]), "gaussian").tolist()
-    fwhms = np.geomspace(gauss_max * 1e-3, gauss_max, n_points - 1)
-    interior = fwhms[fwhms != gauss_max]
-    lor = _solve_width(total_fwhm, interior, "lorentzian")
-    rates = np.maximum(math.pi * lor - 0.5 / lifetime, 0.0)
-    pairs: list[tuple[float, float]] = [(rate_max, 0.0)]
-    solved = iter(zip(rates.tolist(), interior.tolist()))
-    for fwhm in fwhms.tolist():
-        pairs.append((0.0, fwhm) if fwhm == gauss_max else next(solved))
-    return pairs
+
+    def rates_at(fwhms: np.ndarray) -> np.ndarray:
+        lor = _solve_width(total_fwhm, fwhms, "lorentzian")
+        return np.maximum(math.pi * lor - 0.5 / lifetime, 0.0)
+
+    return _split_curve(rate_max, gauss_max, n_points, rates_at)
+
+
+def _split_curve(
+    rate_max: float, fwhm_max: float, n_points: int, rates_at: Callable
+) -> list[tuple[float, float]]:
+    """``n_points`` (dephasing_rate, inhomogeneous_fwhm) splits from the
+    all-dephasing endpoint (rate_max, 0) to the all-inhomogeneous endpoint
+    (0, fwhm_max); the ``n_points - 2`` interior Gaussian widths are
+    geometric from fwhm_max / 1000, their rates ``rates_at(fwhms)``."""
+    fwhms = np.geomspace(fwhm_max * 1e-3, fwhm_max, n_points - 1)[:-1]
+    interior = zip(rates_at(fwhms).tolist(), fwhms.tolist())
+    return [(rate_max, 0.0), *interior, (0.0, fwhm_max)]
 
 
 def _solve_width(total_fwhm: float, fixed: np.ndarray, unknown: str) -> np.ndarray:
@@ -350,6 +358,92 @@ def _solve_width(total_fwhm: float, fixed: np.ndarray, unknown: str) -> np.ndarr
         start = np.sqrt(np.maximum(g * g - 0.2166 * (fixed * fixed), 0.0))
     start = np.clip(start, 1e-3 * f, 2.0 * f)
     return _newton(residual, start, hi, VOIGT_FWHM_RTOL)
+
+
+@dataclass(frozen=True)
+class EmitterConstraint:
+    """What is known about one emitter, for sweeping the unknown split.
+
+    Exactly one of these input modes must be provided besides ``lifetime``:
+
+    * ``coherence_time`` -- sweep all dephasing/inhomogeneous splits with
+      this coherence time,
+    * ``total_fwhm`` -- sweep all splits whose Voigt linewidth matches,
+    * ``lorentzian_fwhm`` together with ``gaussian_fwhm`` -- fully known
+      split, a single point,
+    * ``lorentzian_fwhm_max`` together with ``gaussian_fwhm`` -- Lorentzian
+      component bounded above (for example by a fast-scan linewidth), with
+      a fixed, independently measured Gaussian spread.
+    """
+
+    lifetime: float
+    coherence_time: float | None = None
+    total_fwhm: float | None = None
+    lorentzian_fwhm: float | None = None
+    lorentzian_fwhm_max: float | None = None
+    gaussian_fwhm: float | None = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name != "lifetime":
+                continue
+            zero_ok = f.name == "gaussian_fwhm"  # a pure Lorentzian
+            if not ((value >= 0.0 if zero_ok else value > 0.0) and math.isfinite(value)):
+                bound = ">= 0" if zero_ok else "positive"
+                raise ValueError(f"{f.name} must be {bound} and finite, not {value!r}")
+        modes = [
+            self.coherence_time is not None,
+            self.total_fwhm is not None,
+            self.lorentzian_fwhm is not None,
+            self.lorentzian_fwhm_max is not None,
+        ]
+        if sum(modes) != 1:
+            raise ValueError(
+                "provide exactly one of coherence_time, total_fwhm, "
+                "lorentzian_fwhm, lorentzian_fwhm_max"
+            )
+        needs_gauss = self.lorentzian_fwhm is not None or self.lorentzian_fwhm_max is not None
+        if needs_gauss and self.gaussian_fwhm is None:
+            raise ValueError("a known or bounded Lorentzian width needs gaussian_fwhm")
+        if not needs_gauss and self.gaussian_fwhm is not None:
+            raise ValueError("gaussian_fwhm only combines with a Lorentzian width")
+
+    def decomposition(self, n_points: int = 200) -> list[tuple[float, float]]:
+        """(dephasing_rate, inhomogeneous_fwhm) samples consistent with this constraint."""
+        fourier_rate = 0.5 / self.lifetime
+        if self.coherence_time is not None:
+            return decompose_linewidth(self.lifetime, self.coherence_time, n_points)
+        if self.total_fwhm is not None:
+            return decompose_voigt_fwhm(self.lifetime, self.total_fwhm, n_points)
+        if self.lorentzian_fwhm is not None:
+            rate = math.pi * self.lorentzian_fwhm - fourier_rate
+            if rate < -1e-9 * fourier_rate:
+                raise InfeasibleDecompositionError(
+                    "lorentzian_fwhm is below the Fourier limit"
+                )
+            return [(max(rate, 0.0), float(self.gaussian_fwhm))]
+        rate_max = math.pi * self.lorentzian_fwhm_max - fourier_rate
+        if rate_max < -1e-9 * fourier_rate:
+            raise InfeasibleDecompositionError(
+                "lorentzian_fwhm_max is below the Fourier limit"
+            )
+        rates = np.linspace(0.0, max(rate_max, 0.0), n_points)
+        return [(float(r), float(self.gaussian_fwhm)) for r in rates]
+
+    def curve(self, n_points: int = 200) -> tuple[np.ndarray, ...]:
+        """The :meth:`decomposition` as arrays with one element per split:
+        (dephasing_rate, inhomogeneous_fwhm, gamma_h, sigma^2, theta_pd,
+        theta_sd), the rate clamped at 0, each column formed by the
+        floating-point operations of :class:`EmitterParams` and
+        :func:`normalized_params`."""
+        rates, fwhms = np.array(self.decomposition(n_points), dtype=float).T
+        rates = np.maximum(rates, 0.0)
+        tau_r = self.lifetime
+        # float_power calls the C library's pow, as Python's sigma**2 does
+        sigma_sq = np.float_power(fwhms / GAUSS_FWHM_PER_SIGMA, 2)
+        theta_pd = 1.0 + 2.0 * rates * tau_r
+        return rates, fwhms, 0.5 / tau_r + rates, sigma_sq, theta_pd, fwhms * tau_r
 
 
 def normalized_params(emitter: EmitterParams) -> NormalizedParams:

@@ -305,6 +305,21 @@ class TestEmitterAssessment:
         assert lo == pytest.approx(0.2772, abs=2e-3)
         assert hi == pytest.approx(0.3190, abs=2e-3)
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            EmitterConstraint(lifetime=670e-12, coherence_time=330e-12),
+            EmitterConstraint(lifetime=1.72e-9, total_fwhm=119e6),
+        ],
+    )
+    def test_two_points_span_both_extremes(self, constraint):
+        # n_points = 2 is the all-dephasing and the all-diffusion endpoint
+        full = emitter_assessment(constraint, n_points=200)
+        ends = emitter_assessment(constraint, n_points=2)
+        assert ends.points == (full.points[0], full.points[-1])
+        assert ends.points[-1].dephasing_rate == 0.0
+        assert ends.visibility_range == full.visibility_range
+
     def test_infeasible_constraint_propagates(self):
         with pytest.raises(InfeasibleDecompositionError):
             emitter_assessment(EmitterConstraint(lifetime=1e-9, coherence_time=3e-9))

@@ -694,6 +694,9 @@ class TestConfigBoundary:
                       "theta_sd": {"min": 1e-151, "max": 1, "n": 3}}, "theta_sd.min"),
             ("fmap", {"theta_pd": {"min": 1, "max": 2, "n": 3},
                       "theta_sd": {"min": 0, "max": 1e151, "n": 3}}, "theta_sd.max"),
+            # 1e-300 ps is 1e-312 s and 1e163 ps is 1e151 s, outside the SI range
+            ("g2", qd_pair_config(tau_max_ps=1e-300, n_tau=3), "tau_max_ps"),
+            ("g2", qd_pair_config(tau_max_ps=1e163, n_tau=3), "tau_max_ps"),
             # the range applies in Hz: 1e142 GHz is 1e151 Hz
             ("tuning", qd_pair_config(detuning_ghz={"min": -1e142, "max": 1.0, "n": 3}),
              "detuning_ghz.min"),
@@ -702,6 +705,27 @@ class TestConfigBoundary:
     def test_grid_ends_out_of_range(self, tmp_path, capsys, command, payload, field):
         err = self.run_error(tmp_path, capsys, command, payload)
         assert repr(field) in err and "out of range" in err
+
+    @pytest.mark.parametrize("bad", [-300.0, 0.0])
+    def test_g2_span_sign_named(self, tmp_path, capsys, bad):
+        err = self.run_error(tmp_path, capsys, "g2", qd_pair_config(tau_max_ps=bad, n_tau=3))
+        assert "'tau_max_ps' must be positive" in err, err
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_negative_seed_named(self, tmp_path, capsys, flag):
+        payload = dict(TINY_CONFIGS["decompose"])
+        if flag:
+            cfg = write_config(tmp_path, payload)
+            code = main(["decompose", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-5"])
+            err = capsys.readouterr().err
+            assert code == 1 and err.count("\n") == 1, err
+        else:
+            err = self.run_error(tmp_path, capsys, "decompose", {**payload, "seed": -1})
+        assert err.startswith("error: config field 'seed' must be an integer >= 0"), err
+
+    def test_missing_constraint_named(self, tmp_path, capsys):
+        err = self.run_error(tmp_path, capsys, "decompose", {"n_points": 3})
+        assert err.rstrip().endswith("missing required field 'constraint'"), err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["vmap", "fmap"])

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import tpi_sim
+import tpi_sim.bell
 from tpi_sim.emitter import (
+    EmitterConstraint,
     EmitterParams,
     InfeasibleDecompositionError,
     PhotonPair,
@@ -200,3 +203,79 @@ class TestNormalizedParams:
             NormalizedParams(theta_pd=1.0, theta_sd=-0.1, x_c=0.5)
         with pytest.raises(ValueError):
             NormalizedParams(theta_pd=1.0, theta_sd=0.0, x_c=1.5)
+
+
+DECOMPOSITIONS = [
+    pytest.param(decompose_linewidth, 1e-9, 1e-9, id="coherence_time"),
+    pytest.param(decompose_voigt_fwhm, 1.72e-9, 119e6, id="total_fwhm"),
+]
+
+
+class TestSplitCurve:
+    """Both decompositions share one curve: (rate_max, 0), the geometric
+    interior from fwhm_max / 1000, then (0, fwhm_max)."""
+
+    @pytest.mark.parametrize("decompose,lifetime,target", DECOMPOSITIONS)
+    def test_two_points_are_the_two_endpoints(self, decompose, lifetime, target):
+        full = decompose(lifetime, target, 200)
+        assert full[0][1] == 0.0 and full[-1][0] == 0.0
+        assert decompose(lifetime, target, 2) == [full[0], full[-1]]
+
+    @pytest.mark.parametrize("decompose,lifetime,target", DECOMPOSITIONS)
+    def test_three_points_add_the_narrowest_interior_split(self, decompose, lifetime, target):
+        full = decompose(lifetime, target, 200)
+        pairs = decompose(lifetime, target, 3)
+        assert pairs[0] == full[0] and pairs[2] == full[-1]
+        assert pairs[1] == full[1]
+        assert pairs[1][1] == full[-1][1] * 1e-3
+        assert 0.0 < pairs[1][0] < pairs[0][0]
+
+    @pytest.mark.parametrize("n_points", [2, 3, 200])
+    @pytest.mark.parametrize("decompose,lifetime,target", DECOMPOSITIONS)
+    def test_pairs_are_python_floats(self, decompose, lifetime, target, n_points):
+        pairs = decompose(lifetime, target, n_points)
+        assert len(pairs) == n_points
+        assert all(type(x) is float for pair in pairs for x in pair)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestConstraintCurve:
+    """``EmitterConstraint.curve`` holds, bit for bit, what the scalar
+    objects give for every split of :meth:`EmitterConstraint.decomposition`."""
+
+    CONSTRAINTS = [
+        EmitterConstraint(lifetime=670e-12, coherence_time=330e-12),
+        EmitterConstraint(lifetime=1.72e-9, total_fwhm=119e6),
+        EmitterConstraint(lifetime=410e-12, lorentzian_fwhm=480e6, gaussian_fwhm=550e6),
+        EmitterConstraint(lifetime=12e-9, lorentzian_fwhm_max=20e6, gaussian_fwhm=100e6),
+    ]
+
+    @pytest.mark.parametrize("n_points", [2, 3, 40])
+    @pytest.mark.parametrize(
+        "constraint", CONSTRAINTS,
+        ids=["coherence_time", "total_fwhm", "lorentzian_fwhm", "lorentzian_fwhm_max"],
+    )
+    def test_columns_equal_the_scalar_objects(self, constraint, n_points):
+        rates, fwhms, gamma_h, sigma_sq, theta_pd, theta_sd = constraint.curve(n_points)
+        emitters = [
+            EmitterParams(constraint.lifetime, max(rate, 0.0), fwhm)
+            for rate, fwhm in constraint.decomposition(n_points)
+        ]
+        pairs = [PhotonPair.identical(e) for e in emitters]
+        normalized = [normalized_params(e) for e in emitters]
+        assert len(rates) == len(emitters)
+        assert _bits(rates) == _bits([e.dephasing_rate for e in emitters])
+        assert _bits(fwhms) == _bits([e.inhomogeneous_fwhm for e in emitters])
+        assert _bits(gamma_h) == _bits([e.gamma_h for e in emitters])
+        assert _bits(sigma_sq) == _bits([e.sigma**2 for e in emitters])
+        assert _bits(gamma_h + gamma_h) == _bits([p.gamma_total for p in pairs])
+        assert _bits(sigma_sq + sigma_sq) == _bits([p.sigma_sq_total for p in pairs])
+        assert _bits(theta_pd) == _bits([n.theta_pd for n in normalized])
+        assert _bits(theta_sd) == _bits([n.theta_sd for n in normalized])
+
+    def test_one_class_everywhere(self):
+        assert tpi_sim.emitter.EmitterConstraint is tpi_sim.bell.EmitterConstraint
+        assert tpi_sim.bell.EmitterConstraint is tpi_sim.EmitterConstraint
