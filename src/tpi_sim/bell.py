@@ -134,7 +134,13 @@ def fidelity_at_weight(weight: float | np.ndarray) -> float | np.ndarray:
     """
     raw_const, raw_slope, succ_const, succ_slope = _weight_coefficients()
     w = np.asarray(weight, dtype=float)
-    out = (raw_const + raw_slope * w) / (2.0 * (succ_const + succ_slope * w))
+    # (raw_const + raw_slope w) / (2 (succ_const + succ_slope w)), in place
+    out = raw_slope * w
+    out += raw_const
+    success = succ_slope * w
+    success += succ_const
+    success *= 2.0
+    out /= success
     return float(out) if out.ndim == 0 else out
 
 
@@ -196,11 +202,23 @@ class AssessmentPoint:
 
 @dataclass(frozen=True)
 class AssessmentResult:
-    """Visibility and fidelity ranges over a decomposition sweep."""
+    """Visibility and fidelity ranges over a decomposition sweep.
+
+    ``columns`` holds, for a single-constraint sweep, one tuple per
+    :class:`AssessmentPoint` field with one value per split (None for a
+    pair of constraints); :attr:`points` builds the points from it on access.
+    """
 
     visibility_range: tuple[float, float]
     fidelity_range: tuple[float, float]
-    points: tuple[AssessmentPoint, ...] | None
+    columns: tuple[tuple[float, ...], ...] | None
+
+    @property
+    def points(self) -> tuple[AssessmentPoint, ...] | None:
+        """The per-split sweep of a single constraint, in curve order (None for a pair)."""
+        if self.columns is None:
+            return None
+        return tuple(AssessmentPoint(*row) for row in zip(*self.columns))
 
 
 def emitter_assessment(
@@ -225,16 +243,17 @@ def emitter_assessment(
         gamma_i, var_i = gamma_i[:, None], var_i[:, None]
         _, _, gamma_j, var_j, _, _ = second.curve(n_points)
         lifetime_j = second.lifetime
-    weights = overlap_weight(
-        gamma_i + gamma_j, np.sqrt(var_i + var_j), 0.0, constraint.lifetime + lifetime_j
-    )
+    sigma = var_i + var_j
+    np.sqrt(sigma, out=sigma)
+    weights = overlap_weight(gamma_i + gamma_j, sigma, 0.0, constraint.lifetime + lifetime_j)
     fidelities = fidelity_at_weight(weights)
-    points = None
+    columns = None
     if second is None:
-        columns = (rates, fwhms, theta_pd, theta_sd, weights, fidelities)
-        points = tuple(AssessmentPoint(*row) for row in zip(*(c.tolist() for c in columns)))
+        columns = tuple(
+            tuple(c.tolist()) for c in (rates, fwhms, theta_pd, theta_sd, weights, fidelities)
+        )
     return AssessmentResult(
         visibility_range=(float(weights.min()), float(weights.max())),
         fidelity_range=(float(fidelities.min()), float(fidelities.max())),
-        points=points,
+        columns=columns,
     )

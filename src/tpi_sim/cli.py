@@ -52,6 +52,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -161,6 +162,8 @@ def _float_matrix(values: np.ndarray) -> np.ndarray:
     time, which bounds the temporaries.
     """
     x = np.asarray(values, dtype=float).ravel()
+    if len(x) <= _BLOCK_ROWS:
+        return _float_slice(x)
     cells = np.empty((_CELL_WIDTH, len(x)), np.uint8)
     for start in range(0, len(x), _BLOCK_ROWS):
         cells[:, start : start + _BLOCK_ROWS] = _float_slice(x[start : start + _BLOCK_ROWS])
@@ -192,20 +195,26 @@ def _float_slice(x: np.ndarray) -> np.ndarray:
     positional &= (k >= -4) & (k <= 16)
     k = k.astype(np.int8)
 
-    # the 17 digits, most significant first: 9 from n // 10**8, 8 from n % 10**8
+    # the 17 digits, most significant first: the leading one, then four
+    # groups of four, the quotient and remainder by 10**4 of each half
+    # n // 10**8 and n % 10**8; the groups' digits are peeled off together
     halves = np.empty((2, len(x)), np.uint32)
     halves[0] = n // 100_000_000
     halves[1] = n % 100_000_000
-    quotient = np.empty_like(halves)
+    groups = np.empty((2, 2, len(x)), np.uint32)
+    np.floor_divide(halves, np.uint32(10_000), out=groups[:, 0])
+    groups[:, 1] = halves - groups[:, 0] * np.uint32(10_000)
     digits = np.empty((17, len(x)), np.uint8)
+    digits[0] = groups[0, 0] // np.uint32(10_000)  # n // 10**16
+    groups[0, 0] -= digits[0] * np.uint32(10_000)
+    group, quotient = groups.reshape(4, len(x)), np.empty((4, len(x)), np.uint32)
+    group_digits = digits[1:].reshape(4, 4, len(x))  # (group, digit in group, value)
     ten = np.uint32(10)
-    for j in range(8, -1, -1):
-        np.floor_divide(halves, ten, out=quotient)
-        halves -= quotient * ten
-        digits[j] = halves[0]
-        if j:
-            digits[j + 8] = halves[1]
-        halves, quotient = quotient, halves
+    for j in (3, 2, 1):
+        np.floor_divide(group, ten, out=quotient)
+        group_digits[:, j] = group - quotient * ten
+        group, quotient = quotient, group
+    group_digits[:, 0] = group
     last = ((digits != 0) * _DIGIT_SLOTS).max(axis=0)  # last nonzero digit
     digits += ord("0")
     digits *= _DIGIT_SLOTS <= np.maximum(last, k)
@@ -253,9 +262,11 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
     byte matrix from :func:`_float_matrix` (cells already rendered), or a
     list of labels or bools, which CSV writes as ``str`` and JSON as
     ``json.dumps``.  A block becomes one byte matrix with a column per row:
-    the float arrays rendered by one :func:`_float_matrix` call, the labels
-    encoded, the separators constant rows; its NULs are deleted and the
-    rest written at once.  The bytes are those of writing every row with
+    the float arrays rendered together by one :func:`_float_matrix` call and
+    sliced apart, the labels encoded, the separators constant rows built
+    once per block; its NULs are deleted and the rest written at once, so
+    a block costs the same few numpy calls whether it holds one row or
+    thousands.  The bytes are those of writing every row with
     :func:`format_float` per float cell and JSON through :func:`dumps`.
     """
     as_json = config.fmt == "json"
@@ -278,16 +289,18 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
             # rows: the length of a column, the width of a rendered matrix
             n = block[0].shape[-1] if isinstance(block[0], np.ndarray) else len(block[0])
             floats = [c for c in block if isinstance(c, np.ndarray) and c.ndim == 1]
-            rendered = iter(
-                np.split(_float_matrix(np.concatenate(floats)), len(floats), axis=1) if floats else []
-            )
+            rendered = _float_matrix(np.concatenate(floats)) if floats else None
+            separator = _constant_rows(between, n)
             parts = [_constant_rows(lead, n)]
             for column in block:
                 if not isinstance(column, np.ndarray):
                     parts.append(_label_matrix([label(v) for v in column]))
+                elif column.ndim == 1:  # the next n columns of the rendered floats
+                    parts.append(rendered[:, :n])
+                    rendered = rendered[:, n:]
                 else:
-                    parts.append(next(rendered) if column.ndim == 1 else column)
-                parts.append(_constant_rows(between, n))
+                    parts.append(column)
+                parts.append(separator)
             parts[-1] = _constant_rows(end, n)
             matrix = np.concatenate(parts)
             if as_json and first:
@@ -541,7 +554,7 @@ def cmd_fmap(cfg: dict, seed: int) -> Table:
 
 def cmd_decompose(cfg: dict, seed: int) -> Table:
     constraint, canonical = _parse_constraint(_need(cfg, "constraint"), "constraint")
-    n_points = _integer(cfg, "n_points", 1, default=200)
+    n_points = _integer(cfg, "n_points", 2, default=200)
     rates, fwhms, _, _, theta_pd, theta_sd = constraint.curve(n_points)
     tau_r = constraint.lifetime
     splits = zip(rates.tolist(), fwhms.tolist())
@@ -556,7 +569,7 @@ def cmd_assess(cfg: dict, seed: int) -> Table:
     sources = _need(cfg, "sources", list)
     if not sources:
         raise ConfigError("field 'sources' must list at least one entry")
-    n_points = _integer(cfg, "n_points", 1, default=200)
+    n_points = _integer(cfg, "n_points", 2, default=200)
     canonical_sources = []
     names = []
     ranges = []
@@ -648,8 +661,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The :func:`build_parser` parser, built once per process: parsing keeps
+    no state in it, so every call of :func:`main` reads its own arguments."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         raw = json.loads(Path(args.config).read_text())
     except OSError as exc:

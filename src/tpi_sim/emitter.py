@@ -228,6 +228,13 @@ def decompose_linewidth(
     InfeasibleDecompositionError
         If ``tau_c`` exceeds the Fourier limit 2 * lifetime.
     """
+    return _as_pairs(_linewidth_splits(lifetime, tau_c, n_points))
+
+
+def _linewidth_splits(
+    lifetime: float, tau_c: float, n_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decompose_linewidth` as (dephasing_rate, inhomogeneous_fwhm) arrays."""
     if lifetime <= 0.0 or tau_c <= 0.0:
         raise ValueError("lifetime and tau_c must be positive")
     if n_points < 2:
@@ -237,7 +244,7 @@ def decompose_linewidth(
             f"coherence time {tau_c} exceeds the Fourier limit {2 * lifetime}"
         )
     if tau_c >= 2.0 * lifetime:
-        return [(0.0, 0.0)]
+        return np.zeros(1), np.zeros(1)
 
     rate_max = 1.0 / tau_c - 0.5 / lifetime
     # the Gaussian FWHM that alone (dephasing_rate = 0) yields tau_c
@@ -274,6 +281,13 @@ def decompose_voigt_fwhm(
         If ``total_fwhm`` is below the Fourier-limited Lorentzian width
         1 / (2 pi * lifetime).
     """
+    return _as_pairs(_voigt_splits(lifetime, total_fwhm, n_points))
+
+
+def _voigt_splits(
+    lifetime: float, total_fwhm: float, n_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decompose_voigt_fwhm` as (dephasing_rate, inhomogeneous_fwhm) arrays."""
     if lifetime <= 0.0 or total_fwhm <= 0.0:
         raise ValueError("lifetime and total_fwhm must be positive")
     if n_points < 2:
@@ -284,7 +298,7 @@ def decompose_voigt_fwhm(
             f"total linewidth {total_fwhm} is below the Fourier limit {fourier_fwhm}"
         )
     if total_fwhm <= fourier_fwhm:
-        return [(0.0, 0.0)]
+        return np.zeros(1), np.zeros(1)
 
     rate_max = math.pi * total_fwhm - 0.5 / lifetime
     (gauss_max,) = _solve_width(total_fwhm, np.array([fourier_fwhm]), "gaussian").tolist()
@@ -298,32 +312,27 @@ def decompose_voigt_fwhm(
 
 def _split_curve(
     rate_max: float, fwhm_max: float, n_points: int, rates_at: Callable
-) -> list[tuple[float, float]]:
-    """``n_points`` (dephasing_rate, inhomogeneous_fwhm) splits from the
-    all-dephasing endpoint (rate_max, 0) to the all-inhomogeneous endpoint
-    (0, fwhm_max); the ``n_points - 2`` interior Gaussian widths are
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dephasing_rate, inhomogeneous_fwhm) arrays of ``n_points`` splits from
+    the all-dephasing endpoint (rate_max, 0) to the all-inhomogeneous
+    endpoint (0, fwhm_max); the ``n_points - 2`` interior Gaussian widths are
     geometric from fwhm_max / 1000, their rates ``rates_at(fwhms)``."""
     fwhms = np.geomspace(fwhm_max * 1e-3, fwhm_max, n_points - 1)[:-1]
-    interior = zip(rates_at(fwhms).tolist(), fwhms.tolist())
-    return [(rate_max, 0.0), *interior, (0.0, fwhm_max)]
+    rates = np.concatenate(([rate_max], rates_at(fwhms), [0.0]))
+    return rates, np.concatenate(([0.0], fwhms, [fwhm_max]))
+
+
+def _as_pairs(splits: tuple[np.ndarray, np.ndarray]) -> list[tuple[float, float]]:
+    """Split arrays as a list of (dephasing_rate, inhomogeneous_fwhm) float pairs."""
+    return list(zip(*(column.tolist() for column in splits)))
 
 
 def _solve_width(total_fwhm: float, fixed: np.ndarray, unknown: str) -> np.ndarray:
     """The ``unknown`` ("lorentzian" or "gaussian") component FWHM x on
     [0, 2 F] at which the Voigt profile with the other component FWHM
     ``fixed`` reaches the FWHM F = ``total_fwhm``, one solve per element of
-    ``fixed``, in lockstep (:func:`tpi_sim.numerics._newton`).
-
-    With h the Lorentzian HWHM and s = 1 / (sigma sqrt 2) for the Gaussian
-    standard deviation sigma, the profile is narrower than F where it is
-    below half its peak at F/2:
-
-        r = Re w(z_F) - Re w(z_0) / 2 < 0,   z_F = (F/2 + i h) s,  z_0 = i h s,
-
-    and r rises with either width.  Both values of a step come from one
-    Faddeeva call; with w' = -2 z w + 2i / sqrt(pi), dr/dx is
-    Re(w'(z_F) dz_F/dx) - Re(w'(z_0) dz_0/dx) / 2, where dz/dx = i s / 2
-    for the Lorentzian and -z / x for the Gaussian.  The Olivero-Longbothum
+    ``fixed``, in lockstep (:func:`tpi_sim.numerics._newton`) on the
+    residual :func:`_half_max_residual`.  The Olivero-Longbothum
     approximation F = 0.5346 L + sqrt(0.2166 L^2 + G^2), inverted, starts
     the solve.  No component is wider than the profile; the factor 2 of
     the bracket keeps its check clear of rounding where a root lies just
@@ -335,18 +344,10 @@ def _solve_width(total_fwhm: float, fixed: np.ndarray, unknown: str) -> np.ndarr
     def residual(x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         other = fixed[live]
         lor, gauss = (x, other) if lorentzian else (other, x)
-        s = GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))
-        a, y = 0.5 * total_fwhm * s, 0.5 * lor * s
-        m = x.size
-        re, im, dre, dim = _faddeeva(np.concatenate([a, np.zeros(m)]), np.tile(y, 2), slope=True)
-        if lorentzian:  # Re(w' i s / 2) = -s Im w' / 2
-            slope = (0.5 * dim[m:] - dim[:m]) * (0.5 * s)
-        else:  # Re(-z w' / x), Re(z w') = a Re w' - y Im w'
-            slope = (y * (dim[:m] - 0.5 * dim[m:]) - a * dre[:m]) / x
-        return re[:m] - 0.5 * re[m:], slope
+        return _half_max_residual(total_fwhm, lor, gauss, lorentzian)
 
     hi = np.full(n, 2.0 * total_fwhm)
-    if np.any(residual(hi, np.ones(n, dtype=bool))[0] < 0.0):
+    if np.any(residual(hi, np.arange(n))[0] < 0.0):
         raise InfeasibleDecompositionError("target not bracketed")
     f = total_fwhm
     if lorentzian:  # 0.0692 L^2 - 1.0692 F L + F^2 - G^2 = 0, smaller root
@@ -358,6 +359,39 @@ def _solve_width(total_fwhm: float, fixed: np.ndarray, unknown: str) -> np.ndarr
         start = np.sqrt(np.maximum(g * g - 0.2166 * (fixed * fixed), 0.0))
     start = np.clip(start, 1e-3 * f, 2.0 * f)
     return _newton(residual, start, hi, VOIGT_FWHM_RTOL)
+
+
+def _half_max_residual(
+    total_fwhm: float, lor: np.ndarray, gauss: np.ndarray, lorentzian: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r, dr/dx) of the half-maximum condition of :func:`_solve_width` for
+    the component FWHMs ``lor`` and ``gauss``, x being the Lorentzian one if
+    ``lorentzian`` and the Gaussian one otherwise.
+
+    With h the Lorentzian HWHM and s = 1 / (sigma sqrt 2) for the Gaussian
+    standard deviation sigma, the profile is narrower than F = ``total_fwhm``
+    where it is below half its peak at F/2:
+
+        r = Re w(z_F) - Re w(z_0) / 2 < 0,   z_F = (F/2 + i h) s,  z_0 = i h s,
+
+    and r rises with either width.  With w' = -2 z w + 2i / sqrt(pi), dr/dx
+    is Re(w'(z_F) dz_F/dx) - Re(w'(z_0) dz_0/dx) / 2, where dz/dx = i s / 2
+    for the Lorentzian and -z / x for the Gaussian.  z_F and z_0 of every
+    element go through one Faddeeva call, so its region masks and its
+    asymptotic series (for the narrowest Gaussians, where |z| >= 1e3) run
+    once for both.
+    """
+    s = GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))
+    a, y = 0.5 * total_fwhm * s, 0.5 * lor * s
+    m = y.size
+    z_x, z_y = np.concatenate([a, np.zeros(m)]), np.concatenate([y, y])  # z_F, then z_0
+    re, _, dre, dim = _faddeeva(z_x, z_y, slope=True)
+    re, re_0, dre, dim, dim_0 = re[:m], re[m:], dre[:m], dim[:m], dim[m:]
+    if lorentzian:  # Re(w' i s / 2) = -s Im w' / 2
+        slope = (0.5 * dim_0 - dim) * (0.5 * s)
+    else:  # Re(-z w' / x), Re(z w') = a Re w' - y Im w'
+        slope = (y * (dim - 0.5 * dim_0) - a * dre) / gauss
+    return re - 0.5 * re_0, slope
 
 
 @dataclass(frozen=True)
@@ -411,25 +445,29 @@ class EmitterConstraint:
 
     def decomposition(self, n_points: int = 200) -> list[tuple[float, float]]:
         """(dephasing_rate, inhomogeneous_fwhm) samples consistent with this constraint."""
+        return _as_pairs(self._splits(n_points))
+
+    def _splits(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+        """The :meth:`decomposition` as (dephasing_rate, inhomogeneous_fwhm) arrays."""
         fourier_rate = 0.5 / self.lifetime
         if self.coherence_time is not None:
-            return decompose_linewidth(self.lifetime, self.coherence_time, n_points)
+            return _linewidth_splits(self.lifetime, self.coherence_time, n_points)
         if self.total_fwhm is not None:
-            return decompose_voigt_fwhm(self.lifetime, self.total_fwhm, n_points)
+            return _voigt_splits(self.lifetime, self.total_fwhm, n_points)
         if self.lorentzian_fwhm is not None:
             rate = math.pi * self.lorentzian_fwhm - fourier_rate
             if rate < -1e-9 * fourier_rate:
                 raise InfeasibleDecompositionError(
                     "lorentzian_fwhm is below the Fourier limit"
                 )
-            return [(max(rate, 0.0), float(self.gaussian_fwhm))]
+            return np.array([max(rate, 0.0)]), np.array([float(self.gaussian_fwhm)])
         rate_max = math.pi * self.lorentzian_fwhm_max - fourier_rate
         if rate_max < -1e-9 * fourier_rate:
             raise InfeasibleDecompositionError(
                 "lorentzian_fwhm_max is below the Fourier limit"
             )
         rates = np.linspace(0.0, max(rate_max, 0.0), n_points)
-        return [(float(r), float(self.gaussian_fwhm)) for r in rates]
+        return rates, np.full(n_points, float(self.gaussian_fwhm))
 
     def curve(self, n_points: int = 200) -> tuple[np.ndarray, ...]:
         """The :meth:`decomposition` as arrays with one element per split:
@@ -437,7 +475,7 @@ class EmitterConstraint:
         theta_sd), the rate clamped at 0, each column formed by the
         floating-point operations of :class:`EmitterParams` and
         :func:`normalized_params`."""
-        rates, fwhms = np.array(self.decomposition(n_points), dtype=float).T
+        rates, fwhms = self._splits(n_points)
         rates = np.maximum(rates, 0.0)
         tau_r = self.lifetime
         # float_power calls the C library's pow, as Python's sigma**2 does

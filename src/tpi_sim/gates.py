@@ -57,11 +57,11 @@ class GateMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("gate matrix must be square")
-        defect = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+        object.__setattr__(self, "matrix", m)
+        defect = self.unitarity_defect()
         if defect > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -74,6 +74,7 @@ class GateMatrix:
         return complex(self.matrix[row - 1, col - 1])
 
     def unitarity_defect(self) -> float:
+        """Largest |element| of U U^dagger - 1, which construction holds to ``UNITARITY_TOL``."""
         m = self.matrix
         return float(np.max(np.abs(m @ m.conj().T - np.eye(self.dim))))
 

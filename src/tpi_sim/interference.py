@@ -120,31 +120,41 @@ def overlap_weight(
     The arguments broadcast against each other and the switch is made per
     element; a scalar result is returned as a float.  Every element is
     evaluated with the same floating-point operations as a scalar call, so
-    array and elementwise scalar evaluation agree bit for bit.
+    array and elementwise scalar evaluation agree bit for bit.  The
+    Faddeeva form is computed everywhere; the Lorentzian limit and the
+    selection are formed only when some element is below the threshold.
     """
     gamma, sigma, delta_nu, tau_sum = (
         np.asarray(v, dtype=float) for v in (gamma, sigma, delta_nu, tau_sum)
     )
-    # Both branches are computed everywhere: the Faddeeva one divides by zero
-    # where Sigma = 0, which the switch below never selects, and squares may
-    # overflow to inf, as Python floats do without a warning.
+    # The Faddeeva form divides by zero where Sigma = 0, which the switch
+    # below never selects, and squares may overflow to inf, as Python floats
+    # do without a warning.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # float_power calls the C library's pow, as Python's float ** 2 does;
-        # ndarray ** 2 squares, which differs in the last bit now and then.
-        limit = (
-            2.0 * gamma
-            / ((gamma * gamma + 4.0 * math.pi**2 * np.float_power(delta_nu, 2)) * tau_sum)
-        )
+        shape = np.broadcast(gamma, sigma, delta_nu, tau_sum).shape
         scale = 2.0 * math.pi * math.sqrt(2.0) * sigma
         # Re w at z = x + iy, with x and y as CPython's complex / float forms
         # them: two real divisions.
-        shape = np.broadcast(gamma, scale, delta_nu).shape
-        x = np.broadcast_to(2.0 * math.pi * delta_nu / scale, shape).ravel()
-        y = np.broadcast_to(gamma / scale, shape).ravel()
-        re_w = numerics._faddeeva(x, y)[0].reshape(shape)
-        general = re_w / (_SQRT_2PI * sigma * tau_sum)
-    out = np.where(sigma * tau_sum < SIGMA_LIFETIME_THRESHOLD, limit, general)
+        x = _flat(2.0 * math.pi * delta_nu / scale, shape)
+        y = _flat(gamma / scale, shape)
+        out = numerics._faddeeva(x, y)[0].reshape(shape)
+        out /= _SQRT_2PI * sigma * tau_sum
+        limit = sigma * tau_sum < SIGMA_LIFETIME_THRESHOLD
+        if limit.any():
+            # float_power calls the C library's pow, as Python's float ** 2
+            # does; ndarray ** 2 squares, which differs in the last bit now
+            # and then.
+            lorentzian = (
+                2.0 * gamma
+                / ((gamma * gamma + 4.0 * math.pi**2 * np.float_power(delta_nu, 2)) * tau_sum)
+            )
+            out = np.where(limit, lorentzian, out)
     return float(out) if out.ndim == 0 else out
+
+
+def _flat(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a`` broadcast to ``shape`` as a 1-D array (a view where ``a`` has that shape)."""
+    return (a if a.shape == shape else np.broadcast_to(a, shape)).ravel()
 
 
 def interference_weight(pair: PhotonPair) -> float:

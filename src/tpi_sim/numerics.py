@@ -110,23 +110,38 @@ def faddeeva_w(z: complex | np.ndarray) -> complex | np.ndarray:
 def _faddeeva(x: np.ndarray, y: np.ndarray, slope: bool = False) -> tuple[np.ndarray, ...]:
     """(Re w, Im w) of :func:`faddeeva_w` at z = x + iy, for 1-D arrays with
     y >= 0, and with ``slope`` also (Re w', Im w') of w' = -2 z w + 2i / sqrt(pi)
-    (from the series where |z| >= 1e3, where that form cancels)."""
-    ax = np.abs(x)
-    far = ~(np.maximum(ax, y) < _FAR)  # NaN counts as far
-    axis = ax == 0.0
-    rule = ~(axis | far)
-    any_far = far.any()
-    # far points join an erfcx call at y = 0 and are overwritten below
-    ys = np.where(far, 0.0, y) if any_far else y
-    if not rule.any():
-        re, im = _erfcx(ys), np.zeros(x.shape)
-    elif rule.all():
-        re, im = _trapezoid_rule(ax, y)
+    (from the series where |z| >= 1e3, where that form cancels).
+
+    Each point takes one of three regions: the imaginary axis (erfcx), the
+    switched rule, or the asymptotic series (|x| or y at least 1e3, or nan).
+    When every point is on the axis, or every point is in the rule's region,
+    that region is evaluated on the whole arrays, with no region masks;
+    otherwise each region is gathered by its mask.  Every element gets the
+    same operations either way, so its bits do not depend on the rest of
+    the call.
+    """
+    any_far = False
+    if not x.any() and (y < _FAR).all():  # x = +-0 everywhere, so |x| = 0
+        ax, re, im = np.zeros(x.shape), _erfcx(y), np.zeros(x.shape)
     else:
-        re, im = np.empty(x.shape), np.zeros(x.shape)
-        if axis.any():
-            re[axis] = _erfcx(ys[axis])
-        re[rule], im[rule] = _trapezoid_rule(ax[rule], y[rule])
+        ax = np.abs(x)
+        near = np.maximum(ax, y) < _FAR  # False for nan
+        if near.all() and ax.all():
+            re, im = _trapezoid_rule(ax, y)
+        else:
+            far = ~near
+            axis = ax == 0.0
+            rule = ~(axis | far)
+            any_far = far.any()
+            # far points join an erfcx call at y = 0 and are overwritten below
+            ys = np.where(far, 0.0, y) if any_far else y
+            if not rule.any():
+                re, im = _erfcx(ys), np.zeros(x.shape)
+            else:
+                re, im = np.empty(x.shape), np.zeros(x.shape)
+                if axis.any():
+                    re[axis] = _erfcx(ys[axis])
+                re[rule], im[rule] = _trapezoid_rule(ax[rule], y[rule])
     if any_far:
         series = _asymptotic(ax[far], y[far])
         re[far], im[far] = series[:2]
@@ -136,8 +151,10 @@ def _faddeeva(x: np.ndarray, y: np.ndarray, slope: bool = False) -> tuple[np.nda
         if any_far:
             out[2][far], out[3][far] = series[2:]
     # w(-x + iy) = conj w(x + iy), so Im w and Re w' change sign with x
-    for part in out[1 : 3 if slope else 2]:
-        np.negative(part, out=part, where=np.signbit(x))
+    negative = np.signbit(x)
+    if negative.any():
+        for part in out[1 : 3 if slope else 2]:
+            np.negative(part, out=part, where=negative)
     return tuple(out)
 
 
@@ -145,18 +162,27 @@ def _erfcx(y: np.ndarray) -> np.ndarray:
     """erfcx(y) = w(iy) for 0 <= y < 1e3: the midpoint rule in real arithmetic,
 
         (2 h y / pi) sum_k e^(-t_k^2) / (y^2 + t_k^2) + [y < pi/h] 2 e^(y^2) / (1 + e^(2 pi y / h))."""
-    sq = y * y
     out = np.empty(y.shape)
+    work = np.empty((len(_ERFCX_NODES_SQ), min(y.size, _BLOCK)))  # one buffer for every block
     for start in range(0, y.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        terms = _ERFCX_NODES_SQ + sq[block]
+        yb = y[start : start + _BLOCK]
+        terms = work[:, : len(yb)]
+        np.add(_ERFCX_NODES_SQ, yb * yb, out=terms)
         np.divide(_ERFCX_WEIGHTS, terms, out=terms)
-        out[block] = _node_sum(terms)
+        out[start : start + _BLOCK] = _node_sum(terms)
     out *= y
     out *= 2.0 * _STEP / math.pi
-    near = np.minimum(y, _POLE_Y)
-    decay = np.exp(-2.0 * _POLE_Y * near)
-    out += np.where(y < _POLE_Y, 2.0 * np.exp(near * near) * decay / (1.0 + decay), 0.0)
+    # the pole term, in place: 2 e^(n^2) E / (1 + E), n = min(y, pi/h), E = e^(-2 pi n / h)
+    pole = np.minimum(y, _POLE_Y)
+    decay = np.multiply(pole, -2.0 * _POLE_Y)
+    np.exp(decay, out=decay)
+    np.multiply(pole, pole, out=pole)
+    np.exp(pole, out=pole)
+    pole *= 2.0
+    pole *= decay
+    decay += 1.0
+    pole /= decay
+    np.add(out, pole, out=out, where=y < _POLE_Y)
     return out
 
 
@@ -221,6 +247,8 @@ def _trapezoid_rule(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if near.any():
         # 2 s e^(-z^2) E e^(i phi) / (1 + s E e^(i phi)), s = +1 midpoint and
         # -1 trapezoid, E = e^(-2 pi y / h), phi = 2 pi r; |1 + s E e^(i phi)| >= 1.
+        # Where every point is near, whole arrays stand in for the gathers.
+        near = slice(None) if near.all() else near
         xn, yn, phi = x[near], y[near], 2.0 * math.pi * offset[near]
         sign = np.where(midpoint[near], 1.0, -1.0)
         size = 2.0 * sign * np.exp((yn - 2.0 * _POLE_Y) * yn - xn * xn)
@@ -325,7 +353,7 @@ def voigt_fwhm(
         return half_peak[live] - re, -slope / dl
 
     hi = out[mixed]  # twice the half width: Voigt FWHM <= fL + fG
-    if np.any(residual(hi, np.ones(hi.shape, dtype=bool))[0] <= 0.0):
+    if np.any(residual(hi, np.arange(hi.size))[0] <= 0.0):
         raise QuadratureError("failed to bracket the Voigt half maximum")
     start = 0.5 * (0.5346 * fl + np.sqrt(0.2166 * fl * fl + fg * fg))
     out[mixed] = 2.0 * _newton(residual, start, hi, VOIGT_FWHM_RTOL)
@@ -336,37 +364,40 @@ def _newton(residual: Callable, x: np.ndarray, hi: np.ndarray, rtol: float) -> n
     """Roots on [0, hi] of residuals that rise through zero, solved in lockstep from ``x``.
 
     ``residual(x, live)`` returns (f, f') at the points ``x`` of the elements
-    where the boolean mask ``live`` is set.  Every step evaluates the live
-    elements once, moves the bracket [lo, hi] to the new point and takes the
-    Newton step if it lands inside the bracket and is at most half the step
-    before it; otherwise it bisects.  An element freezes once f == 0, its
-    Newton step is at most ``rtol`` times the point (the step is then taken)
-    or its bracket at most ``rtol * hi``.  Each element follows its own
-    iterates, so array and scalar solves agree bit for bit.
+    whose indices are the integer array ``live``.  Every step evaluates the
+    live elements once, moves the bracket [lo, hi] to the new point and takes
+    the Newton step if it lands inside the bracket and is at most half the
+    step before it; otherwise it bisects.  An element freezes once f == 0,
+    its Newton step is at most ``rtol`` times the point (the step is then
+    taken) or its bracket at most ``rtol * hi``.  The state is held for the
+    live elements only and compacted when some freeze.  Each element follows
+    its own iterates, so array and scalar solves agree bit for bit.
     """
-    x, hi = x.copy(), hi.copy()
+    out = x.copy()
+    live = np.arange(x.size)
     lo = np.zeros_like(x)
-    last = hi.copy()  # the step before: the bracket, to begin with
-    live = np.ones(x.shape, dtype=bool)
+    last = hi  # the step before: the bracket, to begin with
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live.any():
-            xl = x[live]
-            f, slope = residual(xl, live)
+        while live.size:
+            f, slope = residual(x, live)
             below = f < 0.0
-            lo_l = np.where(below, xl, lo[live])
-            hi_l = np.where(below, hi[live], xl)
-            newton = xl - f / slope
-            step = np.abs(newton - xl)
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            newton = x - f / slope
+            step = np.abs(newton - x)
             # a step this small has converged, even one that rounds onto x
-            small = step <= rtol * xl
-            take = small | (newton > lo_l) & (newton < hi_l) & (step <= 0.5 * last[live])
-            new = np.where(take, newton, 0.5 * (lo_l + hi_l))
-            step = np.abs(new - xl)
-            done = (f == 0.0) | small | (hi_l - lo_l <= rtol * hi_l)
-            x[live] = np.where(f == 0.0, xl, new)
-            lo[live], hi[live], last[live] = lo_l, hi_l, step
-            live[live] = ~done
-    return x
+            small = step <= rtol * x
+            take = small | (newton > lo) & (newton < hi) & (step <= 0.5 * last)
+            new = np.where(take, newton, 0.5 * (lo + hi))
+            last = np.abs(new - x)
+            stay = f == 0.0
+            done = stay | small | (hi - lo <= rtol * hi)
+            x = np.where(stay, x, new)
+            if done.any():
+                out[live[done]] = x[done]
+                keep = ~done
+                live, x, lo, hi, last = live[keep], x[keep], lo[keep], hi[keep], last[keep]
+    return out
 
 
 # 15-point Kronrod nodes on [-1, 1] and the matching 7-point Gauss weights.

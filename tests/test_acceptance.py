@@ -237,7 +237,10 @@ class TestVisibilityBoundGap:
         x_c = np.array(
             [coherence_time(1.0, 0.0, s) / 2.0 for s in theta_sd]
         )
-        v_no_pd = np.array([normalized_visibility(1.0, s) for s in theta_sd])
+        # one map row; each of its entries is normalized_visibility(1, s) bit for bit
+        v_no_pd = visibility_map([1.0], theta_sd)[0]
+        for k in range(0, theta_sd.size, 800):
+            assert v_no_pd[k] == normalized_visibility(1.0, float(theta_sd[k]))
         gap = v_no_pd - x_c
         idx = int(np.argmax(gap))
         ok = abs(gap[idx] - 0.048) <= 0.003 and abs(x_c[idx] - 0.40) <= 0.02

@@ -9,8 +9,11 @@ references run the safeguarded Newton iteration of ``numerics._newton``
 one element at a time, on the kernel's value and slope at single points.
 The identical-pair fidelities of ``emitter_assessment`` are the affine
 ``fidelity_at_weight`` and agree with the 30 probabilities of
-``bell_fidelity`` to rounding.  Warnings are errors: no kernel may leak a
-RuntimeWarning from branches it computes and then discards.
+``bell_fidelity`` to rounding.  The kernels that skip a branch, a mask
+pass or an eager object when no element needs it are held, bit for bit,
+to test-local copies of the forms that computed everything.  Warnings are
+errors: no kernel may leak a RuntimeWarning from branches it computes and
+then discards.
 """
 
 import math
@@ -18,10 +21,10 @@ import math
 import numpy as np
 import pytest
 
-from tpi_sim.bell import EmitterConstraint, bell_fidelity, emitter_assessment
+from tpi_sim.bell import AssessmentPoint, EmitterConstraint, bell_fidelity, emitter_assessment
 from tpi_sim.bell import fidelity_at_weight
 from tpi_sim.emitter import EmitterParams, InfeasibleDecompositionError, PhotonPair
-from tpi_sim.emitter import decompose_voigt_fwhm
+from tpi_sim.emitter import _half_max_residual, decompose_voigt_fwhm
 from tpi_sim.gates import TOMOGRAPHY_BASES, cnot_gate, compose, gate_quad, prep_gate
 from tpi_sim.gates import tomography_gate
 from tpi_sim.interference import SIGMA_LIFETIME_THRESHOLD, interference_weight, overlap_weight
@@ -325,3 +328,146 @@ class TestBellFromAffineTerms:
             assert point.fidelity == fidelity_at_weight(point.visibility)
             reference = bell_fidelity(pair).fidelity
             assert abs(point.fidelity - reference) <= 1e-15 * abs(reference)
+
+
+# --------------------------------------------------------------------------
+# Single-branch paths against forms that compute every branch
+# --------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    """Equal shape and identical IEEE bits (signed zeros and nan included)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def both_branches_weight(gamma, sigma, delta_nu, tau_sum):
+    """overlap_weight as it was with both branches formed everywhere and
+    selected by one np.where."""
+    gamma, sigma, delta_nu, tau_sum = (
+        np.asarray(v, dtype=float) for v in (gamma, sigma, delta_nu, tau_sum)
+    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        limit = (
+            2.0 * gamma
+            / ((gamma * gamma + 4.0 * math.pi**2 * np.float_power(delta_nu, 2)) * tau_sum)
+        )
+        scale = 2.0 * math.pi * math.sqrt(2.0) * sigma
+        shape = np.broadcast(gamma, scale, delta_nu).shape
+        x = np.broadcast_to(2.0 * math.pi * delta_nu / scale, shape).ravel()
+        y = np.broadcast_to(gamma / scale, shape).ravel()
+        general = _faddeeva(x, y)[0].reshape(shape) / (_SQRT_2PI * sigma * tau_sum)
+        out = np.where(sigma * tau_sum < SIGMA_LIFETIME_THRESHOLD, limit, general)
+    return float(out) if out.ndim == 0 else out
+
+
+def concatenated_residual(total_fwhm, lor, gauss, lorentzian):
+    """The Voigt half-maximum residual as ``emitter._solve_width`` formed it in
+    a closure before it moved to module level (y repeated by ``np.tile``)."""
+    x = lor if lorentzian else gauss
+    s = GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))
+    a, y = 0.5 * total_fwhm * s, 0.5 * lor * s
+    m = x.size
+    re, im, dre, dim = _faddeeva(np.concatenate([a, np.zeros(m)]), np.tile(y, 2), slope=True)
+    if lorentzian:
+        slope = (0.5 * dim[m:] - dim[:m]) * (0.5 * s)
+    else:
+        slope = (y * (dim[:m] - 0.5 * dim[m:]) - a * dre[:m]) / x
+    return re[:m] - 0.5 * re[m:], slope
+
+
+class TestSingleBranchPaths:
+    def test_weight_straddling_the_threshold(self):
+        rng = np.random.default_rng(31)
+        tau_sum = 10 ** rng.uniform(-10.0, -8.0, 400)
+        # Sigma * tau_sum from 1e-9 to 1e-3, across the Lorentzian switch at 1e-6
+        sigma = 10 ** rng.uniform(-9.0, -3.0, 400) / tau_sum
+        gamma = 10 ** rng.uniform(6.0, 11.0, 400)
+        delta_nu = rng.choice([0.0, 1.0], 400) * rng.uniform(-5e9, 5e9, 400)
+        sigma[:40] = 0.0
+        args = (gamma, sigma, delta_nu, tau_sum)
+        assert same_bits(overlap_weight(*args), both_branches_weight(*args))
+        # every element below the threshold, and every element above it
+        for part in (sigma * tau_sum < SIGMA_LIFETIME_THRESHOLD, sigma * tau_sum > 1e-5):
+            args = (gamma[part], sigma[part], delta_nu[part], tau_sum[part])
+            assert same_bits(overlap_weight(*args), both_branches_weight(*args))
+
+    def test_weight_at_nonfinite_entries(self):
+        # every combination of 0, inf, nan and a finite value, warning-free
+        special = [0.0, math.inf, math.nan, 1e9]
+        gamma, sigma, delta_nu = np.array(np.meshgrid(special, special, special)).reshape(3, -1)
+        args = (gamma, sigma, delta_nu, 1e-9)
+        assert same_bits(overlap_weight(*args), both_branches_weight(*args))
+
+    def test_weight_scalar_and_broadcast_shapes(self):
+        cases = [
+            (2e9, 3e8, 1e8, 1e-9),
+            (2e9, 1e-3, 0.0, 1e-9),  # the Lorentzian limit, as a scalar
+            (2e9, 0.0, 1e8, 1e-9),
+            (np.geomspace(1e8, 1e10, 5)[:, None], np.geomspace(1e-2, 1e9, 7), 0.0, 2e-9),
+            (2e9, np.geomspace(1e-2, 1e9, 7)[:, None], np.linspace(-1e9, 1e9, 3), 1e-9),
+            (np.full((2, 1, 1), 3e9), 3e8, np.linspace(0.0, 1e9, 4)[:, None],
+             np.array([1e-9, 2e-9])),
+            (np.array([]), 1e8, 0.0, 1e-9),
+        ]
+        for args in cases:
+            got, want = overlap_weight(*args), both_branches_weight(*args)
+            assert type(got) is type(want)
+            assert same_bits(got, want), args
+
+    def test_axis_path_against_a_mixed_call(self):
+        rng = np.random.default_rng(32)
+        y = np.concatenate([[0.0, 0.0, 1e-300, 6.2831853, 2 * math.pi, 999.9999],
+                            10 ** rng.uniform(-8.0, 2.9, 200)])
+        x = np.where(np.arange(y.size) % 3 == 0, -0.0, 0.0)
+        for slope in (False, True):
+            alone = _faddeeva(x, y, slope=slope)
+            # one point off the axis sends the call through the per-region masks
+            mixed = _faddeeva(np.append(x, 1.5), np.append(y, 0.7), slope=slope)
+            for a, b in zip(alone, mixed):
+                assert same_bits(a, b[:-1])
+            re, im = alone[:2]
+            assert re[0] == 1.0 and same_bits(im, np.where(np.signbit(x), -0.0, 0.0))
+        # far points on the axis take the series, whether alone or next to near ones
+        far_y = np.array([1e3, 5e4, 1e12, 1e300])
+        far_x = np.array([0.0, -0.0, 0.0, -0.0])
+        alone = _faddeeva(far_x, far_y, slope=True)
+        mixed = _faddeeva(np.append(far_x, x), np.append(far_y, y), slope=True)
+        for a, b in zip(alone, mixed):
+            assert same_bits(a, b[:4])
+        for k in range(4):
+            point = [float(v[k]) for v in alone]
+            assert point == list(kernel_at(far_x[k], far_y[k]))
+
+    @pytest.mark.parametrize("lorentzian", [True, False])
+    def test_voigt_residual_against_one_concatenated_call(self, lorentzian):
+        rng = np.random.default_rng(33 + lorentzian)
+        total = 2.5e8
+        fixed = total * np.geomspace(1e-4, 1.9, 300)  # the narrowest make far points
+        x = total * 10 ** rng.uniform(-4.0, np.log10(2.0), 300)
+        lor, gauss = (x, fixed) if lorentzian else (fixed, x)
+        got = _half_max_residual(total, lor, gauss, lorentzian)
+        want = concatenated_residual(total, lor, gauss, lorentzian)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        far = np.maximum(0.5 * total, 0.5 * lor) * GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))
+        assert np.any(far >= 1e3) and np.any(far < 1e3)
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            EmitterConstraint(lifetime=1.72e-9, total_fwhm=119e6),
+            EmitterConstraint(lifetime=12e-9, lorentzian_fwhm_max=20e6, gaussian_fwhm=100e6),
+            EmitterConstraint(lifetime=670e-12, coherence_time=330e-12),
+        ],
+    )
+    def test_assessment_points_equal_the_eager_tuple(self, constraint):
+        result = emitter_assessment(constraint, n_points=40)
+        rates, fwhms, gamma, var, theta_pd, theta_sd = constraint.curve(40)
+        weights = overlap_weight(gamma + gamma, np.sqrt(var + var), 0.0,
+                                 constraint.lifetime + constraint.lifetime)
+        columns = (rates, fwhms, theta_pd, theta_sd, weights, fidelity_at_weight(weights))
+        eager = tuple(AssessmentPoint(*row) for row in zip(*(c.tolist() for c in columns)))
+        assert result.points == eager and len(eager) == 40
+        assert result.points == result.points  # built again, the same
+        assert result.visibility_range == (min(weights.tolist()), max(weights.tolist()))
+        assert emitter_assessment(constraint, constraint, n_points=5).points is None

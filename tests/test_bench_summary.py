@@ -10,13 +10,15 @@ bench_summary = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_summary)
 
 
-def record(workload, seed, wall_s, rss_mb, trace=0):
+def record(workload, seed, wall_s, rss_mb, trace=0, ref_s=(), setup_ref_s=()):
     return {
         "environment": {"workload": workload, "seed": seed, "trace": trace, "python": "3.11.7"},
         "metrics": {
             "wall_s": {"value": wall_s, "unit": "s"},
             "peak_rss_mb": {"value": rss_mb, "unit": "MB"},
         },
+        "ref_s": [list(refs) for refs in ref_s],
+        "setup_ref_s": list(setup_ref_s),
         "attempted": 10,
         "failed": 0,
     }
@@ -40,3 +42,17 @@ def test_two_records(tmp_path):
     assert [env["seed"] for env in maps["environments"]] == [1, 2]
     with pytest.raises(ValueError, match="traced"):  # per-layer metrics only
         bench_summary.summarise([record("maps", 3, 0.4, 60.0, trace=1)])
+
+
+def test_reference_task_medians():
+    # per pass, the reference timings around its calls; one timing per set-up probe
+    fast = record("oracle", 1, 0.3, 60.0, ref_s=[[0.002, 0.003], [0.004]], setup_ref_s=[0.003])
+    slow = record("oracle", 2, 0.3, 60.0, ref_s=[[0.005, 0.006, 0.007]], setup_ref_s=[0.001, 0.002])
+    assess = record("assess", 1, 0.05, 63.0)  # a record without reference timings
+    summary = bench_summary.summarise([fast, slow, assess])
+    assert summary["oracle"]["reference_s"] == {
+        "run": pytest.approx(0.0045),  # median of 0.002 .. 0.007
+        "setup": pytest.approx(0.002),
+    }
+    assert summary["oracle"]["metrics"]["wall_s"]["median"] == 0.3
+    assert summary["assess"]["reference_s"] == {"run": None, "setup": None}

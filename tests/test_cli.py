@@ -727,6 +727,25 @@ class TestConfigBoundary:
         err = self.run_error(tmp_path, capsys, "decompose", {"n_points": 3})
         assert err.rstrip().endswith("missing required field 'constraint'"), err
 
+    def test_decompose_needs_two_points(self, tmp_path, capsys):
+        # a coherence-time sweep needs both endpoints; the error names the field
+        payload = {"constraint": {"lifetime_ps": 670, "coherence_time_ps": 330}, "n_points": 1}
+        err = self.run_error(tmp_path, capsys, "decompose", payload)
+        assert err.startswith("error: config field 'n_points' must be an integer >= 2, not 1"), err
+
+    def test_assess_needs_two_points(self, tmp_path, capsys):
+        # one point of a bounded Lorentzian is its Fourier-limited split alone,
+        # which would report v_min == v_max
+        source = {"name": "bounded", "lifetime_ps": 12000, "lorentzian_fwhm_max_mhz": 20,
+                  "gaussian_fwhm_mhz": 100}
+        err = self.run_error(tmp_path, capsys, "assess", {"sources": [source], "n_points": 1})
+        assert err.startswith("error: config field 'n_points' must be an integer >= 2, not 1"), err
+        cfg = write_config(tmp_path, {"sources": [source], "n_points": 2})
+        out = tmp_path / "two.csv"
+        assert main(["assess", "--config", cfg, "--out", str(out)]) == 0
+        (row,) = read_csv(out)[1]
+        assert float(row[1]) < float(row[2])  # v_min < v_max
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["vmap", "fmap"])
     def test_map_window_corners_are_finite(self, tmp_path, command, fmt):
@@ -873,3 +892,43 @@ def test_only_verify_imports_the_oracle(tmp_path):
     assert "tpi_sim.oracle" not in modules and "concurrent.futures" not in modules
     modules = modules_after_tiny_runs(tmp_path, [*others, "verify"])
     assert "tpi_sim.oracle" in modules and "concurrent.futures" in modules
+
+
+def test_repeated_runs_in_one_process_match_fresh_processes(tmp_path, capsysbinary, monkeypatch):
+    """main parses with one parser per process; calls that change --format,
+    --seed and --out between them give the bytes of fresh interpreters."""
+    for command in ("assess", "verify"):
+        (tmp_path / f"{command}.json").write_text(json.dumps(TINY_CONFIGS[command]))
+    runs = [
+        ("assess", ["--out", "a.csv"]),
+        ("assess", ["--format", "json", "--seed", "7", "--out", "b.json"]),
+        ("verify", ["--seed", "3"]),  # to stdout
+        ("assess", ["--format", "json"]),  # the defaults again: no seed, stdout
+        ("verify", ["--format", "json", "--out", "c.json"]),
+    ]
+    src = str(Path(tpi_sim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    monkeypatch.chdir(tmp_path)
+
+    def table(out) -> bytes:
+        """The bytes of the --out file (none without one), which is then removed."""
+        if out is None:
+            return b""
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    for command, options in runs:
+        argv = [command, "--config", f"{command}.json", *options]
+        out = tmp_path / options[-1] if "--out" in options else None
+        # verify's status and its check lines on stderr are compared too
+        status = main(argv)
+        captured = capsysbinary.readouterr()
+        in_process = (status, captured.out, captured.err, table(out))
+        done = subprocess.run([sys.executable, "-m", "tpi_sim.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True)
+        fresh = (done.returncode, done.stdout, done.stderr, table(out))
+        assert in_process == fresh, argv
+        assert (fresh[3] if out else fresh[1]).startswith(
+            b'{"columns"' if "json" in options else b"# command = ")

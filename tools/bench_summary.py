@@ -8,9 +8,15 @@ Each input is a record that ``perfbench/run.py --trace 0`` writes.  The
 summary has, for each workload and each end-to-end metric of its records,
 the median, the quartiles q1 and q3 (linear interpolation between order
 statistics) and the number of records n, plus the ``environment`` of every
-record, ordered by seed.  Without ``--out`` the summary goes to stdout.
-Traced records (``--trace 1``) carry per-layer metrics instead and are
-refused.
+record, ordered by seed.  Next to the metrics, ``reference_s`` gives the
+median time of perfbench's speed reference task over all the records'
+timings of it: ``run`` from ``ref_s`` (around the timed calls) and
+``setup`` from ``setup_ref_s`` (around the set-up probes).  The metrics are
+already corrected by these timings; their medians show how fast the
+machine was while the set was run, so sets recorded at different times
+can be told apart by machine speed.  Without ``--out`` the
+summary goes to stdout.  Traced records (``--trace 1``) carry per-layer
+metrics instead and are refused.
 """
 
 from __future__ import annotations
@@ -52,8 +58,14 @@ def summarise(records: list[dict]) -> dict:
                 "q3": quantile(values, 0.75),
                 "n": len(values),
             }
+        run_refs = [t for r in group for refs in r.get("ref_s", []) for t in refs]
+        setup_refs = [t for r in group for t in r.get("setup_ref_s", [])]
         summary[workload] = {
             "metrics": metrics,
+            "reference_s": {
+                "run": quantile(run_refs, 0.5) if run_refs else None,
+                "setup": quantile(setup_refs, 0.5) if setup_refs else None,
+            },
             "environments": [r["environment"] for r in group],
         }
     return summary
