@@ -496,14 +496,3 @@ def normalized_params(emitter: EmitterParams) -> NormalizedParams:
     theta_sd = emitter.inhomogeneous_fwhm * tau_r
     x_c = emitter.coherence_time / (2.0 * tau_r)
     return NormalizedParams(theta_pd=theta_pd, theta_sd=theta_sd, x_c=x_c)
-
-
-def emitter_from_normalized(theta_pd: float, theta_sd: float, lifetime: float = 1.0) -> EmitterParams:
-    """Concrete emitter realizing (theta_pd, theta_sd) at the given lifetime."""
-    if theta_pd < 1.0 - 1e-12:
-        raise ValueError("theta_pd < 1 is unphysical")
-    return EmitterParams(
-        lifetime=lifetime,
-        dephasing_rate=max(theta_pd - 1.0, 0.0) / (2.0 * lifetime),
-        inhomogeneous_fwhm=theta_sd / lifetime,
-    )

@@ -67,12 +67,6 @@ class GateMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def element(self, row: int, col: int) -> complex:
-        """Matrix element by one-based output/input mode labels."""
-        self._check_mode(row)
-        self._check_mode(col)
-        return complex(self.matrix[row - 1, col - 1])
-
     def unitarity_defect(self) -> float:
         """Largest |element| of U U^dagger - 1, which construction holds to ``UNITARITY_TOL``."""
         m = self.matrix

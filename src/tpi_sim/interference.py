@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numerics
-from .emitter import PhotonPair, emitter_from_normalized
+from .emitter import PhotonPair
 from .gates import GateMatrix, GateQuad, gate_quad
 
 __all__ = [
@@ -436,8 +436,3 @@ def visibility_map(
     # map value, and the Lorentzian switch fires exactly where
     # theta_sd < sqrt(ln2) * SIGMA_LIFETIME_THRESHOLD.
     return overlap_weight(pd[:, None], sd[None, :] / (2.0 * math.sqrt(_LN2)), 0.0, 2.0)
-
-
-def pair_from_normalized(theta_pd: float, theta_sd: float, lifetime: float = 1.0) -> PhotonPair:
-    """Identical resonant pair realizing the given normalized linewidths."""
-    return PhotonPair.identical(emitter_from_normalized(theta_pd, theta_sd, lifetime))

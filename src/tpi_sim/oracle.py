@@ -3,9 +3,9 @@
 Two independent routes re-derive what the analytic module computes:
 
 * Monte-Carlo sampling of the microscopic jitter model (Gaussian frequency
-  draws per photon, Wiener phase noise with increment variance
-  2 * dephasing_rate * dt) feeding the pre-average joint detection
-  probability, and
+  jitter per photon, Wiener phase noise with increment variance
+  2 * dephasing_rate * dt, drawn as the relative frequency and phase of
+  the pair) feeding the pre-average joint detection probability, and
 * direct adaptive quadrature of the correlation trace over the time lag.
 
 Determinism: every sampler takes a 64-bit integer seed; streams for
@@ -21,18 +21,20 @@ thread pool, one thread per CPU in the process's affinity set, while the
 calling thread does the quadrature checks; the outputs are identical
 whatever the number of threads.
 
-Draw order of the jitter model: each chunk of ``_REALIZATION_CHUNK``
-realizations has its own child stream and consumes it as one
-standard-normal array of shape (n, 2T + 2) would, for a time grid of T
-points.  Row r is realization r of the chunk, laid out as the frequency of
-photon i, the T phase increments of photon i, the frequency of photon j
-and the T phase increments of photon j; each value is loc + scale * z, so
-a zero scale still consumes its normal.  This is the order in which
-successive single-realization draws (:func:`draw_jitter`) consume the
-stream, so drawing the rows in smaller blocks changes nothing.  The
-Monte-Carlo density depends on the phases only through phi_i - phi_j, so
-:func:`mc_g2_estimate` sums one difference path per realization from the
-same normals rather than both photons' paths.
+Draw order of :func:`mc_g2_estimate`: the coincidence density depends on
+the jitter only through the relative frequency f_i - f_j and the relative
+phase phi_i - phi_j, so each realization draws those alone.  Each chunk of
+``_REALIZATION_CHUNK`` realizations has its own child stream and consumes
+it as one standard-normal array of shape (n, T + 1) would, for a time grid
+of T distinct points.  Row r is realization r of the chunk: column 0 gives
+f_i - f_j = (d_i - d_j) + sqrt(sigma_i^2 + sigma_j^2) z, and columns 1..T
+the increments of phi_i - phi_j, each sqrt(2 (gamma_i + gamma_j) dt) z.
+Every value is loc + scale * z, so a zero scale still consumes its normal,
+and drawing the rows in smaller blocks changes nothing.
+
+:func:`draw_jitter` keeps the per-photon model: one realization consumes
+2T + 2 normals, the frequency and T phase increments of photon i, then
+those of photon j.
 """
 
 from __future__ import annotations
@@ -80,27 +82,29 @@ _REALIZATION_CHUNK = 256
 """Realizations of :func:`mc_g2_estimate` per spawned child stream.
 
 Part of the seed contract: the chunk boundaries decide which child stream
-each realization draws from, so changing this constant changes every
-estimate for every seed.
+each realization draws its T + 1 normals from, so changing this constant
+changes every estimate for every seed.
 """
 
 _PANELS = 12
 """Gauss-Legendre panels (16 nodes each) over t0 in :func:`mc_g2_estimate`.
 
 Part of the seed contract: the panels fix the quadrature nodes, hence the
-times at which every Wiener path is sampled and the number of normals each
-realization draws, so changing this constant changes every estimate for
-every seed.
+T distinct times at which every difference path is sampled and the T + 1
+normals each realization draws, so changing this constant changes every
+estimate for every seed.
 """
 
-_BLOCK_ROWS = 32
+_BLOCK_ROWS = 64
 """Realizations drawn and evaluated together inside one chunk.
 
 Not part of the seed contract: a chunk's stream is consumed row after row
-and each row is summed over the nodes in one fixed order, so any block
-size gives the same estimates bit for bit.  It only bounds the working
-memory, to about 0.6 MB per block (and per thread) on the default
-quadrature grid.
+(T + 1 normals each) and each row is summed over the nodes in one fixed
+order, so any block size gives the same estimates bit for bit.  It bounds
+the working memory: a block's largest array, its normals, takes about
+0.2 MB (per thread) on the default quadrature grid, and the per-node arrays
+about half that.  It also sets the numpy calls per realization: a full
+chunk is four blocks.
 """
 
 
@@ -158,10 +162,6 @@ class JitterSample:
     phase_i: np.ndarray
     phase_j: np.ndarray
 
-    @property
-    def delta_nu_sample(self) -> float:
-        return self.frequency_i - self.frequency_j
-
 
 def _jitter_scales(
     pair: PhotonPair, times: np.ndarray
@@ -184,7 +184,7 @@ def _draw_jitter_block(
     """Sample ``n`` jitter realizations with a pair's :func:`_jitter_scales`.
 
     Returns the frequencies, shape (n, 2), and the phase paths, shape
-    (n, 2, T), photon i first; the draw order is the one in the module doc.
+    (n, 2, T), photon i first; the per-photon draw order is in the module doc.
     """
     detuning, sigma, increment = scales
     z = rng.standard_normal((n, 2, increment.shape[1] + 1))
@@ -385,25 +385,26 @@ def mc_g2_estimate(
 ) -> MonteCarloEstimate:
     """Monte-Carlo cross-correlation at one lag from the microscopic model.
 
-    Each realization draws a jitter sample (frequencies and Wiener phase
-    paths) and integrates the joint detection probability
+    Each realization integrates the joint detection probability
     |ca A + cb B|^2 over t0 on a fixed composite Gauss-Legendre rule
     (``_PANELS`` panels), with
     ca = U_li U_kj, cb = U_lj U_ki, A = zeta_i(t0+tau) zeta_j(t0) and
-    B = zeta_j(t0+tau) zeta_i(t0).  The Wiener paths are sampled exactly
-    at every evaluation time (quadrature nodes and their tau-shifted
-    copies), so the estimate is unbiased with respect to the phase model.
-
-    With the envelopes Ea = |A| and Eb = |B| the density is, in real
-    arithmetic,
+    B = zeta_j(t0+tau) zeta_i(t0).  With the envelopes Ea = |A| and
+    Eb = |B| the density is, in real arithmetic,
 
         |ca|^2 Ea^2 + |cb|^2 Eb^2 + 2 |ca cb*| Ea Eb cos(D - arg(ca cb*)),
-        D = 2 pi (f_i - f_j) tau + [phi_i(t0+tau) - phi_i(t0)]
-                                 - [phi_j(t0+tau) - phi_j(t0)],
+        D = 2 pi (f_i - f_j) tau + [dphi(t0+tau) - dphi(t0)],
 
-    evaluated for a block of realizations at once and summed over the nodes
-    in node order.  The chunks of realizations run on :func:`_map_chunks`;
-    only the difference phi_i - phi_j of each realization's paths is summed.
+    with dphi = phi_i - phi_j.  It depends on the jitter only through the
+    relative frequency f_i - f_j, Gaussian around d_i - d_j with variance
+    sigma_i^2 + sigma_j^2, and the relative phase dphi, a Wiener path with
+    increment variance 2 (gamma_i + gamma_j) dt.  Each realization draws
+    those two alone (T + 1 normals; the draw order is in the module doc).
+    The path is sampled exactly at every evaluation time (quadrature nodes
+    and their tau-shifted copies), so the estimate is unbiased with respect
+    to the phase model.  The density is evaluated for a block of
+    realizations at once and summed over the nodes in node order; the
+    chunks of realizations run on :func:`_map_chunks`.
     """
     jobs, finish = _g2_chunks(gate, i, j, k, l, pair, tau, realizations, seed)
     _map_chunks(lambda c: jobs[c](), len(jobs))
@@ -454,8 +455,11 @@ def _g2_chunks(
     beat = weights * (2.0 * abs(cross) * env_a * env_b)
     beat_phase = float(np.angle(cross))
     two_pi_tau = 2.0 * math.pi * tau
-    detuning, sigma, increment = _jitter_scales(pair, times)
-    scale_i, scale_j = increment
+    # f_i - f_j is Gaussian with the summed variances, and phi_i - phi_j is
+    # a Wiener path with the summed dephasing rates
+    delta_nu, sigma_nu = pair.delta_nu, pair.sigma_total
+    rate = pair.emitter_i.dephasing_rate + pair.emitter_j.dephasing_rate
+    increment = np.sqrt(2.0 * rate * np.diff(times, prepend=times[0]))
 
     values = np.empty(realizations)
     n_chunks = (realizations + _REALIZATION_CHUNK - 1) // _REALIZATION_CHUNK
@@ -466,17 +470,21 @@ def _g2_chunks(
         chunk_end = min((c + 1) * _REALIZATION_CHUNK, realizations)
         for start in range(c * _REALIZATION_CHUNK, chunk_end, _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, chunk_end - start)
-            # the normals of _draw_jitter_block; D needs only phi_i - phi_j,
-            # so the two photons' increments are summed as one path
-            z = rng.standard_normal((n, 2, len(times) + 1))
-            frequency = detuning + sigma * z[:, :, 0]
-            path = z[:, 0, 1:] * scale_i
-            path -= z[:, 1, 1:] * scale_j
+            z = rng.standard_normal((n, len(times) + 1))
+            frequency = delta_nu + sigma_nu * z[:, 0]
+            # scaled and summed in place: the difference path is a view of z
+            path = z[:, 1:]
+            path *= increment
             np.cumsum(path, axis=1, out=path)
-            # take, unlike a fancy index, lets the other chunk threads run
-            step = path.take(at_late, axis=1) - path.take(at_early, axis=1)
-            delta = two_pi_tau * (frequency[:, 0] - frequency[:, 1])[:, None] + step
-            density = direct + beat * np.cos(delta - beat_phase)
+            # take, unlike a fancy index, lets the other chunk threads run;
+            # D and then the density are formed in place in one array
+            delta = path.take(at_late, axis=1)
+            delta -= path.take(at_early, axis=1)
+            delta += two_pi_tau * frequency[:, None]
+            delta -= beat_phase
+            density = np.cos(delta, out=delta)
+            density *= beat
+            density += direct
             # a running sum adds the nodes in node order for any block size
             # and memory layout; np.sum adds a contiguous row pairwise
             values[start : start + n] = np.cumsum(density, axis=1)[:, -1]

@@ -18,7 +18,9 @@ from tpi_sim.gates import (
     prep_gate,
     tomography_gate,
 )
-from tpi_sim.interference import interference_weight, pair_from_normalized
+from tpi_sim.interference import interference_weight
+
+from helpers import pair_from_normalized
 
 IDEAL = PhotonPair.identical(EmitterParams(1e-9))
 

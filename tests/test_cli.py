@@ -830,36 +830,54 @@ TINY_CONFIGS = {
 }
 
 
+def expected_status(command, passed):
+    """The exit status a run must end with: 0, except for a verify run with a
+    false cell in the ``passed`` column of its table, which ends with 1.  The
+    tiny verify config runs the 3-sigma gates on 2 realizations, so whether
+    they pass is chance."""
+    return int(command == "verify" and not all(passed))
+
+
 @pytest.mark.parametrize("command", sorted(TINY_CONFIGS))
 def test_subcommand_returns_the_table_main_writes(tmp_path, capsys, command):
     """A subcommand maps (config object, seed) to (canonical config, column
-    names, row blocks, exit status) and writes nothing; main writes the table."""
+    names, row blocks, exit status) and writes nothing; main writes the table
+    and returns the status."""
     params = dict(TINY_CONFIGS[command])
     seed = params.pop("seed", 0)
     canonical, names, blocks, status = cli._COMMANDS[command](params, seed)
-    assert status == 0 and capsys.readouterr().out == ""
+    blocks = list(blocks)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    passed = [p for block in blocks for p in block[-1]] if command == "verify" else []
+    assert status == expected_status(command, passed)
+    assert ("[FAIL]" in captured.err) == (status == 1)
     cfg = write_config(tmp_path, TINY_CONFIGS[command])
     out = tmp_path / "out.json"
-    assert main([command, "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert main([command, "--config", cfg, "--out", str(out), "--format", "json"]) == status
     text = out.read_text()
     assert f'"config":{dumps(canonical)},' in text
     data = json.loads(text)
     assert data["config"] == canonical and data["columns"] == names
     assert len(data["rows"]) == sum(len(block[-1]) for block in blocks)
+    if command == "verify":
+        assert [row[names.index("passed")] for row in data["rows"]] == passed
 
 
 def modules_after_tiny_runs(tmp_path, commands=tuple(sorted(TINY_CONFIGS))):
     """The modules a fresh interpreter holds after one tiny config of each
-    of ``commands`` (every subcommand by default)."""
+    of ``commands`` (every subcommand by default); each run must end with
+    the status :func:`expected_status` reads from its table."""
     for command, payload in TINY_CONFIGS.items():
         (tmp_path / f"{command}.json").write_text(json.dumps(payload))
     code = (
         "import json, sys\n"
         "from tpi_sim import cli\n"
+        "statuses = {}\n"
         f"for command in {list(commands)!r}:\n"
         "    argv = [command, '--config', command + '.json', '--out', command + '.csv']\n"
-        "    assert cli.main(argv) == 0, command\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
+        "    statuses[command] = cli.main(argv)\n"
+        "print(json.dumps([sorted(sys.modules), statuses]))\n"
     )
     src = str(Path(tpi_sim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -871,7 +889,12 @@ def modules_after_tiny_runs(tmp_path, commands=tuple(sorted(TINY_CONFIGS))):
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    modules, statuses = json.loads(done.stdout.strip().splitlines()[-1])
+    for command in commands:
+        header, rows, _ = read_csv(tmp_path / f"{command}.csv")
+        passed = [row[-1] == "True" for row in rows] if header[-1] == "passed" else []
+        assert statuses[command] == expected_status(command, passed), command
+    return modules
 
 
 def test_runtime_imports_no_scipy(tmp_path):

@@ -62,6 +62,14 @@ both photons' paths.  Only the rounding of the path sums changed: the one
 moved cell is the worst z of the correlation-trace row, 1.736018465823721
 -> 1.7360184658237081 (7.4e-15 relative).  No other hash moved.
 
+The two ``verify`` hashes were re-pinned again when each Monte-Carlo
+realization began to draw the relative jitter alone: T + 1 normals for
+f_i - f_j and the increments of phi_i - phi_j, with the photons'
+variances summed, instead of 2T + 2 normals for both photons.  That is a
+new random stream, so the worst z of the correlation-trace row moved from
+1.7360184658237081 to 1.4215613166635597; it is the one moved cell, and
+no other hash moved.
+
 ``test_stdout_bytes_equal_the_file_bytes`` holds the writer to these pins
 on its other routes: a subprocess's stdout, which gets the bytes on its
 binary buffer, and a text-only ``io.StringIO`` under ``redirect_stdout``.
@@ -129,8 +137,8 @@ VERIFY_CONFIG = {
 }
 
 VERIFY_GOLDEN = {
-    "csv": "ffe420d7731967b29d6453381d2c067bf98975131aa57d19331bfaecd6edd69a",
-    "json": "ed35ada7ca6f887e9bb0ca5ba1d8ca274a4f2356d2ebd6c1279d9c87ecbbb521",
+    "csv": "0e9edd99362b0513fe3b881a6cbce6366fabd426a65a6e8fcf367352d8f84bf1",
+    "json": "89d2e8c0ffdabb8c60c7c8e0f28420845e0cfca0fbb8cc75738c03aae535082f",
 }
 
 

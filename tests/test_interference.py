@@ -16,12 +16,13 @@ from tpi_sim.interference import (
     interference_weight,
     joint_detection_probability,
     normalized_visibility,
-    pair_from_normalized,
     tuning_curve,
     visibility_map,
     visibility_pd_only,
 )
 from tpi_sim.oracle import exponential_wave, quadrature_p_coinc
+
+from helpers import pair_from_normalized
 
 HOM = beam_splitter(0.5)
 
