@@ -557,8 +557,7 @@ def cmd_decompose(cfg: dict, seed: int) -> Table:
     n_points = _integer(cfg, "n_points", 2, default=200)
     rates, fwhms, _, _, theta_pd, theta_sd = constraint.curve(n_points)
     tau_r = constraint.lifetime
-    splits = zip(rates.tolist(), fwhms.tolist())
-    tau_c = np.array([coherence_time(tau_r, rate, fwhm) for rate, fwhm in splits])
+    tau_c = coherence_time(tau_r, rates, fwhms)
     names = ["dephasing_rate_mhz", "inhomogeneous_fwhm_mhz", "theta_pd", "theta_sd", "x_c"]
     # x_c as normalized_params forms it
     columns = (rates / MHZ, fwhms / MHZ, theta_pd, theta_sd, tau_c / (2.0 * tau_r))

@@ -22,7 +22,8 @@ error-prone part of the whole model):
 What is known of a partly characterized emitter (a coherence time, a Voigt
 linewidth, or a bounded Lorentzian) is an :class:`EmitterConstraint`; its
 split curve of (dephasing_rate, inhomogeneous_fwhm) pairs, and the array
-view of that curve, are formed here only.
+view of that curve, are formed here only.  A Voigt linewidth is split by
+``numerics._voigt_width``, the solver behind ``voigt_fwhm`` too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import GAUSS_FWHM_PER_SIGMA, VOIGT_FWHM_RTOL, _faddeeva, _newton
+from .numerics import GAUSS_FWHM_PER_SIGMA, _voigt_width
 
 __all__ = [
     "EmitterConstraint",
@@ -181,7 +182,11 @@ class NormalizedParams:
             raise ValueError("x_c must lie in (0, 1]")
 
 
-def coherence_time(lifetime: float, dephasing_rate: float, inhomogeneous_fwhm: float) -> float:
+def coherence_time(
+    lifetime: float | np.ndarray,
+    dephasing_rate: float | np.ndarray,
+    inhomogeneous_fwhm: float | np.ndarray,
+) -> float | np.ndarray:
     """Coherence time of a single emitter under both broadening mechanisms.
 
     For a homogeneous rate gamma_h = 1/(2 tau_r) + dephasing_rate and a
@@ -195,22 +200,32 @@ def coherence_time(lifetime: float, dephasing_rate: float, inhomogeneous_fwhm: f
     s' -> 0 (and is taken exactly for s' == 0).  Where s'^2, a^2 or c leaves
     the float range, numerator and denominator are multiplied by s'^2:
     (4 ln2 / pi^2) / (k + hypot(k, 2 sqrt(ln2) s' / pi)), k = a s'^2.
+
+    The arguments broadcast; a scalar result is a float.  Each element takes
+    the operations of a scalar evaluation (the fallback ``math.hypot`` per
+    element, as ``np.hypot`` differs from it in the last bit for some).
     """
-    if inhomogeneous_fwhm < 0.0:
-        raise ValueError("inhomogeneous_fwhm must be >= 0")
-    gamma_h = 0.5 / lifetime + dephasing_rate
-    if inhomogeneous_fwhm == 0.0:
-        if gamma_h <= 0.0:
-            raise ValueError("gamma_h and inhomogeneous_fwhm cannot both vanish")
-        return 1.0 / gamma_h
-    sp2 = inhomogeneous_fwhm * inhomogeneous_fwhm
-    if 0.0 < sp2 < math.inf:
+    tau_r, fwhm = np.asarray(lifetime, dtype=float), np.asarray(inhomogeneous_fwhm, dtype=float)
+    lorentzian = fwhm == 0.0
+    # both forms are computed everywhere; what leaves the float range is not selected
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gamma_h = 0.5 / tau_r + dephasing_rate
+        sp2 = fwhm * fwhm
         a = 2.0 * _LN2 / math.pi**2 * gamma_h / sp2
         c = 4.0 * _LN2 / (math.pi**2 * sp2)
-        if 0.0 < a * a < math.inf and 0.0 < c < math.inf:
-            return c / (a + math.sqrt(a * a + c))
-    k, root_c = 2.0 * _LN2 / math.pi**2 * gamma_h, 2.0 * math.sqrt(_LN2) / math.pi
-    return 4.0 * _LN2 / math.pi**2 / (k + math.hypot(k, root_c * inhomogeneous_fwhm))
+        asq = a * a
+        out = np.where(lorentzian, 1.0 / gamma_h, c / (a + np.sqrt(asq + c)))
+    # one reduction for all three checks, which cost as much as the formula
+    if np.any((tau_r <= 0.0) | (fwhm < 0.0) | lorentzian & (gamma_h <= 0.0)):
+        raise ValueError("need lifetime > 0, inhomogeneous_fwhm >= 0, gamma_h > 0 where fwhm = 0")
+    # a^2 and c lie in (0, inf) only where s'^2 does too
+    fallback = ~(lorentzian | (0.0 < asq) & (asq < math.inf) & (0.0 < c) & (c < math.inf))
+    if fallback.any():
+        k = 2.0 * _LN2 / math.pi**2 * np.broadcast_to(gamma_h, out.shape)[fallback]
+        width = 2.0 * math.sqrt(_LN2) / math.pi * np.broadcast_to(fwhm, out.shape)[fallback]
+        norm = np.array([math.hypot(*pair) for pair in zip(k.tolist(), width.tolist())])
+        out[fallback] = 4.0 * _LN2 / math.pi**2 / (k + norm)
+    return float(out) if out.ndim == 0 else out
 
 
 def decompose_linewidth(
@@ -228,17 +243,13 @@ def decompose_linewidth(
     InfeasibleDecompositionError
         If ``tau_c`` exceeds the Fourier limit 2 * lifetime.
     """
-    return _as_pairs(_linewidth_splits(lifetime, tau_c, n_points))
+    return EmitterConstraint(lifetime, coherence_time=tau_c).decomposition(n_points)
 
 
 def _linewidth_splits(
     lifetime: float, tau_c: float, n_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`decompose_linewidth` as (dephasing_rate, inhomogeneous_fwhm) arrays."""
-    if lifetime <= 0.0 or tau_c <= 0.0:
-        raise ValueError("lifetime and tau_c must be positive")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
     if tau_c > 2.0 * lifetime * (1.0 + 1e-12):
         raise InfeasibleDecompositionError(
             f"coherence time {tau_c} exceeds the Fourier limit {2 * lifetime}"
@@ -264,14 +275,15 @@ def decompose_voigt_fwhm(
     """All (dephasing_rate, inhomogeneous_fwhm) pairs matching a Voigt linewidth.
 
     The Lorentzian component is gamma_h / pi.  Each unknown width is solved
-    by a safeguarded Newton iteration on the half-maximum condition of the
-    Voigt profile at the target (see :func:`_solve_width`): the Lorentzian
-    width of every interior split at its fixed Gaussian width, and the
-    largest Gaussian width at the Fourier-limited Lorentzian.  Both stop at
-    a Newton step of ``VOIGT_FWHM_RTOL`` (1e-13) relative, so every pair
-    reproduces ``total_fwhm`` to about 1e-15 relative (at most 5.9e-16 off
-    a 40-digit mpmath evaluation on sampled splits of the shipped Voigt
-    sources).
+    by :func:`tpi_sim.numerics._voigt_width`, the safeguarded Newton
+    iteration on the half-maximum condition of the Voigt profile that
+    ``voigt_fwhm`` also solves: the Lorentzian width of every interior split
+    at its fixed Gaussian width, and the largest Gaussian width at the
+    Fourier-limited Lorentzian.  Both stop at a Newton step of
+    ``VOIGT_FWHM_RTOL`` (1e-13) relative, so every pair reproduces
+    ``total_fwhm`` to about 1e-15 relative (at most 6.1e-16 off a 40-digit
+    mpmath evaluation on the 200 splits of ``decompose_linewidth.json``,
+    which ``tests/test_accuracy.py`` holds).
     Endpoints (all-Lorentzian and Fourier-limited Lorentzian plus maximal
     Gaussian) are exact; interior points are geometric in the Gaussian FWHM.
 
@@ -281,17 +293,13 @@ def decompose_voigt_fwhm(
         If ``total_fwhm`` is below the Fourier-limited Lorentzian width
         1 / (2 pi * lifetime).
     """
-    return _as_pairs(_voigt_splits(lifetime, total_fwhm, n_points))
+    return EmitterConstraint(lifetime, total_fwhm=total_fwhm).decomposition(n_points)
 
 
 def _voigt_splits(
     lifetime: float, total_fwhm: float, n_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`decompose_voigt_fwhm` as (dephasing_rate, inhomogeneous_fwhm) arrays."""
-    if lifetime <= 0.0 or total_fwhm <= 0.0:
-        raise ValueError("lifetime and total_fwhm must be positive")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
     fourier_fwhm = 1.0 / (2.0 * math.pi * lifetime)
     if total_fwhm < fourier_fwhm * (1.0 - 1e-12):
         raise InfeasibleDecompositionError(
@@ -301,10 +309,10 @@ def _voigt_splits(
         return np.zeros(1), np.zeros(1)
 
     rate_max = math.pi * total_fwhm - 0.5 / lifetime
-    (gauss_max,) = _solve_width(total_fwhm, np.array([fourier_fwhm]), "gaussian").tolist()
+    (gauss_max,) = _voigt_width(total_fwhm, fourier_fwhm, None, "gaussian").tolist()
 
     def rates_at(fwhms: np.ndarray) -> np.ndarray:
-        lor = _solve_width(total_fwhm, fwhms, "lorentzian")
+        lor = _voigt_width(total_fwhm, None, fwhms, "lorentzian")
         return np.maximum(math.pi * lor - 0.5 / lifetime, 0.0)
 
     return _split_curve(rate_max, gauss_max, n_points, rates_at)
@@ -320,78 +328,6 @@ def _split_curve(
     fwhms = np.geomspace(fwhm_max * 1e-3, fwhm_max, n_points - 1)[:-1]
     rates = np.concatenate(([rate_max], rates_at(fwhms), [0.0]))
     return rates, np.concatenate(([0.0], fwhms, [fwhm_max]))
-
-
-def _as_pairs(splits: tuple[np.ndarray, np.ndarray]) -> list[tuple[float, float]]:
-    """Split arrays as a list of (dephasing_rate, inhomogeneous_fwhm) float pairs."""
-    return list(zip(*(column.tolist() for column in splits)))
-
-
-def _solve_width(total_fwhm: float, fixed: np.ndarray, unknown: str) -> np.ndarray:
-    """The ``unknown`` ("lorentzian" or "gaussian") component FWHM x on
-    [0, 2 F] at which the Voigt profile with the other component FWHM
-    ``fixed`` reaches the FWHM F = ``total_fwhm``, one solve per element of
-    ``fixed``, in lockstep (:func:`tpi_sim.numerics._newton`) on the
-    residual :func:`_half_max_residual`.  The Olivero-Longbothum
-    approximation F = 0.5346 L + sqrt(0.2166 L^2 + G^2), inverted, starts
-    the solve.  No component is wider than the profile; the factor 2 of
-    the bracket keeps its check clear of rounding where a root lies just
-    below F.
-    """
-    lorentzian = unknown == "lorentzian"
-    n = fixed.size
-
-    def residual(x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        other = fixed[live]
-        lor, gauss = (x, other) if lorentzian else (other, x)
-        return _half_max_residual(total_fwhm, lor, gauss, lorentzian)
-
-    hi = np.full(n, 2.0 * total_fwhm)
-    if np.any(residual(hi, np.arange(n))[0] < 0.0):
-        raise InfeasibleDecompositionError("target not bracketed")
-    f = total_fwhm
-    if lorentzian:  # 0.0692 L^2 - 1.0692 F L + F^2 - G^2 = 0, smaller root
-        b = 1.0692 * f
-        c = (f - fixed) * (f + fixed)
-        start = 2.0 * c / (b + np.sqrt(b * b - 4.0 * 0.06919716 * c))
-    else:
-        g = f - 0.5346 * fixed
-        start = np.sqrt(np.maximum(g * g - 0.2166 * (fixed * fixed), 0.0))
-    start = np.clip(start, 1e-3 * f, 2.0 * f)
-    return _newton(residual, start, hi, VOIGT_FWHM_RTOL)
-
-
-def _half_max_residual(
-    total_fwhm: float, lor: np.ndarray, gauss: np.ndarray, lorentzian: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(r, dr/dx) of the half-maximum condition of :func:`_solve_width` for
-    the component FWHMs ``lor`` and ``gauss``, x being the Lorentzian one if
-    ``lorentzian`` and the Gaussian one otherwise.
-
-    With h the Lorentzian HWHM and s = 1 / (sigma sqrt 2) for the Gaussian
-    standard deviation sigma, the profile is narrower than F = ``total_fwhm``
-    where it is below half its peak at F/2:
-
-        r = Re w(z_F) - Re w(z_0) / 2 < 0,   z_F = (F/2 + i h) s,  z_0 = i h s,
-
-    and r rises with either width.  With w' = -2 z w + 2i / sqrt(pi), dr/dx
-    is Re(w'(z_F) dz_F/dx) - Re(w'(z_0) dz_0/dx) / 2, where dz/dx = i s / 2
-    for the Lorentzian and -z / x for the Gaussian.  z_F and z_0 of every
-    element go through one Faddeeva call, so its region masks and its
-    asymptotic series (for the narrowest Gaussians, where |z| >= 1e3) run
-    once for both.
-    """
-    s = GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))
-    a, y = 0.5 * total_fwhm * s, 0.5 * lor * s
-    m = y.size
-    z_x, z_y = np.concatenate([a, np.zeros(m)]), np.concatenate([y, y])  # z_F, then z_0
-    re, _, dre, dim = _faddeeva(z_x, z_y, slope=True)
-    re, re_0, dre, dim, dim_0 = re[:m], re[m:], dre[:m], dim[:m], dim[m:]
-    if lorentzian:  # Re(w' i s / 2) = -s Im w' / 2
-        slope = (0.5 * dim_0 - dim) * (0.5 * s)
-    else:  # Re(-z w' / x), Re(z w') = a Re w' - y Im w'
-        slope = (y * (dim - 0.5 * dim_0) - a * dre) / gauss
-    return re - 0.5 * re_0, slope
 
 
 @dataclass(frozen=True)
@@ -445,10 +381,12 @@ class EmitterConstraint:
 
     def decomposition(self, n_points: int = 200) -> list[tuple[float, float]]:
         """(dephasing_rate, inhomogeneous_fwhm) samples consistent with this constraint."""
-        return _as_pairs(self._splits(n_points))
+        return list(zip(*(column.tolist() for column in self._splits(n_points))))
 
     def _splits(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:
         """The :meth:`decomposition` as (dephasing_rate, inhomogeneous_fwhm) arrays."""
+        if n_points < 2:
+            raise ValueError("n_points must be at least 2")
         fourier_rate = 0.5 / self.lifetime
         if self.coherence_time is not None:
             return _linewidth_splits(self.lifetime, self.coherence_time, n_points)

@@ -1,5 +1,8 @@
 """Special-function and quadrature kernels shared by the whole package.
 
+A Voigt profile's FWHM and its component FWHMs are tied by one half-maximum
+condition, which one solver, :func:`_voigt_width`, solves for any of the three.
+
 Everything in here is pure and reentrant: no global state, safe to call
 from parallel parameter sweeps.
 
@@ -49,8 +52,8 @@ _POLE_Y = math.pi / _STEP
 _FAR = 1e3
 # Points per block of the node sums, so that temporaries stay small.
 _BLOCK = 4096
-# Relative tolerance of the Newton solves for Voigt widths (voigt_fwhm and
-# emitter.decompose_voigt_fwhm).
+# Relative tolerance of the Newton solves of _voigt_width, for a Voigt FWHM
+# (voigt_fwhm) or a component FWHM (the Voigt splits of emitter).
 VOIGT_FWHM_RTOL = 1e-13
 
 
@@ -320,10 +323,10 @@ def voigt_fwhm(
     """Full width at half maximum of a Voigt profile, by a safeguarded Newton solve.
 
     Takes the FWHM of each component (not sigma / HWHM).  Solved on the
-    half-maximum of :func:`voigt_value` rather than through an analytic
-    approximation (that of Olivero and Longbothum, J. Quant. Spectrosc.
-    Radiat. Transfer 17, 233 (1977), only starts the solve), so the result
-    is exact to about ``VOIGT_FWHM_RTOL``, the relative tolerance of the solve.
+    half-maximum condition by :func:`_voigt_width` rather than through an
+    analytic approximation (that of Olivero and Longbothum only starts the
+    solve), so the result is exact to about ``VOIGT_FWHM_RTOL``, the
+    relative tolerance of the solve.
 
     The widths broadcast against each other; a scalar result is returned
     as a float.  All elements are solved in lockstep by :func:`_newton`,
@@ -340,24 +343,81 @@ def voigt_fwhm(
     # With one width zero the FWHM is the other one, which lor + gauss is.
     out = np.array(lor + gauss)
     mixed = (lor != 0.0) & (gauss != 0.0)
-    fl, fg = lor[mixed], gauss[mixed]
-    # The half width u solves Re w((u + i h) / d) = Re w(i h / d) / 2, with
-    # d = sigma sqrt(2); the residual rises with u, and d/du Re w = Re w' / d.
-    d = fg / GAUSS_FWHM_PER_SIGMA * math.sqrt(2.0)
-    y = 0.5 * fl / d
-    half_peak = 0.5 * _faddeeva(np.zeros_like(y), y)[0]
-
-    def residual(u: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dl = d[live]
-        re, _, slope, _ = _faddeeva(u / dl, y[live], slope=True)
-        return half_peak[live] - re, -slope / dl
-
-    hi = out[mixed]  # twice the half width: Voigt FWHM <= fL + fG
-    if np.any(residual(hi, np.arange(hi.size))[0] <= 0.0):
-        raise QuadratureError("failed to bracket the Voigt half maximum")
-    start = 0.5 * (0.5346 * fl + np.sqrt(0.2166 * fl * fl + fg * fg))
-    out[mixed] = 2.0 * _newton(residual, start, hi, VOIGT_FWHM_RTOL)
+    out[mixed] = _voigt_width(None, lor[mixed], gauss[mixed], "total")
     return float(out) if out.ndim == 0 else out
+
+
+def _voigt_width(total, lor, gauss, unknown: str) -> np.ndarray:
+    """The FWHM named by ``unknown`` ("total", "lorentzian" or "gaussian") at
+    which a Voigt profile of component FWHMs L = ``lor`` and G = ``gauss``
+    has the FWHM F = ``total``; that argument is not read (pass None), and
+    the other two broadcast to one dimension.
+
+    All elements are solved in lockstep by :func:`_newton` on
+    :func:`_voigt_residual`, in [0, 2 B] with B = L + G for F (no profile is
+    wider) and B = F for a component (none is wider than its profile); the
+    residual is positive at 2 B at every width ratio.  The start is the
+    estimate F = 0.5346 L + sqrt(0.2166 L^2 + G^2) of Olivero and Longbothum
+    (J. Quant. Spectrosc. Radiat. Transfer 17, 233 (1977)), inverted for a
+    component and clipped to [1e-3 B, 2 B].
+    """
+    known = {"total": total, "lorentzian": lor, "gaussian": gauss}
+    del known[unknown]
+    known = dict(zip(known, np.broadcast_arrays(*map(np.atleast_1d, known.values()))))
+    f, l, g = map(known.get, ("total", "lorentzian", "gaussian"))
+    bound = l + g if unknown == "total" else f
+    peak = None
+    if unknown == "total":
+        start = 0.5346 * l + np.sqrt(0.2166 * l * l + g * g)
+        # Re w(z_0) does not move with F: one axis call for the whole solve
+        s = GAUSS_FWHM_PER_SIGMA / (g * math.sqrt(2.0))
+        peak = _faddeeva(np.zeros(l.shape), 0.5 * l * s)[0]
+    elif unknown == "lorentzian":  # 0.0692 L^2 - 1.0692 F L + F^2 - G^2 = 0, smaller root
+        b = 1.0692 * f
+        c = (f - g) * (f + g)
+        start = 2.0 * c / (b + np.sqrt(b * b - 4.0 * 0.06919716 * c))
+    else:
+        d = f - 0.5346 * l
+        start = np.sqrt(np.maximum(d * d - 0.2166 * (l * l), 0.0))
+    start = np.clip(start, 1e-3 * bound, 2.0 * bound)
+
+    def residual(x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = {name: v[live] for name, v in known.items()} | {unknown: x}
+        return _voigt_residual(**at, unknown=unknown, peak=None if peak is None else peak[live])
+
+    return _newton(residual, start, 2.0 * bound, VOIGT_FWHM_RTOL)
+
+
+def _voigt_residual(
+    total, lorentzian, gaussian, unknown: str, peak: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r, dr/dx) of :func:`_voigt_width`'s half-maximum condition at the
+    given FWHMs, x being the one named by ``unknown``.
+
+    With h the Lorentzian HWHM and s = 1 / (sigma sqrt 2), sigma the
+    Gaussian standard deviation, the profile is narrower than F where
+
+        r = Re w(z_F) - Re w(z_0) / 2 < 0,   z_F = (F/2 + i h) s,  z_0 = i h s.
+
+    r rises with L and G and falls with F, so for F it is negated.  With
+    w' = -2 z w + 2i / sqrt(pi), dr/dx = Re(w'(z_F) dz_F/dx - w'(z_0) dz_0/dx / 2),
+    where dz_F/dF = s / 2 (dz_0/dF = 0), dz/dL = i s / 2 and dz/dG = -z / G.
+    z_F and z_0 take a Faddeeva call each, z_0 one on the imaginary axis;
+    ``peak`` = Re w(z_0) is taken as given when passed.
+    """
+    s = GAUSS_FWHM_PER_SIGMA / (gaussian * math.sqrt(2.0))
+    a, y = 0.5 * total * s, 0.5 * lorentzian * s
+    re, _, dre, dim = _faddeeva(a, y, slope=True)
+    if unknown == "total":
+        if peak is None:
+            peak = _faddeeva(np.zeros(y.shape), y)[0]
+        return 0.5 * peak - re, -0.5 * s * dre
+    peak, _, _, dim_0 = _faddeeva(np.zeros(y.shape), y, slope=True)
+    if unknown == "lorentzian":  # Re(w' i s / 2) = -s Im w' / 2
+        slope = (0.5 * dim_0 - dim) * (0.5 * s)
+    else:  # Re(-z w' / G), Re(z w') = a Re w' - y Im w'
+        slope = (y * (dim - 0.5 * dim_0) - a * dre) / gaussian
+    return re - 0.5 * peak, slope
 
 
 def _newton(residual: Callable, x: np.ndarray, hi: np.ndarray, rtol: float) -> np.ndarray:

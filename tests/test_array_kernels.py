@@ -4,9 +4,12 @@ Each kernel evaluates every element with the floating-point operations of
 its scalar form, so the comparisons here are exact (``==``), not
 approximate.  The scalar form is the code the kernel replaced, on the
 package's Faddeeva kernel (``faddeeva_w``, whose own array and scalar
-calls agree bit for bit), except for the two Voigt solves: their
-references run the safeguarded Newton iteration of ``numerics._newton``
-one element at a time, on the kernel's value and slope at single points.
+calls agree bit for bit), except for the Voigt half-maximum solver
+``numerics._voigt_width`` behind ``voigt_fwhm`` and the Voigt splits: its
+one reference, for all three unknown widths, runs the safeguarded Newton
+iteration of ``numerics._newton`` one element at a time, on the kernel's
+value and slope at single points.  ``coherence_time`` is held to a copy
+of its scalar form at the edges of each branch.
 The identical-pair fidelities of ``emitter_assessment`` are the affine
 ``fidelity_at_weight`` and agree with the 30 probabilities of
 ``bell_fidelity`` to rounding.  The kernels that skip a branch, a mask
@@ -23,13 +26,12 @@ import pytest
 
 from tpi_sim.bell import AssessmentPoint, EmitterConstraint, bell_fidelity, emitter_assessment
 from tpi_sim.bell import fidelity_at_weight
-from tpi_sim.emitter import EmitterParams, InfeasibleDecompositionError, PhotonPair
-from tpi_sim.emitter import _half_max_residual, decompose_voigt_fwhm
+from tpi_sim.emitter import EmitterParams, PhotonPair, coherence_time, decompose_voigt_fwhm
 from tpi_sim.gates import TOMOGRAPHY_BASES, cnot_gate, compose, gate_quad, prep_gate
 from tpi_sim.gates import tomography_gate
 from tpi_sim.interference import SIGMA_LIFETIME_THRESHOLD, interference_weight, overlap_weight
-from tpi_sim.numerics import GAUSS_FWHM_PER_SIGMA, _faddeeva, faddeeva_w, voigt_fwhm
-from tpi_sim.numerics import voigt_value
+from tpi_sim.numerics import GAUSS_FWHM_PER_SIGMA, _faddeeva, _voigt_residual, faddeeva_w
+from tpi_sim.numerics import voigt_fwhm, voigt_value
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -79,66 +81,84 @@ def scalar_newton(residual, x, hi, rtol):
             return x
 
 
-def scalar_voigt_fwhm(lorentzian_fwhm, gaussian_fwhm, rtol=1e-13):
-    if lorentzian_fwhm == 0.0:
-        return gaussian_fwhm
-    if gaussian_fwhm == 0.0:
-        return lorentzian_fwhm
-    fl, fg = lorentzian_fwhm, gaussian_fwhm
-    d = fg / GAUSS_FWHM_PER_SIGMA * math.sqrt(2.0)
-    y = 0.5 * fl / d
-    half_peak = 0.5 * kernel_at(0.0, y)[0]
+def scalar_voigt_width(total, lor, gauss, unknown, rtol=1e-13):
+    """numerics._voigt_width for one element: the FWHM named by ``unknown``
+    ("total", "lorentzian" or "gaussian"), whose argument is not read."""
+    widths = {"total": total, "lorentzian": lor, "gaussian": gauss}
 
-    def residual(u):
-        re, _, slope, _ = kernel_at(u / d, y)
-        return half_peak - re, -slope / d
+    def points(x):
+        """(s, Re z_F, Im z_F = Im z_0) with the unknown width at x."""
+        w = {**widths, unknown: x}
+        s = GAUSS_FWHM_PER_SIGMA / (w["gaussian"] * math.sqrt(2.0))
+        return s, 0.5 * w["total"] * s, 0.5 * w["lorentzian"] * s
 
-    start = 0.5 * (0.5346 * fl + math.sqrt(0.2166 * fl * fl + fg * fg))
-    return 2.0 * scalar_newton(residual, start, fl + fg, rtol)
-
-
-def scalar_solve_width(total_fwhm, fixed, lorentzian):
-    """emitter._solve_width for one element."""
+    if unknown == "total":
+        bound = lor + gauss
+        start = 0.5346 * lor + math.sqrt(0.2166 * lor * lor + gauss * gauss)
+        peak = kernel_at(0.0, points(bound)[2])[0]  # z_0 does not move with F
+    elif unknown == "lorentzian":
+        bound = total
+        b = 1.0692 * total
+        c = (total - gauss) * (total + gauss)
+        start = 2.0 * c / (b + math.sqrt(b * b - 4.0 * 0.06919716 * c))
+    else:
+        bound = total
+        g = total - 0.5346 * lor
+        start = math.sqrt(max(g * g - 0.2166 * (lor * lor), 0.0))
+    start = min(max(start, 1e-3 * bound), 2.0 * bound)
 
     def residual(x):
-        lor, gauss = (x, fixed) if lorentzian else (fixed, x)
-        s = GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))
-        a, y = 0.5 * total_fwhm * s, 0.5 * lor * s
+        s, a, y = points(x)
         re_f, _, dre_f, dim_f = kernel_at(a, y)
+        if unknown == "total":
+            return 0.5 * peak - re_f, -0.5 * s * dre_f
         re_0, _, _, dim_0 = kernel_at(0.0, y)
-        if lorentzian:
+        if unknown == "lorentzian":
             slope = (0.5 * dim_0 - dim_f) * (0.5 * s)
         else:
             slope = (y * (dim_f - 0.5 * dim_0) - a * dre_f) / x
         return re_f - 0.5 * re_0, slope
 
-    f = total_fwhm
-    if residual(2.0 * f)[0] < 0.0:
-        raise InfeasibleDecompositionError("target not bracketed")
-    if lorentzian:
-        b = 1.0692 * f
-        c = (f - fixed) * (f + fixed)
-        start = 2.0 * c / (b + math.sqrt(b * b - 4.0 * 0.06919716 * c))
-    else:
-        g = f - 0.5346 * fixed
-        start = math.sqrt(max(g * g - 0.2166 * (fixed * fixed), 0.0))
-    start = min(max(start, 1e-3 * f), 2.0 * f)
-    return scalar_newton(residual, start, 2.0 * f, 1e-13)
+    return scalar_newton(residual, start, 2.0 * bound, rtol)
+
+
+def scalar_voigt_fwhm(lorentzian_fwhm, gaussian_fwhm):
+    if lorentzian_fwhm == 0.0:
+        return gaussian_fwhm
+    if gaussian_fwhm == 0.0:
+        return lorentzian_fwhm
+    return scalar_voigt_width(None, lorentzian_fwhm, gaussian_fwhm, "total")
 
 
 def scalar_decompose_voigt_fwhm(lifetime, total_fwhm, n_points):
     """One scalar Newton solve per unknown width on the half-maximum condition."""
     fourier_fwhm = 1.0 / (2.0 * math.pi * lifetime)
     rate_max = math.pi * total_fwhm - 0.5 / lifetime
-    gauss_max = scalar_solve_width(total_fwhm, fourier_fwhm, lorentzian=False)
+    gauss_max = scalar_voigt_width(total_fwhm, fourier_fwhm, None, "gaussian")
     pairs = [(rate_max, 0.0)]
     for fwhm in np.geomspace(gauss_max * 1e-3, gauss_max, n_points - 1).tolist():
         if fwhm == gauss_max:
             pairs.append((0.0, fwhm))
             continue
-        lor = scalar_solve_width(total_fwhm, fwhm, lorentzian=True)
+        lor = scalar_voigt_width(total_fwhm, None, fwhm, "lorentzian")
         pairs.append((max(math.pi * lor - 0.5 / lifetime, 0.0), fwhm))
     return pairs
+
+
+def scalar_coherence_time(lifetime, dephasing_rate, inhomogeneous_fwhm):
+    """emitter.coherence_time as it was before its array form, one float at a time."""
+    ln2 = math.log(2.0)
+    gamma_h = 0.5 / lifetime + dephasing_rate
+    if inhomogeneous_fwhm == 0.0:
+        return 1.0 / gamma_h
+    sp2 = inhomogeneous_fwhm * inhomogeneous_fwhm
+    if 0.0 < sp2 < math.inf:
+        a = 2.0 * ln2 / math.pi**2 * gamma_h / sp2
+        c = 4.0 * ln2 / (math.pi**2 * sp2)
+        if 0.0 < a * a < math.inf and 0.0 < c < math.inf:
+            return c / (a + math.sqrt(a * a + c))
+    k, root_c = 2.0 * ln2 / math.pi**2 * gamma_h, 2.0 * math.sqrt(ln2) / math.pi
+    return 4.0 * ln2 / math.pi**2 / (k + math.hypot(k, root_c * inhomogeneous_fwhm))
 
 
 def scalar_weight(gamma, sigma, delta_nu, tau_sum):
@@ -244,6 +264,61 @@ def test_decompose_voigt_fwhm_equals_scalar_newton(lifetime, total_fwhm, n_point
     got = decompose_voigt_fwhm(lifetime, total_fwhm, n_points)
     assert got == scalar_decompose_voigt_fwhm(lifetime, total_fwhm, n_points)
     assert all(type(v) is float for pair in got for v in pair)
+
+
+class TestCoherenceTimeKernel:
+    def edge_widths(self):
+        """s' = 0, and s' about where s'^2 underflows to 0, turns subnormal and overflows."""
+        widths = [0.0, 1e-170, 1e-150, 1.0, 1e150, 1e160, 1e300, 1.7e308]
+        for square in (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308):
+            edge = math.sqrt(square)
+            widths += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)]
+        return np.array(widths)
+
+    def check(self, lifetime, rate, fwhm):
+        args = np.broadcast_arrays(lifetime, rate, fwhm)
+        expected = [scalar_coherence_time(*v) for v in zip(*(a.ravel().tolist() for a in args))]
+        got = coherence_time(lifetime, rate, fwhm)
+        assert same_bits(got, np.reshape(expected, args[0].shape))
+        return got
+
+    def test_branch_edges_equal_the_scalar_form(self):
+        # gamma_h from 5e-301 to 5e299 per second: a^2 underflows and
+        # overflows, and c overflows where s'^2 is subnormal
+        lifetime = np.geomspace(1e-300, 1e300, 31)[:, None, None]
+        rate = np.array([0.0, 1e-100, 1e3, 1e9, 1e150])[:, None]
+        tau_c = self.check(lifetime, rate, self.edge_widths())
+        assert np.all(tau_c > 0.0)
+
+    def test_random_points_over_the_float_range(self):
+        rng = np.random.default_rng(34)
+        lifetime = 10 ** rng.uniform(-300.0, 300.0, 20000)
+        rate = rng.choice([0.0, 1.0], 20000) * 10 ** rng.uniform(-300.0, 300.0, 20000)
+        fwhm = 10 ** rng.uniform(-170.0, 308.0, 20000)
+        self.check(lifetime, rate, fwhm)
+
+    def test_the_fallback_near_equal_hypot_terms(self):
+        # s'^2 overflows and k is comparable with 2 sqrt(ln2) s' / pi: the
+        # terms where numpy's hypot and math.hypot differ in the last bit
+        rng = np.random.default_rng(35)
+        fwhm = 10 ** rng.uniform(154.2, 300.0, 4000)
+        rate = fwhm * 10 ** rng.uniform(0.0, 0.6, 4000)
+        self.check(1e-9, rate, fwhm)
+
+    def test_scalar_call_returns_a_float(self):
+        for args in [(1e-9, 0.0, 0.0), (1e-9, 1e8, 3e8), (1e-9, 1e8, 1e160)]:
+            got = coherence_time(*args)
+            assert type(got) is float and got == scalar_coherence_time(*args)
+        assert coherence_time(1e-9, 0.0, np.zeros((2, 3))).shape == (2, 3)
+
+    def test_rejects_what_the_scalar_form_rejected(self):
+        with pytest.raises(ValueError):
+            coherence_time(1e-9, 0.0, np.array([1e8, -1.0]))
+        with pytest.raises(ValueError):
+            coherence_time(math.inf, np.array([0.0, 1.0]), 0.0)
+        # the scalar form raised ZeroDivisionError at a zero lifetime
+        with pytest.raises(ValueError):
+            coherence_time(np.array([1e-9, 0.0]), 0.0, 1e8)
 
 
 # --------------------------------------------------------------------------
@@ -362,8 +437,9 @@ def both_branches_weight(gamma, sigma, delta_nu, tau_sum):
 
 
 def concatenated_residual(total_fwhm, lor, gauss, lorentzian):
-    """The Voigt half-maximum residual as ``emitter._solve_width`` formed it in
-    a closure before it moved to module level (y repeated by ``np.tile``)."""
+    """The Voigt half-maximum residual of a component width as the split solve
+    once formed it, z_F and z_0 of every element in one Faddeeva call (y
+    repeated by ``np.tile``)."""
     x = lor if lorentzian else gauss
     s = GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))
     a, y = 0.5 * total_fwhm * s, 0.5 * lor * s
@@ -446,7 +522,7 @@ class TestSingleBranchPaths:
         fixed = total * np.geomspace(1e-4, 1.9, 300)  # the narrowest make far points
         x = total * 10 ** rng.uniform(-4.0, np.log10(2.0), 300)
         lor, gauss = (x, fixed) if lorentzian else (fixed, x)
-        got = _half_max_residual(total, lor, gauss, lorentzian)
+        got = _voigt_residual(total, lor, gauss, "lorentzian" if lorentzian else "gaussian")
         want = concatenated_residual(total, lor, gauss, lorentzian)
         assert all(same_bits(a, b) for a, b in zip(got, want))
         far = np.maximum(0.5 * total, 0.5 * lor) * GAUSS_FWHM_PER_SIGMA / (gauss * math.sqrt(2.0))

@@ -15,6 +15,7 @@ from tpi_sim.emitter import (
     decompose_voigt_fwhm,
     normalized_params,
 )
+from tpi_sim.bell import emitter_assessment
 from tpi_sim.numerics import voigt_fwhm
 
 LN2 = math.log(2.0)
@@ -275,6 +276,18 @@ class TestConstraintCurve:
         assert _bits(sigma_sq + sigma_sq) == _bits([p.sigma_sq_total for p in pairs])
         assert _bits(theta_pd) == _bits([n.theta_pd for n in normalized])
         assert _bits(theta_sd) == _bits([n.theta_sd for n in normalized])
+
+    @pytest.mark.parametrize("n_points", [1, 0, -3])
+    @pytest.mark.parametrize(
+        "constraint", CONSTRAINTS,
+        ids=["coherence_time", "total_fwhm", "lorentzian_fwhm", "lorentzian_fwhm_max"],
+    )
+    def test_every_mode_needs_two_points(self, constraint, n_points):
+        # one rule for every mode, the known split included
+        for call in (constraint.decomposition, constraint.curve,
+                     lambda n: emitter_assessment(constraint, n_points=n)):
+            with pytest.raises(ValueError, match="n_points must be at least 2"):
+                call(n_points)
 
     def test_one_class_everywhere(self):
         assert tpi_sim.emitter.EmitterConstraint is tpi_sim.bell.EmitterConstraint

@@ -150,6 +150,15 @@ def test_output_bytes_unchanged(tmp_path, command, config, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(command, config, fmt)]
 
 
+def test_every_shipped_config_is_pinned():
+    """Each ``configs/*.json`` is pinned in CSV and JSON; ``verify.json`` is the
+    one exemption, as ``VERIFY_GOLDEN`` pins ``verify`` on a smaller config."""
+    shipped = {path.name for path in CONFIG_DIR.glob("*.json")}
+    pinned = {(config, fmt) for _, config, fmt in GOLDEN}
+    assert "verify.json" in shipped
+    assert pinned == {(config, fmt) for config in shipped - {"verify.json"} for fmt in ("csv", "json")}
+
+
 @pytest.mark.parametrize("fmt", sorted(VERIFY_GOLDEN))
 def test_verify_bytes_unchanged(tmp_path, fmt):
     config = tmp_path / "verify.json"

@@ -6,6 +6,7 @@ import pytest
 
 from tpi_sim.numerics import (
     QuadratureError,
+    _voigt_residual,
     faddeeva_w,
     integrate,
     voigt_fwhm,
@@ -213,6 +214,31 @@ class TestVoigtFwhm:
             assert voigt_value(fwhm / 2.0, sigma, fl / 2.0) == pytest.approx(
                 0.5 * peak, rel=1e-9
             )
+
+
+class TestVoigtBracket:
+    """``numerics._voigt_width`` solves on [0, 2 B] (B = L + G for the total
+    FWHM F, B = F for a component) without checking the bracket: its residual
+    is positive at 2 B at every width ratio, here for F from 1e-140 to 1e140
+    and the known width from 1e-280 F to F (while a normal float)."""
+
+    def grid(self):
+        total, ratio = np.meshgrid(np.geomspace(1e-140, 1e140, 29), np.geomspace(1e-280, 1.0, 57))
+        total, known = total.ravel(), (total * ratio).ravel()
+        keep = known >= np.finfo(float).tiny
+        return total[keep], known[keep]
+
+    def test_component_residuals_at_twice_the_total(self):
+        total, known = self.grid()
+        lor = _voigt_residual(total, 2.0 * total, known, "lorentzian")[0]
+        gauss = _voigt_residual(total, known, 2.0 * total, "gaussian")[0]
+        assert np.all(lor > 0.0)
+        assert np.all(gauss >= 0.262)
+
+    def test_total_residual_at_twice_the_component_sum(self):
+        wide, narrow = self.grid()
+        for lor, gauss in ((wide, narrow), (narrow, wide)):
+            assert np.all(_voigt_residual(2.0 * (lor + gauss), lor, gauss, "total")[0] > 0.0)
 
 
 class TestIntegrate:
