@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import numerics
 from .emitter import EmitterConstraint, NormalizedParams, PhotonPair, normalized_params
 from .gates import (
     GateMatrix,
@@ -221,6 +222,15 @@ class AssessmentResult:
         return tuple(AssessmentPoint(*row) for row in zip(*self.columns))
 
 
+def _sweep(gamma_i, var_i, gamma_j, var_j, tau_sum: float) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap weights and fidelities on the joint sums PhotonPair forms
+    (gamma_i + gamma_j, sigma_i^2 + sigma_j^2), broadcast elementwise."""
+    sigma = var_i + var_j
+    np.sqrt(sigma, out=sigma)
+    weights = overlap_weight(gamma_i + gamma_j, sigma, 0.0, tau_sum)
+    return weights, fidelity_at_weight(weights)
+
+
 def emitter_assessment(
     constraint: EmitterConstraint,
     second: EmitterConstraint | None = None,
@@ -232,28 +242,35 @@ def emitter_assessment(
     together along the decomposition curve, and the per-point sweep is
     returned.  With a ``second`` constraint the two emitters are swept
     independently over the product of their curves (resonant, no relative
-    detuning) and only the ranges are reported.
+    detuning) and only the ranges are reported: the product grid is
+    evaluated in blocks of about ``numerics._BLOCK`` points (whole rows of
+    the second curve), each keeping only its minima and maxima, so memory
+    grows with ``n_points`` and the block, not with the grid.  The kernels
+    are elementwise, so the ranges are those of the whole grid at once.
     """
-    # One kernel call on the joint sums PhotonPair forms (gamma_i + gamma_j, sigma_i^2 +
-    # sigma_j^2): of the curve with itself, or the outer sum of both curves.
-    rates, fwhms, gamma_i, var_i, theta_pd, theta_sd = constraint.curve(n_points)
+    rates, fwhms, gamma, var, theta_pd, theta_sd = constraint.curve(n_points)
+    lifetime = constraint.lifetime
     if second is None:
-        gamma_j, var_j, lifetime_j = gamma_i, var_i, constraint.lifetime
-    else:
-        gamma_i, var_i = gamma_i[:, None], var_i[:, None]
-        _, _, gamma_j, var_j, _, _ = second.curve(n_points)
-        lifetime_j = second.lifetime
-    sigma = var_i + var_j
-    np.sqrt(sigma, out=sigma)
-    weights = overlap_weight(gamma_i + gamma_j, sigma, 0.0, constraint.lifetime + lifetime_j)
-    fidelities = fidelity_at_weight(weights)
-    columns = None
-    if second is None:
-        columns = tuple(
-            tuple(c.tolist()) for c in (rates, fwhms, theta_pd, theta_sd, weights, fidelities)
+        weights, fidelities = _sweep(gamma, var, gamma, var, lifetime + lifetime)
+        columns = (rates, fwhms, theta_pd, theta_sd, weights, fidelities)
+        return AssessmentResult(
+            visibility_range=(float(weights.min()), float(weights.max())),
+            fidelity_range=(float(fidelities.min()), float(fidelities.max())),
+            columns=tuple(tuple(c.tolist()) for c in columns),
         )
+    _, _, gamma_j, var_j, _, _ = second.curve(n_points)
+    tau_sum = lifetime + second.lifetime
+    step = max(1, numerics._BLOCK // len(gamma_j))
+    # running (visibility, fidelity) minima and maxima; np.minimum and
+    # np.maximum carry a NaN through as np.min and np.max of the grid would
+    lows, highs = np.full(2, np.inf), np.full(2, -np.inf)
+    for start in range(0, len(gamma), step):
+        rows = slice(start, start + step)
+        weights, fidelities = _sweep(gamma[rows, None], var[rows, None], gamma_j, var_j, tau_sum)
+        np.minimum(lows, (weights.min(), fidelities.min()), out=lows)
+        np.maximum(highs, (weights.max(), fidelities.max()), out=highs)
     return AssessmentResult(
-        visibility_range=(float(weights.min()), float(weights.max())),
-        fidelity_range=(float(fidelities.min()), float(fidelities.max())),
-        columns=columns,
+        visibility_range=(float(lows[0]), float(highs[0])),
+        fidelity_range=(float(lows[1]), float(highs[1])),
+        columns=None,
     )

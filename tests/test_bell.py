@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tpi_sim import bell, numerics
 from tpi_sim.bell import (
     EmitterConstraint,
     bell_fidelity,
@@ -18,7 +20,7 @@ from tpi_sim.gates import (
     prep_gate,
     tomography_gate,
 )
-from tpi_sim.interference import interference_weight
+from tpi_sim.interference import interference_weight, overlap_weight
 
 from helpers import pair_from_normalized
 
@@ -325,3 +327,75 @@ class TestEmitterAssessment:
     def test_infeasible_constraint_propagates(self):
         with pytest.raises(InfeasibleDecompositionError):
             emitter_assessment(EmitterConstraint(lifetime=1e-9, coherence_time=3e-9))
+
+
+PAIRS = {
+    "coherence": (
+        EmitterConstraint(lifetime=670e-12, coherence_time=330e-12),
+        EmitterConstraint(lifetime=660e-12, coherence_time=420e-12),
+    ),
+    "voigt-bounded": (
+        EmitterConstraint(lifetime=1.72e-9, total_fwhm=119e6),
+        EmitterConstraint(lifetime=12e-9, lorentzian_fwhm_max=20e6, gaussian_fwhm=100e6),
+    ),
+}
+
+
+def full_grid_ranges(first, second, n_points):
+    """The pair ranges from one overlap_weight call on the whole outer grid."""
+    _, _, gamma_i, var_i, _, _ = first.curve(n_points)
+    _, _, gamma_j, var_j, _, _ = second.curve(n_points)
+    sigma = np.sqrt(var_i[:, None] + var_j)
+    tau_sum = first.lifetime + second.lifetime
+    weights = overlap_weight(gamma_i[:, None] + gamma_j, sigma, 0.0, tau_sum)
+    fidelities = fidelity_at_weight(weights)
+    return (weights.min(), weights.max()), (fidelities.min(), fidelities.max())
+
+
+class TestBlockedPairGrid:
+    """A pair of constraints is swept a block of rows at a time, keeping only
+    the running minima and maxima; the kernels are elementwise, so the ranges
+    are bit for bit those of the whole grid."""
+
+    @pytest.mark.parametrize("block", [None, 7])  # 7: one row per block, ragged blocks
+    @pytest.mark.parametrize("n_points", [2, 3, 203])  # 203 rows: a ragged last block
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_ranges_equal_the_full_grid(self, monkeypatch, pair, n_points, block):
+        if block is not None:
+            monkeypatch.setattr(numerics, "_BLOCK", block)
+        first, second = PAIRS[pair]
+        res = emitter_assessment(first, second, n_points)
+        visibility, fidelity = full_grid_ranges(first, second, n_points)
+        assert res.visibility_range == visibility
+        assert res.fidelity_range == fidelity
+        assert res.columns is None and res.points is None
+
+    def test_nan_in_one_block_reaches_both_ranges(self, monkeypatch):
+        first, second = PAIRS["coherence"]
+        calls = []
+
+        def weight_with_a_nan(*args):
+            weights = overlap_weight(*args)
+            calls.append(weights.shape)
+            if len(calls) == 2:
+                weights[-1, -1] = np.nan
+            return weights
+
+        monkeypatch.setattr(bell, "overlap_weight", weight_with_a_nan)
+        res = emitter_assessment(first, second, 203)
+        assert len(calls) > 2 and calls[0] == (numerics._BLOCK // 203, 203)
+        assert all(math.isnan(v) for v in res.visibility_range + res.fidelity_range)
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_memory_does_not_grow_with_the_grid(self, pair):
+        # one 1500 x 1500 float array is 18 MB; the blocked sweep peaks at
+        # about 0.7 MB (coherence) and 1.5 MB (the Voigt curve) of traced memory
+        first, second = PAIRS[pair]
+        emitter_assessment(first, second, 3)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            emitter_assessment(first, second, 1500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6

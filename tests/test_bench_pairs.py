@@ -1,0 +1,58 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower"},
+    {"name": "ok_ratio", "unit": "ratio", "better": "higher"},
+]
+
+
+def test_seed_ranges():
+    assert bench_pairs.parse_seeds("211-214") == [211, 212, 213, 214]
+    assert bench_pairs.parse_seeds("7") == [7]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("5-4")
+
+
+def test_pairs_run_in_abba_order():
+    calls = []
+
+    def fake_run(side, seed):
+        calls.append((side, seed))
+        return {"wall_s": float(len(calls))}
+
+    results = bench_pairs.run_pairs([3, 4, 5, 6], fake_run)
+    assert calls == [
+        ("parent", 3), ("change", 3),
+        ("change", 4), ("parent", 4),
+        ("parent", 5), ("change", 5),
+        ("change", 6), ("parent", 6),
+    ]
+    # each run's metrics land under its side and seed
+    assert results["parent"] == {3: {"wall_s": 1.0}, 4: {"wall_s": 4.0},
+                                 5: {"wall_s": 5.0}, 6: {"wall_s": 8.0}}
+    assert results["change"][4] == {"wall_s": 3.0}
+
+
+def test_summary_medians_quartiles_and_wins():
+    wall = {"parent": [0.40, 0.30, 0.50, 0.20], "change": [0.35, 0.31, 0.45, 0.10]}
+    ok = {"parent": [1.0, 1.0, 0.9, 1.0], "change": [1.0, 1.0, 1.0, 1.0]}
+
+    def fake_run(side, seed):
+        return {"wall_s": wall[side][seed], "ok_ratio": ok[side][seed]}
+
+    results = bench_pairs.run_pairs([0, 1, 2, 3], fake_run)
+    assert bench_pairs.summary_lines(results, METRICS) == [
+        # parent 0.2 0.3 0.4 0.5; change 0.1 0.31 0.35 0.45; lower in 3 of 4 seeds
+        "wall_s [s, lower]: parent 0.35 (0.275-0.425)  change 0.33 (0.2575-0.375)"
+        "  change better in 3/4",
+        # equal is not better: only seed 2 counts
+        "ok_ratio [ratio, higher]: parent 1 (0.975-1)  change 1 (1-1)  change better in 1/4",
+    ]

@@ -955,3 +955,58 @@ def test_repeated_runs_in_one_process_match_fresh_processes(tmp_path, capsysbina
         assert in_process == fresh, argv
         assert (fresh[3] if out else fresh[1]).startswith(
             b'{"columns"' if "json" in options else b"# command = ")
+
+
+class TestOutFileRewrite:
+    """An existing --out file is replaced: whatever it held before, it ends
+    with exactly the new table, or the rows written before a failure."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["g2", "assess"])
+    def test_longer_and_shorter_files_end_as_a_fresh_run(self, tmp_path, command, fmt):
+        cfg = write_config(tmp_path, TINY_CONFIGS[command])
+        fresh = tmp_path / "fresh.out"
+        assert main([command, "--config", cfg, "--out", str(fresh), "--format", fmt]) == 0
+        expected = fresh.read_bytes()
+        for old in (b"x" * (len(expected) + 5000), b"y" * (len(expected) // 2), b""):
+            out = tmp_path / "old.out"
+            out.write_bytes(old)
+            assert main([command, "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+            assert out.read_bytes() == expected, len(old)
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device_is_written(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIGS["assess"])
+        assert main(["assess", "--config", cfg, "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_table_leaves_no_stale_tail(self, tmp_path, fmt):
+        values = np.linspace(0.0, 1.0, 7)
+
+        def write(path, blocks):
+            _write_table(RunConfig("g2", {"n_tau": 7}, str(path), fmt, 0), ["g2"], blocks)
+
+        def failing_blocks():
+            yield (values[:4],)
+            raise ValueError("mid-table")
+
+        head, partial = tmp_path / "head", tmp_path / "partial"
+        write(head, [(values[:4],)])  # the same first block, and the table ends
+        partial.write_bytes(b"stale row\n" * 1000)
+        with pytest.raises(ValueError, match="mid-table"):
+            write(partial, failing_blocks())
+        # the bytes up to the failure, and nothing of the old file after them
+        written, expected = partial.read_bytes(), head.read_bytes()
+        assert expected.startswith(written)
+        assert expected[len(written):] == (b'],"seed":0}\n' if fmt == "json" else b"")
+
+    @pytest.mark.parametrize("where", ["directory", "under a file"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path, TINY_CONFIGS["g2"])
+        (tmp_path / "plain").write_text("kept\n")
+        out = tmp_path if where == "directory" else tmp_path / "plain" / "out.csv"
+        assert main(["g2", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1, err
+        assert (tmp_path / "plain").read_text() == "kept\n"

@@ -1,0 +1,149 @@
+"""Benchmark a revision against the working tree in alternating pairs.
+
+Usage (from the repository root):
+
+    python3 tools/bench_pairs.py HEAD --workload assess --seeds 211-220 --seconds 8
+
+REV is exported with ``git archive`` into a temporary directory, which
+is removed when the tool ends, records and all.  For every seed in
+A-B (both included) ``perfbench/run.py --trace 0`` runs once on the export
+(the parent) and once on the working tree (the change), each with its own
+``perfbench``.  The pairs run in ABBA order: the first seed runs the
+parent first, the next the change first, and so on.  Whichever side runs
+first in a pair is measured under different machine conditions (caches,
+the shared VM's phase), and fixing that order biases the difference: on
+maps, parent-first pairs once read -12% where change-first pairs read -5%.
+
+One line per end-to-end metric of ``BENCHMARK.json`` goes to stdout:
+
+    wall_s [s, lower]: parent 0.0376 (0.037-0.0381)  change 0.0301 (0.0296-0.0305)  change better in 10/10
+
+with the median and q1-q3 (:func:`bench_summary.quantile`) of each side
+and the number of seeds in which the change was strictly better.  Each run
+also prints its metrics to stderr as it ends.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Callable
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_summary import quantile  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+Runner = Callable[[str, int], dict]
+
+
+def parse_seeds(text: str) -> list[int]:
+    """The seeds of ``A-B`` (both included) or of a single ``A``."""
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
+
+
+def pair_order(seeds: list[int]) -> list[tuple[str, int]]:
+    """The runs in ABBA order: one pair per seed, the side that runs first
+    alternating from seed to seed, the parent first for the first seed."""
+    order = []
+    for n, seed in enumerate(seeds):
+        sides = SIDES if n % 2 == 0 else SIDES[::-1]
+        order += [(side, seed) for side in sides]
+    return order
+
+
+def run_pairs(seeds: list[int], run: Runner) -> dict[str, dict[int, dict]]:
+    """Per side, the metrics ``run(side, seed)`` returned for each seed."""
+    results: dict[str, dict[int, dict]] = {side: {} for side in SIDES}
+    for side, seed in pair_order(seeds):
+        results[side][seed] = run(side, seed)
+    return results
+
+
+def summary_lines(results: dict[str, dict[int, dict]], metrics: list[dict]) -> list[str]:
+    """One line per metric (``name``, ``unit``, ``better`` of BENCHMARK.json):
+    each side's median and q1-q3, and in how many seeds the change won."""
+    seeds = sorted(results["parent"])
+    lines = []
+    for metric in metrics:
+        name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
+        values = {side: [results[side][s][name] for s in seeds] for side in SIDES}
+        parts = []
+        for side in SIDES:
+            v = values[side]
+            parts.append(f"{side} {quantile(v, 0.5):.4g} "
+                         f"({quantile(v, 0.25):.4g}-{quantile(v, 0.75):.4g})")
+        won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        lines.append(f"{name} [{metric['unit']}, {metric['better']}]: "
+                     f"{'  '.join(parts)}  change better in {won}/{len(seeds)}")
+    return lines
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract ``rev`` into ``dest`` with ``git archive``; return its commit."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return commit
+
+
+def perfbench_runner(trees: dict[str, Path], workload: str, seconds: int) -> Runner:
+    """``run(side, seed)``: perfbench's end-to-end metrics of one run on that side's tree."""
+
+    def run(side: str, seed: int) -> dict:
+        tree = trees[side]
+        done = subprocess.run(
+            [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True,
+        )
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr)
+            raise RuntimeError(f"perfbench failed on the {side} tree at seed {seed}")
+        summary = json.loads(done.stdout.strip().splitlines()[-1])
+        metrics = {name: entry["value"] for name, entry in summary["metrics"].items()}
+        print(f"seed {seed} {side}: " + " ".join(f"{k} {v:.4g}" for k, v in metrics.items()),
+              file=sys.stderr, flush=True)
+        return metrics
+
+    return run
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the revision to compare the working tree with")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, both included")
+    parser.add_argument("--seconds", required=True, type=int)
+    args = parser.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        commit = export(args.rev, Path(tmp))
+        print(f"parent: {args.rev} = {commit}; change: the working tree {ROOT}", file=sys.stderr)
+        run = perfbench_runner({"parent": Path(tmp), "change": ROOT}, args.workload, args.seconds)
+        results = run_pairs(args.seeds, run)
+    print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {args.seconds} s per run")
+    for line in summary_lines(results, metrics):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
