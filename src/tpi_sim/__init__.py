@@ -52,7 +52,7 @@ from .bell import (
     emitter_assessment,
     fidelity_map,
 )
-from .numerics import faddeeva_w, integrate, voigt_fwhm, voigt_value
+from .numerics import faddeeva_w, integrate, voigt_fwhm
 
 __version__ = "0.1.0"
 

@@ -30,9 +30,11 @@ anything itself: one ``[pass]``/``[FAIL]`` line per check on stderr,
 before the table is written.
 
 Outputs are deterministic: identical config and seed give byte-identical
-files.  CSV uses '.' decimals and embeds the parsed config in a
-``# config = {...}`` comment; JSON output carries the same config object.
-Floats are emitted with 17 significant digits in both formats.
+files on one numpy build and SIMD dispatch target (numpy's ``exp`` and
+``log`` round differently on its AVX-512 and AVX2 paths).  CSV uses '.'
+decimals and embeds the parsed config in a ``# config = {...}`` comment;
+JSON output carries the same config object.  Floats are emitted with 17
+significant digits in both formats.
 
 Every table goes through one writer, :func:`_write_table`, a block of
 ``_BLOCK_ROWS`` rows at a time.  A block is built as one byte matrix with a
@@ -624,25 +626,15 @@ def cmd_verify(cfg: dict, seed: int) -> Table:
     return sizes, names, _row_blocks(*columns), 0 if report.all_passed else 1
 
 
-# The top-level config fields of each subcommand; main reads "seed" itself.
-_TOP_LEVEL_FIELDS = {
-    "g2": ("emitters", "n_tau", "tau_max_ps"),
-    "tuning": ("emitters", "detuning_ghz"),
-    "vmap": ("theta_pd", "theta_sd"),
-    "fmap": ("theta_pd", "theta_sd"),
-    "decompose": ("constraint", "n_points"),
-    "assess": ("sources", "n_points"),
-    "verify": tuple(_VERIFY_SIZES),
-}
-
+# Each subcommand and its top-level config fields; main reads "seed" itself.
 _COMMANDS = {
-    "g2": cmd_g2,
-    "tuning": cmd_tuning,
-    "vmap": cmd_vmap,
-    "fmap": cmd_fmap,
-    "decompose": cmd_decompose,
-    "assess": cmd_assess,
-    "verify": cmd_verify,
+    "g2": (cmd_g2, ("emitters", "n_tau", "tau_max_ps")),
+    "tuning": (cmd_tuning, ("emitters", "detuning_ghz")),
+    "vmap": (cmd_vmap, ("theta_pd", "theta_sd")),
+    "fmap": (cmd_fmap, ("theta_pd", "theta_sd")),
+    "decompose": (cmd_decompose, ("constraint", "n_points")),
+    "assess": (cmd_assess, ("sources", "n_points")),
+    "verify": (cmd_verify, tuple(_VERIFY_SIZES)),
 }
 
 
@@ -683,8 +675,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     params = {k: v for k, v in raw.items() if k != "seed"}
     try:
         seed = _integer(raw if args.seed is None else {"seed": args.seed}, "seed", 0, default=0)
-        _known_fields(params, "", _TOP_LEVEL_FIELDS[args.command])
-        canonical, names, blocks, status = _COMMANDS[args.command](params, seed)
+        command, fields = _COMMANDS[args.command]
+        _known_fields(params, "", fields)
+        canonical, names, blocks, status = command(params, seed)
         _write_table(RunConfig(args.command, canonical, args.out, args.format, seed), names, blocks)
         return status
     except (ConfigError, ValueError) as exc:

@@ -116,6 +116,9 @@ def overlap_weight(
 
     is used instead, which the continuity tests pin against the Faddeeva
     path across six decades of Sigma.
+    ``overlap_weight(2 pi h, sigma, x, 1.0)`` is the unit-normalized Voigt
+    density at offset x, for Lorentzian HWHM h and Gaussian standard
+    deviation sigma.
 
     The arguments broadcast against each other and the switch is made per
     element; a scalar result is returned as a float.  Every element is

@@ -21,12 +21,10 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "faddeeva_w",
-    "voigt_value",
     "voigt_fwhm",
     "integrate",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 # FWHM of a unit-sigma Gaussian.
 GAUSS_FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -276,47 +274,6 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-def voigt_value(
-    x: float | np.ndarray,
-    gaussian_sigma: float | np.ndarray,
-    lorentzian_hwhm: float | np.ndarray,
-) -> float | np.ndarray:
-    """Unit-normalized Voigt density at frequency offset ``x`` (Hz), in 1/Hz.
-
-    Convolution of a Lorentzian of half width ``lorentzian_hwhm`` with a
-    Gaussian of standard deviation ``gaussian_sigma``.  Degenerates exactly
-    to the pure Gaussian or pure Lorentzian when one width vanishes.
-
-    The arguments broadcast against each other; a scalar result is returned
-    as a float.  Every element is evaluated with the same floating-point
-    operations as a scalar call, so array and elementwise scalar evaluation
-    agree bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    sigma = np.asarray(gaussian_sigma, dtype=float)
-    hwhm = np.asarray(lorentzian_hwhm, dtype=float)
-    if np.any(sigma < 0.0) or np.any(hwhm < 0.0):
-        raise ValueError("Voigt widths must be nonnegative")
-    gauss = hwhm == 0.0
-    lorentz = sigma == 0.0
-    if np.any(gauss & lorentz):
-        raise ValueError("Voigt profile is degenerate when both widths are zero")
-    shape = np.broadcast(x, sigma, hwhm).shape
-    # All three forms are computed everywhere and selected per element: the
-    # Faddeeva and Gaussian ones divide by zero where sigma = 0, which the
-    # selection never takes, and squares may overflow to inf.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Re w(z) / (sigma sqrt(2 pi)), z = (x + i hwhm) / (sigma sqrt(2))
-        d = sigma * math.sqrt(2.0)
-        z_re = np.broadcast_to(x / d, shape).ravel()
-        z_im = np.broadcast_to(hwhm / d, shape).ravel()
-        out = _faddeeva(z_re, z_im)[0].reshape(shape) / (sigma * _SQRT_2PI)
-        arg = x / sigma
-        out = np.where(gauss, np.exp(-0.5 * arg * arg) / (sigma * _SQRT_2PI), out)
-        out = np.where(lorentz, hwhm / math.pi / (x * x + hwhm * hwhm), out)
-    return float(out) if out.ndim == 0 else out
-
-
 def voigt_fwhm(
     lorentzian_fwhm: float | np.ndarray, gaussian_fwhm: float | np.ndarray
 ) -> float | np.ndarray:
@@ -336,7 +293,7 @@ def voigt_fwhm(
     lor, gauss = np.broadcast_arrays(
         np.asarray(lorentzian_fwhm, dtype=float), np.asarray(gaussian_fwhm, dtype=float)
     )
-    if np.any(lor < 0.0) or np.any(gauss < 0.0):
+    if not (np.all(lor >= 0.0) and np.all(gauss >= 0.0)):  # also refuses nan
         raise ValueError("component widths must be nonnegative")
     if np.any((lor == 0.0) & (gauss == 0.0)):
         raise ValueError("Voigt FWHM undefined for two zero-width components")
@@ -545,7 +502,7 @@ def integrate(
     QuadratureError
         If ``max_intervals`` refinements do not reach ``tol``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # also refuses nan
         raise ValueError("tol must be positive")
     a = float(a)
     b = float(b)

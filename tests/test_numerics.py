@@ -4,13 +4,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tpi_sim.interference import overlap_weight
 from tpi_sim.numerics import (
     QuadratureError,
     _voigt_residual,
     faddeeva_w,
     integrate,
     voigt_fwhm,
-    voigt_value,
 )
 
 
@@ -148,21 +148,13 @@ class TestFaddeevaKernel:
         assert np.array_equal(faddeeva_w(-zs.conj()), faddeeva_w(zs).conj())
 
 
+def voigt_density(x, sigma, hwhm):
+    """Unit-normalized Voigt density at offset ``x``, the form in which
+    ``overlap_weight`` documents it."""
+    return overlap_weight(2.0 * math.pi * hwhm, sigma, x, 1.0)
+
+
 class TestVoigt:
-    def test_gaussian_peak(self):
-        sigma = 0.8e9
-        assert voigt_value(0.0, sigma, 0.0) == pytest.approx(
-            1.0 / (sigma * math.sqrt(2.0 * math.pi)), rel=1e-14
-        )
-
-    def test_lorentzian_peak(self):
-        hwhm = 0.3e9
-        assert voigt_value(0.0, 0.0, hwhm) == pytest.approx(1.0 / (math.pi * hwhm), rel=1e-14)
-
-    def test_degenerate_raises(self):
-        with pytest.raises(ValueError):
-            voigt_value(0.0, 0.0, 0.0)
-
     def test_matches_direct_convolution(self):
         # independent oracle: numerically convolve the Gaussian with the Lorentzian
         sigma, hwhm = 1.3, 0.7
@@ -176,23 +168,20 @@ class TestVoigt:
             return integrate(f, -14.0 * sigma, 14.0 * sigma, tol=1e-13)
 
         for x in (0.0, 0.5, 1.7, 4.0, -2.3):
-            assert voigt_value(x, sigma, hwhm) == pytest.approx(convolution(x), rel=1e-9)
+            assert voigt_density(x, sigma, hwhm) == pytest.approx(convolution(x), rel=1e-9)
 
     def test_normalization_random_widths(self):
         # in-window mass over +-60 widths plus the explicitly integrated
         # Lorentzian-tail wings (substitution u = 1/x) must close to 1
         rng = np.random.default_rng(11)
 
-        def profile(x, sigma, hwhm):
-            return np.array([voigt_value(v, sigma, hwhm) for v in np.atleast_1d(x)])
-
         for _ in range(6):
             sigma = rng.uniform(0.2, 3.0)
             hwhm = rng.uniform(0.0, 3.0)
             window = 60.0 * (sigma + hwhm)
-            total = integrate(lambda x: profile(x, sigma, hwhm), -window, window, tol=1e-11)
+            total = integrate(lambda x: voigt_density(x, sigma, hwhm), -window, window, tol=1e-11)
             wing = integrate(
-                lambda u: profile(1.0 / u, sigma, hwhm) / u**2, 1e-9, 1.0 / window, tol=1e-11
+                lambda u: voigt_density(1.0 / u, sigma, hwhm) / u**2, 1e-9, 1.0 / window, tol=1e-11
             )
             assert total + 2.0 * wing == pytest.approx(1.0, abs=1e-8)
 
@@ -210,10 +199,16 @@ class TestVoigtFwhm:
         for fl, fg in [(1.0, 1.0), (0.3, 2.0), (5.0, 0.1)]:
             fwhm = voigt_fwhm(fl, fg)
             sigma = fg / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-            peak = voigt_value(0.0, sigma, fl / 2.0)
-            assert voigt_value(fwhm / 2.0, sigma, fl / 2.0) == pytest.approx(
+            peak = voigt_density(0.0, sigma, fl / 2.0)
+            assert voigt_density(fwhm / 2.0, sigma, fl / 2.0) == pytest.approx(
                 0.5 * peak, rel=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "lor,gauss", [(math.inf, 0.0), (0.0, math.inf), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_infinite_width_is_infinite(self, lor, gauss):
+        assert voigt_fwhm(lor, gauss) == math.inf
 
 
 class TestVoigtBracket:
@@ -286,6 +281,12 @@ class TestIntegrate:
     def test_infinite_range_needs_decay_time(self):
         with pytest.raises(ValueError):
             integrate(lambda t: np.exp(-t), 0.0, math.inf)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # a nan tol would pass err_total > tol as False and return the seed estimate
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, tol=tol)
 
     def test_non_convergence_raises(self):
         with pytest.raises(QuadratureError):
