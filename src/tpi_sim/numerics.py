@@ -326,9 +326,13 @@ def _voigt_width(total, lor, gauss, unknown: str) -> np.ndarray:
     peak = None
     if unknown == "total":
         start = 0.5346 * l + np.sqrt(0.2166 * l * l + g * g)
-        # Re w(z_0) does not move with F: one axis call for the whole solve
+        # Re w(z_0) does not move with F: one axis call for the whole solve.
+        # An infinite L makes it nan (inf / inf in the series), which does
+        # not reach the result: the bracket [0, 2 B] is infinite, so the
+        # solve stops after its first step, at inf.
         s = GAUSS_FWHM_PER_SIGMA / (g * math.sqrt(2.0))
-        peak = _faddeeva(np.zeros(l.shape), 0.5 * l * s)[0]
+        with np.errstate(invalid="ignore"):
+            peak = _faddeeva(np.zeros(l.shape), 0.5 * l * s)[0]
     elif unknown == "lorentzian":  # 0.0692 L^2 - 1.0692 F L + F^2 - G^2 = 0, smaller root
         b = 1.0692 * f
         c = (f - g) * (f + g)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,20 +152,29 @@ class TestColumnWriter:
         ("vmap", visibility_map, "visibility"),
         ("fmap", fidelity_map, "fidelity"),
     ])
+    @pytest.mark.parametrize("n_pd,n_sd", [
+        # whole map rows, _BLOCK_ROWS // 50 of them per block: two full
+        # blocks and one a third full
+        (2 * (_BLOCK_ROWS // 50) + _BLOCK_ROWS // 150, 50),
+        # map rows longer than a block: each is cut into a full block and a
+        # ragged one
+        (2, _BLOCK_ROWS + _BLOCK_ROWS // 3),
+    ])
     def test_map_rows_not_a_multiple_of_the_block(self, tmp_path, fmt, command, evaluate,
-                                                  value_name):
-        # 4096 // 50 = 81 theta_pd rows per block: blocks of 81, 81 and 38 rows;
+                                                  value_name, n_pd, n_sd):
         # the theta_sd range crosses the Lorentzian switch
         params = {
-            "theta_pd": {"min": 1.0, "max": 80.0, "n": 200, "spacing": "log"},
-            "theta_sd": {"min": 1e-14, "max": 20.0, "n": 50, "spacing": "log"},
+            "theta_pd": {"min": 1.0, "max": 80.0, "n": n_pd, "spacing": "log"},
+            "theta_sd": {"min": 1e-14, "max": 20.0, "n": n_sd, "spacing": "log"},
         }
-        assert 200 % (_BLOCK_ROWS // 50) != 0
+        _, _, blocks, _ = cli._COMMANDS[command][0](params, 3)
+        sizes = [len(block[2]) for block in blocks]
+        assert len(sizes) >= 3 and max(sizes) <= _BLOCK_ROWS and sizes[-1] < sizes[0]
         cfg = write_config(tmp_path, {**params, "seed": 3})
         out = tmp_path / f"map.{fmt}"
         assert main([command, "--config", cfg, "--out", str(out), "--format", fmt]) == 0
-        pd = np.geomspace(1.0, 80.0, 200)
-        sd = np.geomspace(1e-14, 20.0, 50)
+        pd = np.geomspace(1.0, 80.0, n_pd)
+        sd = np.geomspace(1e-14, 20.0, n_sd)
         matrix = evaluate(pd, sd)
         rows = [[float(a), float(b), float(matrix[i, j])]
                 for i, a in enumerate(pd) for j, b in enumerate(sd)]
@@ -173,6 +183,24 @@ class TestColumnWriter:
         config = RunConfig(command, params, None, fmt, 3)
         expected = row_writer_text(config, ["theta_pd", "theta_sd", value_name], rows)
         assert_same_rows(out.read_text(), expected)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_theta_sd_axis_memory(self, tmp_path, fmt):
+        # A block holds at most _BLOCK_ROWS rows however long a map row is:
+        # the rest is the grids and their rendered cells, 12 MB in all here.
+        # Blocks of whole map rows held 58 MB at this size.
+        cfg = write_config(tmp_path, {
+            "theta_pd": {"min": 1.0, "max": 30.0, "n": 2, "spacing": "linear"},
+            "theta_sd": {"min": 0.0, "max": 20.0, "n": 200_000, "spacing": "linear"},
+        })
+        out = tmp_path / f"map.{fmt}"
+        tracemalloc.start()
+        try:
+            assert main(["vmap", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 def rendered_cells(values):

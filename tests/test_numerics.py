@@ -204,6 +204,7 @@ class TestVoigtFwhm:
                 0.5 * peak, rel=1e-9
             )
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "lor,gauss", [(math.inf, 0.0), (0.0, math.inf), (math.inf, 1.0), (1.0, math.inf)]
     )
