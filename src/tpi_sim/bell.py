@@ -13,6 +13,10 @@ the composed gate.  The raw p_XX carry the 1/9 post-selection factor of
 the nondeterministic CNOT; the fidelity divides by the measured success
 probability (the sum over the four rail-pair outcomes, which is the same
 in every tomography setting), so ideal photons give exactly 1.
+
+Each probability is affine in the pair's overlap weight, with terms fixed
+by the circuit; the circuit is composed once into one cached table of them,
+which ``bell_fidelity`` and ``fidelity_at_weight`` both read.
 """
 
 from __future__ import annotations
@@ -26,15 +30,7 @@ import numpy as np
 
 from . import numerics
 from .emitter import EmitterConstraint, NormalizedParams, PhotonPair, normalized_params
-from .gates import (
-    GateMatrix,
-    TOMOGRAPHY_BASES,
-    cnot_gate,
-    compose,
-    gate_quad,
-    prep_gate,
-    tomography_gate,
-)
+from .gates import TOMOGRAPHY_BASES, cnot_gate, compose, gate_quad, prep_gate, tomography_gate
 from .interference import (
     coincidence_at_weight,
     coincidence_terms,
@@ -77,54 +73,47 @@ class FidelityResult:
     complex_phase_bases: tuple[str, ...]
 
 
+def _signed_sum(p: dict[str, float]) -> float:
+    """The signed tomography sum pHH + pVV + pDD + pAA - pRR - pLL."""
+    return p["HH"] + p["VV"] + p["DD"] + p["AA"] - p["RR"] - p["LL"]
+
+
 @lru_cache(maxsize=1)
-def _stage_gates() -> dict[str, GateMatrix]:
+def _circuit() -> tuple[dict[str, tuple], tuple[str, ...], tuple[float, float, float, float]]:
+    """The fixed circuit, composed once: ``(terms, complex_bases, coefficients)``.
+
+    ``terms`` maps each tomography basis to the :func:`coincidence_terms`
+    of the coincidence outputs and the tuple of those of the four rail-pair
+    outcomes; ``complex_bases`` lists the bases whose coincidence quad
+    carries a genuinely complex phase; ``coefficients`` is (raw_const,
+    raw_slope, succ_const, succ_slope), the signed six-basis sum and the
+    four-outcome success total as affine functions of the weight.  Success
+    terms that differ across settings by more than 1e-12 raise AssertionError.
+    """
     base = compose(cnot_gate(), prep_gate())
-    return {basis: compose(tomography_gate(basis), base) for basis in TOMOGRAPHY_BASES}
-
-
-@lru_cache(maxsize=1)
-def _basis_terms() -> dict[str, tuple[tuple, tuple[tuple, ...], bool]]:
-    """Per tomography basis: the :func:`coincidence_terms` of the coincidence
-    outputs, those of the four rail-pair outcomes, and whether the
-    coincidence quad carries a genuinely complex phase."""
-    terms = {}
-    for basis, gate in _stage_gates().items():
+    terms, complex_bases, succ = {}, [], []
+    for basis in TOMOGRAPHY_BASES:
+        gate = compose(tomography_gate(basis), base)
         quad = gate_quad(gate, CONTROL_IN, TARGET_IN, *COINC_OUT)
         rails = tuple(
             coincidence_terms(gate_quad(gate, CONTROL_IN, TARGET_IN, ko, lo))
             for ko in CONTROL_RAILS
             for lo in TARGET_RAILS
         )
-        is_complex = abs(math.sin(quad.phase)) * quad.magnitude > COMPLEX_PHASE_TOL
-        terms[basis] = (coincidence_terms(quad), rails, is_complex)
-    return terms
-
-
-@lru_cache(maxsize=1)
-def _weight_coefficients() -> tuple[float, float, float, float]:
-    """Linear coefficients of the fidelity numerator and success vs weight.
-
-    Returns (raw_const, raw_slope, succ_const, succ_slope) where raw is the
-    signed six-basis sum and succ the four-outcome total (verified
-    identical across settings to 1e-12).
-    """
-    raw_const = raw_slope = 0.0
-    succ = []
-    for basis, ((p0a, p0b, slope), rails, _) in _basis_terms().items():
-        sign = -1.0 if basis in ("RR", "LL") else 1.0
-        raw_const += sign * (p0a + p0b)
-        raw_slope += sign * slope
+        terms[basis] = (coincidence_terms(quad), rails)
+        if abs(math.sin(quad.phase)) * quad.magnitude > COMPLEX_PHASE_TOL:
+            complex_bases.append(basis)
         c = s = 0.0
         for ra, rb, rs in rails:
             c += ra + rb
             s += rs
         succ.append((c, s))
-    consts = np.array([c for c, _ in succ])
-    slopes = np.array([s for _, s in succ])
+    consts, slopes = np.array(succ).T
     if np.ptp(consts) > 1e-12 or np.ptp(slopes) > 1e-12:
         raise AssertionError("success probability should not depend on the tomography setting")
-    return raw_const, raw_slope, float(consts[0]), float(slopes[0])
+    raw_const = _signed_sum({b: p0a + p0b for b, ((p0a, p0b, _), _) in terms.items()})
+    raw_slope = _signed_sum({b: slope for b, ((_, _, slope), _) in terms.items()})
+    return terms, tuple(complex_bases), (raw_const, raw_slope, float(consts[0]), float(slopes[0]))
 
 
 def fidelity_at_weight(weight: float | np.ndarray) -> float | np.ndarray:
@@ -133,7 +122,7 @@ def fidelity_at_weight(weight: float | np.ndarray) -> float | np.ndarray:
     The weight is :func:`tpi_sim.interference.interference_weight` of the
     photon pair (the pair's HOM visibility).  Scalar or array input.
     """
-    raw_const, raw_slope, succ_const, succ_slope = _weight_coefficients()
+    raw_const, raw_slope, succ_const, succ_slope = _circuit()[2]
     w = np.asarray(weight, dtype=float)
     # (raw_const + raw_slope w) / (2 (succ_const + succ_slope w)), in place
     out = raw_slope * w
@@ -148,33 +137,23 @@ def fidelity_at_weight(weight: float | np.ndarray) -> float | np.ndarray:
 def bell_fidelity(pair: PhotonPair) -> FidelityResult:
     """Fidelity of the post-selected Bell state for a given photon pair.
 
-    Evaluates the six projective coincidence probabilities through the
-    composed gates, normalizes their signed sum by the post-selection
-    success probability, and records any basis whose interference quad
-    carries a genuinely complex phase.  The overlap weight is computed once
-    and enters every probability through the cached per-basis affine terms.
+    Evaluates the six projective coincidence probabilities and the four
+    rail-pair outcomes of every setting at the pair's overlap weight,
+    computed once, through the affine terms of the cached circuit, and
+    normalizes their signed sum by the mean success probability.
     """
     weight = interference_weight(pair)
-    probs: dict[str, float] = {}
-    complex_bases: list[str] = []
-    success_by_basis = []
-    for basis, (coinc, rails, is_complex) in _basis_terms().items():
-        probs[basis] = coincidence_at_weight(coinc, weight)
-        if is_complex:
-            complex_bases.append(basis)
-        success_by_basis.append(sum(coincidence_at_weight(terms, weight) for terms in rails))
-    if np.ptp(success_by_basis) > 1e-9:
-        raise AssertionError("tomography settings disagree on the success probability")
-    success = float(np.mean(success_by_basis))
-    raw = (
-        probs["HH"] + probs["VV"] + probs["DD"] + probs["AA"] - probs["RR"] - probs["LL"]
-    )
+    terms, complex_bases, _ = _circuit()
+    probs = {basis: coincidence_at_weight(coinc, weight) for basis, (coinc, _) in terms.items()}
+    success = float(np.mean(
+        [sum(coincidence_at_weight(t, weight) for t in rails) for _, rails in terms.values()]
+    ))
     return FidelityResult(
-        fidelity=raw / (2.0 * success),
+        fidelity=_signed_sum(probs) / (2.0 * success),
         basis_probabilities=probs,
         success_probability=success,
         normalized_params=normalized_params(pair.emitter_i) if pair.is_identical else None,
-        complex_phase_bases=tuple(complex_bases),
+        complex_phase_bases=complex_bases,
     )
 
 

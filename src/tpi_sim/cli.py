@@ -196,7 +196,9 @@ def _float_slice(x: np.ndarray) -> np.ndarray:
     if len(redo):
         p[redo], e[redo] = _times_pow10(a[redo], 16 - k[redo])
     # p >= 2**53 is an even integer, so p + rint(e) rounds p + e half to even
-    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    n = p.astype(np.int64)
+    n += np.rint(e, out=e).astype(np.int64)
+    del a, p, e, low, high  # the live temporaries bound the peak memory
     up = n == 10**17  # 18 digits: it is 10**16 one decade up
     n[up] = 10**16
     k += up
@@ -209,6 +211,7 @@ def _float_slice(x: np.ndarray) -> np.ndarray:
     halves = np.empty((2, len(x)), np.uint32)
     halves[0] = n // 100_000_000
     halves[1] = n % 100_000_000
+    del n
     groups = np.empty((2, 2, len(x)), np.uint32)
     np.floor_divide(halves, np.uint32(10_000), out=groups[:, 0])
     groups[:, 1] = halves - groups[:, 0] * np.uint32(10_000)
@@ -223,6 +226,7 @@ def _float_slice(x: np.ndarray) -> np.ndarray:
         group_digits[:, j] = group - quotient * ten
         group, quotient = quotient, group
     group_digits[:, 0] = group
+    del halves, groups, group, quotient
     last = ((digits != 0) * _DIGIT_SLOTS).max(axis=0)  # last nonzero digit
     digits += ord("0")
     digits *= _DIGIT_SLOTS <= np.maximum(last, k)

@@ -240,12 +240,12 @@ def _baseline(
     ti = pair.emitter_i.lifetime
     tj = pair.emitter_j.lifetime
     p0a, p0b = quad.p0_terms
-    pos = np.heaviside(tau, 0.5)
-    neg = np.heaviside(-tau, 0.5)
-    tp = np.where(tau > 0.0, tau, 0.0)
-    tn = np.where(tau < 0.0, tau, 0.0)
-    term_a = pos * np.exp(-tp / ti) + neg * np.exp(tn / tj)
-    term_b = pos * np.exp(-tp / tj) + neg * np.exp(tn / ti)
+    # term a decays with ti for tau > 0 and with tj for tau < 0, term b the
+    # other way round; at tau = 0 each is 1, the two half-maximum steps
+    late = tau > 0.0
+    lag = -np.abs(tau)
+    term_a = np.exp(lag / np.where(late, ti, tj))
+    term_b = np.exp(lag / np.where(late, tj, ti))
     return (p0a * term_a + p0b * term_b) / (ti + tj)
 
 

@@ -27,9 +27,10 @@ import pytest
 from tpi_sim.bell import AssessmentPoint, EmitterConstraint, bell_fidelity, emitter_assessment
 from tpi_sim.bell import fidelity_at_weight
 from tpi_sim.emitter import EmitterParams, PhotonPair, coherence_time, decompose_voigt_fwhm
-from tpi_sim.gates import TOMOGRAPHY_BASES, cnot_gate, compose, gate_quad, prep_gate
-from tpi_sim.gates import tomography_gate
-from tpi_sim.interference import SIGMA_LIFETIME_THRESHOLD, interference_weight, overlap_weight
+from tpi_sim.gates import TOMOGRAPHY_BASES, beam_splitter, cnot_gate, compose, gate_quad
+from tpi_sim.gates import prep_gate, tomography_gate
+from tpi_sim.interference import SIGMA_LIFETIME_THRESHOLD, _baseline, interference_weight
+from tpi_sim.interference import overlap_weight
 from tpi_sim.numerics import GAUSS_FWHM_PER_SIGMA, _faddeeva, _voigt_residual, faddeeva_w
 from tpi_sim.numerics import voigt_fwhm
 
@@ -418,6 +419,20 @@ def both_branches_weight(gamma, sigma, delta_nu, tau_sum):
     return float(out) if out.ndim == 0 else out
 
 
+def heaviside_baseline(quad, pair, tau):
+    """interference._baseline as it was: both exponentials of each term
+    formed on every lag and weighted by half-maximum steps."""
+    ti, tj = pair.emitter_i.lifetime, pair.emitter_j.lifetime
+    p0a, p0b = quad.p0_terms
+    pos = np.heaviside(tau, 0.5)
+    neg = np.heaviside(-tau, 0.5)
+    tp = np.where(tau > 0.0, tau, 0.0)
+    tn = np.where(tau < 0.0, tau, 0.0)
+    term_a = pos * np.exp(-tp / ti) + neg * np.exp(tn / tj)
+    term_b = pos * np.exp(-tp / tj) + neg * np.exp(tn / ti)
+    return (p0a * term_a + p0b * term_b) / (ti + tj)
+
+
 def concatenated_residual(total_fwhm, lor, gauss, lorentzian):
     """The Voigt half-maximum residual of a component width as the split solve
     once formed it, z_F and z_0 of every element in one Faddeeva call (y
@@ -496,6 +511,29 @@ class TestSingleBranchPaths:
         for k in range(4):
             point = [float(v[k]) for v in alone]
             assert point == list(kernel_at(far_x[k], far_y[k]))
+
+    def test_baseline_against_the_heaviside_form(self):
+        rng = np.random.default_rng(34)
+        edges = [0.0, math.inf, 5e-324, 1e308, 1e-300, 1e-9]
+        edges = np.array(edges + [-v for v in edges])
+        cnot = compose(cnot_gate(), prep_gate())
+        for n in range(60):
+            pair = PhotonPair(*(EmitterParams(float(10 ** rng.uniform(-11.0, -8.0)))
+                                for _ in range(2)))
+            if n % 2:
+                gate, modes = beam_splitter(float(rng.uniform(0.0, 1.0))), (1, 2, 1, 2)
+            else:
+                gate = compose(tomography_gate(TOMOGRAPHY_BASES[n % 6]), cnot)
+                modes = (3, 4, int(rng.integers(1, 4)), int(rng.integers(4, 7)))
+            quad = gate_quad(gate, *modes)
+            span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
+            tau = np.concatenate([np.linspace(-span, span, 4001), edges,
+                                  rng.choice([-1.0, 1.0], 60) * 10 ** rng.uniform(-320, 300, 60)])
+            with np.errstate(over="ignore"):  # +-1e308 / lifetime, in both forms
+                assert same_bits(_baseline(quad, pair, tau), heaviside_baseline(quad, pair, tau))
+            # a 0-d lag, and a nan lag stays nan (its sign bit is not kept)
+            assert same_bits(_baseline(quad, pair, tau[7]), heaviside_baseline(quad, pair, tau[7]))
+            assert np.isnan(_baseline(quad, pair, np.array([math.nan]))).all()
 
     @pytest.mark.parametrize("lorentzian", [True, False])
     def test_voigt_residual_against_one_concatenated_call(self, lorentzian):

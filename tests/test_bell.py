@@ -85,9 +85,9 @@ class TestBellFidelity:
 
     def test_complex_phase_diagnostic(self):
         res = bell_fidelity(IDEAL)
-        # circular bases go through complex rotations; any flagged basis must
-        # be one of them, and flagging must not disturb the fidelity contract
-        assert set(res.complex_phase_bases) <= {"RR", "LL"}
+        # the circular bases go through complex rotations, yet every
+        # coincidence quad of the circuit has a real phase
+        assert res.complex_phase_bases == ()
 
     def test_agrees_with_weight_parametrization(self):
         rng = np.random.default_rng(14)

@@ -1,4 +1,6 @@
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,27 @@ def test_summary_medians_quartiles_and_wins():
         # equal is not better: only seed 2 counts
         "ok_ratio [ratio, higher]: parent 1 (0.975-1)  change 1 (1-1)  change better in 1/4",
     ]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git command")
+def test_worktree_export_carries_uncommitted_and_untracked_files(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "pkg" / "gone.py").write_text("committed, then deleted\n")
+    (repo / ".gitignore").write_text("out/\n*.log\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.org"]
+    subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], cwd=repo, check=True)
+    (repo / "pkg" / "kept.py").write_text("edited, not committed\n")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "record.json").write_text("ignored\n")
+    bench_pairs.export_worktree(repo, dest)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/kept.py", "pkg/new.py"]
+    assert (dest / "pkg" / "kept.py").read_text() == "edited, not committed\n"
+    assert not (dest / ".git").exists()

@@ -271,6 +271,23 @@ class TestFloatMatrix:
         ])
         assert rendered_cells(values) == format_floats(values)
 
+    def test_block_peak_memory(self):
+        # one block of mixed values: the (_CELL_WIDTH, n) result is 0.39 MB
+        # at _BLOCK_ROWS = 16384, and the kernel's live temporaries about
+        # 1.2 MB more (2.8 MB when every intermediate lived to the end)
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal(_BLOCK_ROWS) * 10.0 ** rng.integers(-8, 20, _BLOCK_ROWS)
+        values[::97] = np.resize(np.array(SPECIAL_FLOATS), len(values[::97]))
+        _float_matrix(values)  # one-time lazy allocations are not counted
+        tracemalloc.start()
+        try:
+            cells = _float_matrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (cli._CELL_WIDTH, _BLOCK_ROWS)
+        assert peak < 2.0e6, peak
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_multi_column_blocks(self, tmp_path, fmt, n):
@@ -763,6 +780,60 @@ class TestConfigBoundary:
             err = self.run_error(tmp_path, capsys, "decompose", {**payload, "seed": -1})
         assert err.startswith("error: config field 'seed' must be an integer >= 0"), err
 
+    @pytest.mark.parametrize(
+        "command,payload,expected",
+        [
+            ("g2", {"emitters": {"lifetime_ps": 700}}, "field 'emitters' has the wrong type"),
+            ("assess", {"sources": {"name": "a"}}, "field 'sources' has the wrong type"),
+            ("g2", {"emitters": [{"dephasing_rate_mhz": 5}, {"lifetime_ps": 650}]},
+             "missing required field 'emitters[0].lifetime_ps'"),
+            ("decompose", {"constraint": {"coherence_time_ps": 330}},
+             "missing required field 'constraint.lifetime_ps'"),
+            # json.dumps writes the integer in full; it has no float value
+            ("g2", {"emitters": [{"lifetime_ps": 10**400}, {"lifetime_ps": 650}]},
+             "field 'emitters[0].lifetime_ps' must be finite, not inf"),
+            ("vmap", {"theta_pd": {"min": 1, "max": 2}, "theta_sd": {"min": 0, "max": 1, "n": 2}},
+             "missing required field 'theta_pd.n'"),
+            ("vmap", {"theta_pd": [1, 2], "theta_sd": {"min": 0, "max": 1, "n": 2}},
+             "field 'theta_pd' must be an object"),
+            ("g2", {"emitters": [700, {"lifetime_ps": 650}]},
+             "field 'emitters[0]' must be an object"),
+            ("vmap", {"theta_pd": {"min": 2, "max": 1, "n": 2},
+                      "theta_sd": {"min": 0, "max": 1, "n": 2}},
+             "grid 'theta_pd' has an invalid range [2.0, 1.0]"),
+            ("fmap", {"theta_pd": {"min": 1, "max": 2, "n": 2},
+                      "theta_sd": {"min": 0, "max": 1, "n": 2, "spacing": "log"}},
+             "log-spaced grid 'theta_sd' needs min > 0"),
+            ("tuning",
+             qd_pair_config(detuning_ghz={"min": -1, "max": 1, "n": 3, "spacing": "cubic"}),
+             "grid 'detuning_ghz' has unknown spacing 'cubic'"),
+            ("decompose", {"constraint": {"lifetime_ps": 670, "coherence_time_ps": 330,
+                                          "total_fwhm_mhz": 500}},
+             "invalid constraint 'constraint': provide exactly one of"),
+            ("assess", {"sources": []}, "field 'sources' must list at least one entry"),
+        ],
+    )
+    def test_structure_checks_named(self, tmp_path, capsys, command, payload, expected):
+        err = self.run_error(tmp_path, capsys, command, payload)
+        assert expected in err, err
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ('{"emitters": [', "error: config is not valid JSON: "),
+            ("", "error: config is not valid JSON: "),
+            ("[1, 2]", "error: config must be a JSON object"),
+            ('"g2"', "error: config must be a JSON object"),
+        ],
+    )
+    def test_config_text_must_be_a_json_object(self, tmp_path, capsys, text, expected):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["g2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_constraint_named(self, tmp_path, capsys):
         err = self.run_error(tmp_path, capsys, "decompose", {"n_points": 3})
         assert err.rstrip().endswith("missing required field 'constraint'"), err
@@ -935,6 +1006,25 @@ def modules_after_tiny_runs(tmp_path, commands=tuple(sorted(TINY_CONFIGS))):
         passed = [row[-1] == "True" for row in rows] if header[-1] == "passed" else []
         assert statuses[command] == expected_status(command, passed), command
     return modules
+
+
+def test_reader_closing_the_pipe_early(tmp_path):
+    """A reader that stops after a few bytes (``tpi-sim g2 ... | head -c 64``)
+    ends the run quietly: exit 0 and nothing on stderr."""
+    cfg = write_config(tmp_path, qd_pair_config(n_tau=200_000))
+    src = str(Path(tpi_sim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tpi_sim.cli", "g2", "--config", cfg],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    head = proc.stdout.read(64)
+    proc.stdout.close()  # the table is about 10 MB, far more than a pipe holds
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert head.startswith(b"# command = g2\n")
 
 
 def test_runtime_imports_no_scipy(tmp_path):

@@ -32,6 +32,11 @@ class TestEmitterParams:
         with pytest.raises(ValueError):
             EmitterParams(lifetime=math.inf)
 
+    @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_refused(self, detuning):
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            EmitterParams(lifetime=1e-9, detuning=detuning)
+
     def test_linewidth_conventions(self):
         # the single most error-prone convention: Lorentzian FWHM = gamma_h / pi,
         # pinned by the 410 ps <-> 388 MHz and 12 ns <-> 13.3 MHz correspondences

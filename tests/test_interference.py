@@ -8,6 +8,7 @@ from tpi_sim.emitter import EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix, beam_splitter
 from tpi_sim.interference import (
     SIGMA_LIFETIME_THRESHOLD,
+    CorrelationTrace,
     averaged_phase_factor,
     coincidence_probability,
     g2_distinguishable,
@@ -160,6 +161,17 @@ class TestG2Trace:
         val = g2_distinguishable(HOM, 1, 2, 1, 2, pair, tau)
         expected = 0.25 * (math.exp(-tau / 1.0e-9) + math.exp(-tau / 0.2e-9)) / 1.2e-9
         assert val == pytest.approx(expected, rel=1e-12)
+
+    def test_trace_arrays_checked(self):
+        trace = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, np.linspace(-1e-9, 1e-9, 5))
+        tau, g2, g0 = trace.tau_grid, trace.g2_values, trace.g2_distinguishable
+        with pytest.raises(ValueError, match="one shape"):
+            CorrelationTrace(tau, g2[:-1], g0, QD_PAIR)
+        with pytest.raises(ValueError, match="one shape"):
+            CorrelationTrace(tau, g2, g0[None, :], QD_PAIR)
+        for grid in (tau[::-1], np.concatenate([tau[:2], tau[1:4]])):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                CorrelationTrace(grid, g2, g0, QD_PAIR)
 
 
 class TestCoincidenceProbability:

@@ -161,6 +161,11 @@ class TestExponentialWave:
         expected = math.exp(-0.5) * complex(math.cos(0.5), -math.sin(0.5)) / math.sqrt(1e-9)
         assert complex(zeta(1e-9)) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("lifetime", [0.0, -0.0, -1e-9])
+    def test_lifetime_must_be_positive(self, lifetime):
+        with pytest.raises(ValueError, match="lifetime must be positive"):
+            exponential_wave(lifetime)
+
 
 class TestJitterSampling:
     def test_statistics_within_five_sigma(self):
@@ -394,6 +399,11 @@ class TestMcG2:
             mc_g2_estimate(HOM, 1, 2, 2, 2, QD_PAIR, 0.1e-9, realizations=2)
         with pytest.raises(ValueError, match="out of range"):
             mc_g2_estimate(HOM, 1, 3, 1, 2, QD_PAIR, 0.1e-9, realizations=2)
+
+    @pytest.mark.parametrize("realizations", [1, 0, -3])
+    def test_needs_two_realizations(self, realizations):
+        with pytest.raises(ValueError, match="at least 2 realizations"):
+            mc_g2_estimate(HOM, 1, 2, 1, 2, QD_PAIR, 0.1e-9, realizations=realizations)
 
     def test_seeded_determinism(self):
         a = mc_g2_estimate(HOM, 1, 2, 1, 2, QD_PAIR, 0.1e-9, realizations=200, seed=8)

@@ -4,10 +4,14 @@ Usage (from the repository root):
 
     python3 tools/bench_pairs.py HEAD --workload assess --seeds 211-220 --seconds 8
 
-REV is exported with ``git archive`` into a temporary directory, which
-is removed when the tool ends, records and all.  For every seed in
-A-B (both included) ``perfbench/run.py --trace 0`` runs once on the export
-(the parent) and once on the working tree (the change), each with its own
+Both sides run from fresh copies in one temporary directory: REV (the
+parent) exported with ``git archive``, and the working tree (the change)
+as the files ``git ls-files --cached --others --exclude-standard`` lists,
+uncommitted edits and untracked files included, ignored files, deleted
+files and ``.git`` left out.  The directory is removed when the tool ends;
+the change side's ``perfbench/out`` records are first copied into the
+working tree's ``perfbench/out``.  For every seed in A-B (both included)
+``perfbench/run.py --trace 0`` runs once on each copy, each with its own
 ``perfbench``.  The pairs run in ABBA order: the first seed runs the
 parent first, the next the change first, and so on.  Whichever side runs
 first in a pair is measured under different machine conditions (caches,
@@ -28,6 +32,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -104,6 +110,19 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def export_worktree(root: Path, dest: Path) -> None:
+    """Copy the working tree of the repository at ``root`` into ``dest``:
+    every tracked file as it is on disk and every untracked file that is
+    not ignored; deleted files and ``.git`` are left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, capture_output=True, check=True).stdout
+    for name in {os.fsdecode(n) for n in listed.split(b"\0") if n}:
+        source = root / name
+        if source.is_symlink() or source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name, follow_symlinks=False)
+
+
 def perfbench_runner(trees: dict[str, Path], workload: str, seconds: int) -> Runner:
     """``run(side, seed)``: perfbench's end-to-end metrics of one run on that side's tree."""
 
@@ -135,10 +154,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        commit = export(args.rev, Path(tmp))
-        print(f"parent: {args.rev} = {commit}; change: the working tree {ROOT}", file=sys.stderr)
-        run = perfbench_runner({"parent": Path(tmp), "change": ROOT}, args.workload, args.seconds)
-        results = run_pairs(args.seeds, run)
+        trees = {side: Path(tmp) / side for side in SIDES}
+        commit = export(args.rev, trees["parent"])
+        export_worktree(ROOT, trees["change"])
+        print(f"parent: {args.rev} = {commit}; change: a copy of the working tree {ROOT}",
+              file=sys.stderr)
+        try:
+            results = run_pairs(args.seeds, perfbench_runner(trees, args.workload, args.seconds))
+        finally:
+            records = ROOT / "perfbench" / "out"
+            records.mkdir(parents=True, exist_ok=True)
+            for record in (trees["change"] / "perfbench" / "out").glob("*.json"):
+                shutil.copy2(record, records / record.name)
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {args.seconds} s per run")
     for line in summary_lines(results, metrics):
         print(line)
