@@ -21,7 +21,6 @@ which ``bell_fidelity`` and ``fidelity_at_weight`` both read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -56,11 +55,6 @@ COINC_OUT = (3, 5)
 CONTROL_RAILS = (2, 3)
 TARGET_RAILS = (4, 5)
 
-# A composed-gate quad whose phase has |sin| * magnitude above this is
-# recorded as genuinely complex (diagnostic only; the closed form stays
-# exact because the odd part integrates to zero).
-COMPLEX_PHASE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class FidelityResult:
@@ -70,7 +64,6 @@ class FidelityResult:
     basis_probabilities: dict[str, float]
     success_probability: float
     normalized_params: NormalizedParams | None
-    complex_phase_bases: tuple[str, ...]
 
 
 def _signed_sum(p: dict[str, float]) -> float:
@@ -79,19 +72,18 @@ def _signed_sum(p: dict[str, float]) -> float:
 
 
 @lru_cache(maxsize=1)
-def _circuit() -> tuple[dict[str, tuple], tuple[str, ...], tuple[float, float, float, float]]:
-    """The fixed circuit, composed once: ``(terms, complex_bases, coefficients)``.
+def _circuit() -> tuple[dict[str, tuple], tuple[float, float, float, float]]:
+    """The fixed circuit, composed once: ``(terms, coefficients)``.
 
     ``terms`` maps each tomography basis to the :func:`coincidence_terms`
     of the coincidence outputs and the tuple of those of the four rail-pair
-    outcomes; ``complex_bases`` lists the bases whose coincidence quad
-    carries a genuinely complex phase; ``coefficients`` is (raw_const,
-    raw_slope, succ_const, succ_slope), the signed six-basis sum and the
-    four-outcome success total as affine functions of the weight.  Success
-    terms that differ across settings by more than 1e-12 raise AssertionError.
+    outcomes; ``coefficients`` is (raw_const, raw_slope, succ_const,
+    succ_slope), the signed six-basis sum and the four-outcome success total
+    as affine functions of the weight.  Success terms that differ across
+    settings by more than 1e-12 raise AssertionError.
     """
     base = compose(cnot_gate(), prep_gate())
-    terms, complex_bases, succ = {}, [], []
+    terms, succ = {}, []
     for basis in TOMOGRAPHY_BASES:
         gate = compose(tomography_gate(basis), base)
         quad = gate_quad(gate, CONTROL_IN, TARGET_IN, *COINC_OUT)
@@ -101,8 +93,6 @@ def _circuit() -> tuple[dict[str, tuple], tuple[str, ...], tuple[float, float, f
             for lo in TARGET_RAILS
         )
         terms[basis] = (coincidence_terms(quad), rails)
-        if abs(math.sin(quad.phase)) * quad.magnitude > COMPLEX_PHASE_TOL:
-            complex_bases.append(basis)
         c = s = 0.0
         for ra, rb, rs in rails:
             c += ra + rb
@@ -113,7 +103,7 @@ def _circuit() -> tuple[dict[str, tuple], tuple[str, ...], tuple[float, float, f
         raise AssertionError("success probability should not depend on the tomography setting")
     raw_const = _signed_sum({b: p0a + p0b for b, ((p0a, p0b, _), _) in terms.items()})
     raw_slope = _signed_sum({b: slope for b, ((_, _, slope), _) in terms.items()})
-    return terms, tuple(complex_bases), (raw_const, raw_slope, float(consts[0]), float(slopes[0]))
+    return terms, (raw_const, raw_slope, float(consts[0]), float(slopes[0]))
 
 
 def fidelity_at_weight(weight: float | np.ndarray) -> float | np.ndarray:
@@ -122,7 +112,7 @@ def fidelity_at_weight(weight: float | np.ndarray) -> float | np.ndarray:
     The weight is :func:`tpi_sim.interference.interference_weight` of the
     photon pair (the pair's HOM visibility).  Scalar or array input.
     """
-    raw_const, raw_slope, succ_const, succ_slope = _circuit()[2]
+    raw_const, raw_slope, succ_const, succ_slope = _circuit()[1]
     w = np.asarray(weight, dtype=float)
     # (raw_const + raw_slope w) / (2 (succ_const + succ_slope w)), in place
     out = raw_slope * w
@@ -143,7 +133,7 @@ def bell_fidelity(pair: PhotonPair) -> FidelityResult:
     normalizes their signed sum by the mean success probability.
     """
     weight = interference_weight(pair)
-    terms, complex_bases, _ = _circuit()
+    terms, _ = _circuit()
     probs = {basis: coincidence_at_weight(coinc, weight) for basis, (coinc, _) in terms.items()}
     success = float(np.mean(
         [sum(coincidence_at_weight(t, weight) for t in rails) for _, rails in terms.values()]
@@ -153,7 +143,6 @@ def bell_fidelity(pair: PhotonPair) -> FidelityResult:
         basis_probabilities=probs,
         success_probability=success,
         normalized_params=normalized_params(pair.emitter_i) if pair.is_identical else None,
-        complex_phase_bases=complex_bases,
     )
 
 

@@ -143,13 +143,7 @@ class PhotonPair:
 
     @property
     def is_identical(self) -> bool:
-        a, b = self.emitter_i, self.emitter_j
-        return (
-            a.lifetime == b.lifetime
-            and a.dephasing_rate == b.dephasing_rate
-            and a.inhomogeneous_fwhm == b.inhomogeneous_fwhm
-            and a.detuning == b.detuning
-        )
+        return self.emitter_i == self.emitter_j
 
     def with_relative_detuning(self, delta_nu: float) -> "PhotonPair":
         """Same emitters, but with the relative detuning forced to ``delta_nu``."""

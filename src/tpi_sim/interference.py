@@ -244,8 +244,10 @@ def _baseline(
     # other way round; at tau = 0 each is 1, the two half-maximum steps
     late = tau > 0.0
     lag = -np.abs(tau)
-    term_a = np.exp(lag / np.where(late, ti, tj))
-    term_b = np.exp(lag / np.where(late, tj, ti))
+    # a lag beyond ~1.8e308 lifetimes overflows to -inf, and exp gives the exact 0
+    with np.errstate(over="ignore"):
+        term_a = np.exp(lag / np.where(late, ti, tj))
+        term_b = np.exp(lag / np.where(late, tj, ti))
     return (p0a * term_a + p0b * term_b) / (ti + tj)
 
 

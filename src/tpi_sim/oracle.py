@@ -31,10 +31,6 @@ f_i - f_j = (d_i - d_j) + sqrt(sigma_i^2 + sigma_j^2) z, and columns 1..T
 the increments of phi_i - phi_j, each sqrt(2 (gamma_i + gamma_j) dt) z.
 Every value is loc + scale * z, so a zero scale still consumes its normal,
 and drawing the rows in smaller blocks changes nothing.
-
-:func:`draw_jitter` keeps the per-photon model: one realization consumes
-2T + 2 normals, the frequency and T phase increments of photon i, then
-those of photon j.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +48,8 @@ from . import numerics
 from .emitter import EmitterParams, PhotonPair
 from .gates import GateMatrix, beam_splitter, gate_quad
 from .interference import (
+    _baseline,
+    _interference_term,
     averaged_phase_factor,
     coincidence_probability,
     g2_trace,
@@ -59,11 +57,8 @@ from .interference import (
 )
 
 __all__ = [
-    "RngSeed",
     "MonteCarloEstimate",
-    "JitterSample",
     "exponential_wave",
-    "draw_jitter",
     "mc_averaged_phase_factor",
     "quadrature_p_coinc",
     "quadrature_g2",
@@ -72,9 +67,6 @@ __all__ = [
     "VerificationReport",
     "run_verification",
 ]
-
-# Seeds are plain 64-bit integers fed to numpy's Generator machinery.
-RngSeed = int
 
 _CHUNK = 4096
 
@@ -108,104 +100,42 @@ chunk is four blocks.
 """
 
 
-def _worker_count(n_chunks: int) -> int:
-    """Threads for ``n_chunks`` chunks: at most one per CPU the process may use."""
+def _worker_count(n_jobs: int) -> int:
+    """Threads for ``n_jobs`` jobs: at most one per CPU the process may use."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(n_chunks, cpus)
+    return min(n_jobs, cpus)
 
 
-def _map_chunks(
-    evaluate: Callable[[int], Any], n_chunks: int, meanwhile: Callable[[], Any] | None = None
-) -> list:
-    """``[evaluate(c) for c in range(n_chunks)]``, on :func:`_worker_count` threads.
+def _run_jobs(jobs: list[Callable[[], None]], meanwhile: Callable[[], None] | None = None) -> None:
+    """Run every job once, on :func:`_worker_count` threads.
 
-    Each chunk draws from its own generator and writes only its own
-    outputs, and numpy's generator fills and ufuncs release the GIL, so the
-    chunks run in parallel and the results do not depend on the thread count.
+    Each job draws from its own generator and writes only its own outputs,
+    and numpy's generator fills and ufuncs release the GIL, so the jobs run
+    in parallel and the outputs do not depend on the thread count.
     ``meanwhile()``, if given, runs on the calling thread while the pool
-    works (after the chunks when there is no pool).
+    works (after the jobs when there is no pool).
     """
-    workers = _worker_count(n_chunks)
+    workers = _worker_count(len(jobs))
     if workers <= 1:
-        results = [evaluate(c) for c in range(n_chunks)]
+        for job in jobs:
+            job()
         if meanwhile is not None:
             meanwhile()
-        return results
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = pool.map(evaluate, range(n_chunks))
+        pending = [pool.submit(job) for job in jobs]
         if meanwhile is not None:
             meanwhile()
-        return list(pending)
+        for done in pending:
+            done.result()
 
 
 class MonteCarloEstimate(NamedTuple):
     value: float
     stderr: float
-
-
-@dataclass(frozen=True)
-class JitterSample:
-    """One realization of the frequency and phase jitter of a photon pair.
-
-    ``phase_i``/``phase_j`` are Wiener paths sampled exactly on ``times``
-    (increment variance 2 * dephasing_rate * dt); ``frequency_i``/`..._j``
-    are the per-photon carrier frequencies drawn around the emitter
-    detunings with the inhomogeneous standard deviations.
-    """
-
-    times: np.ndarray
-    frequency_i: float
-    frequency_j: float
-    phase_i: np.ndarray
-    phase_j: np.ndarray
-
-
-def _jitter_scales(
-    pair: PhotonPair, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Detunings and sigmas, shape (2,), and phase increment scales
-    sqrt(2 * dephasing_rate * dt), shape (2, T), of photons i and j on a
-    sorted T-point time grid."""
-    dt = np.diff(times, prepend=times[0])
-    emitters = (pair.emitter_i, pair.emitter_j)
-    return (
-        np.array([emitter.detuning for emitter in emitters]),
-        np.array([emitter.sigma for emitter in emitters]),
-        np.sqrt(2.0 * np.array([[emitter.dephasing_rate] for emitter in emitters]) * dt),
-    )
-
-
-def _draw_jitter_block(
-    scales: tuple[np.ndarray, np.ndarray, np.ndarray], rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``n`` jitter realizations with a pair's :func:`_jitter_scales`.
-
-    Returns the frequencies, shape (n, 2), and the phase paths, shape
-    (n, 2, T), photon i first; the per-photon draw order is in the module doc.
-    """
-    detuning, sigma, increment = scales
-    z = rng.standard_normal((n, 2, increment.shape[1] + 1))
-    frequency = detuning + sigma * z[:, :, 0]
-    # scaled and summed in place: the phase paths are a view of z
-    increments = z[:, :, 1:]
-    increments *= increment
-    return frequency, np.cumsum(increments, axis=2, out=increments)
-
-
-def draw_jitter(pair: PhotonPair, times: np.ndarray, rng: np.random.Generator) -> JitterSample:
-    """Sample one jitter realization for ``pair`` on a sorted time grid."""
-    times = np.asarray(times, dtype=float)
-    (frequency,), (phase,) = _draw_jitter_block(_jitter_scales(pair, times), rng, 1)
-    return JitterSample(
-        times=times,
-        frequency_i=float(frequency[0]),
-        frequency_j=float(frequency[1]),
-        phase_i=phase[0],
-        phase_j=phase[1],
-    )
 
 
 def _envelope(lifetime: float, t: np.ndarray) -> np.ndarray:
@@ -249,7 +179,7 @@ def mc_averaged_phase_factor(
     pair: PhotonPair,
     tau: float,
     trials: int = 100_000,
-    seed: RngSeed = 0,
+    seed: int = 0,
     gate_phase: float = math.pi,
 ) -> MonteCarloEstimate:
     """Monte-Carlo estimate of the averaged interference phase factor.
@@ -260,12 +190,12 @@ def mc_averaged_phase_factor(
     :func:`tpi_sim.interference.averaged_phase_factor`.
     """
     jobs, finish = _phase_factor_chunks(pair, tau, trials, seed, gate_phase)
-    _map_chunks(lambda c: jobs[c](), len(jobs))
+    _run_jobs(jobs)
     return finish()
 
 
 def _phase_factor_chunks(
-    pair: PhotonPair, tau: float, trials: int, seed: RngSeed, gate_phase: float
+    pair: PhotonPair, tau: float, trials: int, seed: int, gate_phase: float
 ) -> tuple[list[Callable[[], None]], Callable[[], MonteCarloEstimate]]:
     """Set-up of :func:`mc_averaged_phase_factor`: one job and its ``finish``."""
     if trials < 10_000:
@@ -316,8 +246,6 @@ def quadrature_p_coinc(
     closed-form G2(tau) over all lags, truncated at 40 times the slowest
     lifetime on each side.
     """
-    from .interference import _baseline, _interference_term
-
     quad = gate_quad(gate, i, j, k, l)
 
     def integrand(tau: np.ndarray) -> np.ndarray:
@@ -381,7 +309,7 @@ def mc_g2_estimate(
     pair: PhotonPair,
     tau: float,
     realizations: int = 2000,
-    seed: RngSeed = 0,
+    seed: int = 0,
 ) -> MonteCarloEstimate:
     """Monte-Carlo cross-correlation at one lag from the microscopic model.
 
@@ -404,10 +332,10 @@ def mc_g2_estimate(
     and their tau-shifted copies), so the estimate is unbiased with respect
     to the phase model.  The density is evaluated for a block of
     realizations at once and summed over the nodes in node order; the
-    chunks of realizations run on :func:`_map_chunks`.
+    chunks of realizations run as jobs on :func:`_run_jobs`.
     """
     jobs, finish = _g2_chunks(gate, i, j, k, l, pair, tau, realizations, seed)
-    _map_chunks(lambda c: jobs[c](), len(jobs))
+    _run_jobs(jobs)
     return finish()
 
 
@@ -420,7 +348,7 @@ def _g2_chunks(
     pair: PhotonPair,
     tau: float,
     realizations: int,
-    seed: RngSeed,
+    seed: int,
 ) -> tuple[list[Callable[[], None]], Callable[[], MonteCarloEstimate]]:
     """Set-up of :func:`mc_g2_estimate`, on the calling thread: ``(jobs, finish)``.
 
@@ -577,7 +505,7 @@ def _monte_carlo_check(name: str, results: list) -> VerificationCheck:
 
 
 def run_verification(
-    seed: RngSeed = 2024,
+    seed: int = 2024,
     closed_form_instances: int = 100,
     mc_instances: int = 10,
     mc_realizations: int = 3000,
@@ -649,7 +577,7 @@ def run_verification(
             ),
         ])
 
-    _map_chunks(lambda c: jobs[c](), len(jobs), meanwhile=check_quadratures)
+    _run_jobs(jobs, meanwhile=check_quadratures)
 
     results = []
     for (gate, i, j, k, l, pair, tau, _), finish in zip(lag_cases, lag_finishes):

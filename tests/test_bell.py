@@ -17,6 +17,7 @@ from tpi_sim.gates import (
     TOMOGRAPHY_BASES,
     cnot_gate,
     compose,
+    gate_quad,
     prep_gate,
     tomography_gate,
 )
@@ -83,11 +84,13 @@ class TestBellFidelity:
         )
         assert res.normalized_params is None
 
-    def test_complex_phase_diagnostic(self):
-        res = bell_fidelity(IDEAL)
+    @pytest.mark.parametrize("basis", TOMOGRAPHY_BASES)
+    def test_coincidence_quad_has_a_real_phase(self, basis):
         # the circular bases go through complex rotations, yet every
         # coincidence quad of the circuit has a real phase
-        assert res.complex_phase_bases == ()
+        gate = compose(tomography_gate(basis), compose(cnot_gate(), prep_gate()))
+        quad = gate_quad(gate, 3, 4, 3, 5)
+        assert abs(math.sin(quad.phase)) * quad.magnitude <= 1e-9
 
     def test_agrees_with_weight_parametrization(self):
         rng = np.random.default_rng(14)

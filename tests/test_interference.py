@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -161,6 +162,13 @@ class TestG2Trace:
         val = g2_distinguishable(HOM, 1, 2, 1, 2, pair, tau)
         expected = 0.25 * (math.exp(-tau / 1.0e-9) + math.exp(-tau / 0.2e-9)) / 1.2e-9
         assert val == pytest.approx(expected, rel=1e-12)
+
+    def test_baseline_zero_beyond_the_float_range_without_warning(self):
+        # |tau| / lifetime overflows to inf here, and the baseline is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = g2_distinguishable(HOM, 1, 2, 1, 2, QD_PAIR, [-1e300, 1e300])
+        assert np.array_equal(val, [0.0, 0.0])
 
     def test_trace_arrays_checked(self):
         trace = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, np.linspace(-1e-9, 1e-9, 5))

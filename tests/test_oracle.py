@@ -27,14 +27,11 @@ from tpi_sim.interference import (
 from tpi_sim.numerics import integrate
 from tpi_sim.oracle import (
     MonteCarloEstimate,
-    _draw_jitter_block,
     _envelope,
     _gauss_legendre_nodes,
     _haar_unitary,
-    _jitter_scales,
     _monte_carlo_check,
     _random_instance,
-    draw_jitter,
     exponential_wave,
     mc_averaged_phase_factor,
     mc_g2_estimate,
@@ -56,18 +53,6 @@ NO_DEPHASING = PhotonPair(
 NO_WIDTH = PhotonPair(EmitterParams(700e-12, 600e6, 0.0), EmitterParams(650e-12, 300e6, 0.0))
 NO_JITTER = PhotonPair(EmitterParams(700e-12), EmitterParams(650e-12, detuning=-1e9))
 JITTER_PAIRS = [QD_PAIR, NO_DEPHASING, NO_WIDTH, NO_JITTER]
-
-
-def legacy_draw(pair, times, rng):
-    """Per-photon draws as the per-realization sampler made them: one
-    ``rng.normal`` for the frequency, then one for the T phase increments."""
-    dt = np.diff(times, prepend=times[0])
-    drawn = []
-    for emitter in (pair.emitter_i, pair.emitter_j):
-        frequency = rng.normal(emitter.detuning, emitter.sigma)
-        increments = rng.normal(0.0, np.sqrt(2.0 * emitter.dephasing_rate * dt))
-        drawn.append((frequency, np.cumsum(increments)))
-    return drawn
 
 
 def relative_draw(pair, times, rng):
@@ -107,9 +92,10 @@ def legacy_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed, panels=12):
 
 
 def per_photon_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed):
-    """The two-photon block sampler: per 256-realization chunk, both
-    photons' frequencies and Wiener paths from ``_draw_jitter_block``, and
-    the density of :func:`mc_g2_estimate` from their differences."""
+    """The two-photon block sampler: per 256-realization chunk, one
+    standard-normal array of shape (n, 2, T + 1), whose rows give photon i's
+    frequency and T phase increments, then photon j's; the density of
+    :func:`mc_g2_estimate` from their differences."""
     u = gate.matrix
     ca = u[l - 1, i - 1] * u[k - 1, j - 1]
     cb = u[l - 1, j - 1] * u[k - 1, i - 1]
@@ -123,11 +109,17 @@ def per_photon_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed):
     env_b = _envelope(lifetime_j, late) * _envelope(lifetime_i, t0)
     direct = abs(ca) ** 2 * env_a**2 + abs(cb) ** 2 * env_b**2
     beat = 2.0 * abs(ca * np.conj(cb)) * env_a * env_b
-    scales = _jitter_scales(pair, times)
+    emitters = (pair.emitter_i, pair.emitter_j)
+    detuning = np.array([emitter.detuning for emitter in emitters])
+    sigma = np.array([emitter.sigma for emitter in emitters])
+    dt = np.diff(times, prepend=times[0])
+    increment = np.sqrt(2.0 * np.array([[emitter.dephasing_rate] for emitter in emitters]) * dt)
     values = []
     for c, child in enumerate(np.random.SeedSequence(seed).spawn((realizations + 255) // 256)):
         n = min(256, realizations - 256 * c)
-        frequency, phase = _draw_jitter_block(scales, np.random.default_rng(child), n)
+        z = np.random.default_rng(child).standard_normal((n, 2, len(times) + 1))
+        frequency = detuning + sigma * z[:, :, 0]
+        phase = np.cumsum(increment * z[:, :, 1:], axis=2)
         step = phase[:, :, late_at] - phase[:, :, early]
         delta = 2 * math.pi * tau * (frequency[:, :1] - frequency[:, 1:]) + step[:, 0] - step[:, 1]
         values.append((direct + beat * np.cos(delta - np.angle(ca * np.conj(cb)))) @ weights)
@@ -165,57 +157,6 @@ class TestExponentialWave:
     def test_lifetime_must_be_positive(self, lifetime):
         with pytest.raises(ValueError, match="lifetime must be positive"):
             exponential_wave(lifetime)
-
-
-class TestJitterSampling:
-    def test_statistics_within_five_sigma(self):
-        rng = np.random.default_rng(17)
-        times = np.linspace(0.0, 5e-9, 2001)
-        dt = times[1] - times[0]
-        n = 400
-        freq_i = np.empty(n)
-        increments = []
-        for idx in range(n):
-            sample = draw_jitter(QD_PAIR, times, rng)
-            freq_i[idx] = sample.frequency_i
-            increments.append(np.diff(sample.phase_i))
-        incs = np.concatenate(increments)
-        # frequency draws: mean 0, std sigma_i
-        sigma_i = QD_PAIR.emitter_i.sigma
-        assert abs(freq_i.mean()) < 5.0 * sigma_i / math.sqrt(n)
-        assert abs(freq_i.std(ddof=1) / sigma_i - 1.0) < 5.0 / math.sqrt(2.0 * n)
-        # Wiener increments: variance 2 * rate * dt
-        target = 2.0 * QD_PAIR.emitter_i.dephasing_rate * dt
-        m = len(incs)
-        assert abs(incs.var(ddof=1) / target - 1.0) < 5.0 * math.sqrt(2.0 / m)
-
-    @pytest.mark.parametrize("pair", JITTER_PAIRS)
-    def test_block_replays_single_draws(self, pair):
-        times = np.unique(np.concatenate([np.linspace(0.0, 3e-9, 7), [0.4e-9, 5e-9]]))
-        n = 5
-        scales = _jitter_scales(pair, times)
-        block = _draw_jitter_block(scales, np.random.default_rng(99), n)
-        rng = np.random.default_rng(99)
-        split = [_draw_jitter_block(scales, rng, m) for m in (2, 3)]
-        rng = np.random.default_rng(99)
-        singles = [draw_jitter(pair, times, rng) for _ in range(n)]
-        rng = np.random.default_rng(99)
-        legacy = [legacy_draw(pair, times, rng) for _ in range(n)]
-        # the legacy draws consumed exactly n rows of 2T + 2 normals
-        assert rng.standard_normal() == np.random.default_rng(99).standard_normal(
-            n * (2 * len(times) + 2) + 1
-        )[-1]
-        for whole, first, second in zip(block, *split):
-            assert np.all(whole == np.concatenate([first, second]))
-        frequency, phase = block
-        f_i, f_j = frequency.T
-        phase_i, phase_j = phase.transpose(1, 0, 2)
-        assert phase_i.shape == phase_j.shape == (n, len(times))
-        for r, (one, ((lf_i, lp_i), (lf_j, lp_j))) in enumerate(zip(singles, legacy)):
-            assert one.frequency_i == f_i[r] == lf_i
-            assert one.frequency_j == f_j[r] == lf_j
-            assert np.all(one.phase_i == phase_i[r]) and np.all(phase_i[r] == lp_i)
-            assert np.all(one.phase_j == phase_j[r]) and np.all(phase_j[r] == lp_j)
 
 
 class TestMcAveragedPhaseFactor:
@@ -443,9 +384,11 @@ class TestThreadedChunks:
         )
 
     @staticmethod
-    def reversed_chunks(evaluate, n_chunks):
-        done = {c: evaluate(c) for c in reversed(range(n_chunks))}
-        return [done[c] for c in range(n_chunks)]
+    def reversed_jobs(jobs, meanwhile=None):
+        if meanwhile is not None:
+            meanwhile()
+        for job in reversed(jobs):
+            job()
 
     def test_thread_count_and_order_leave_estimates_unchanged(self, monkeypatch):
         monkeypatch.setattr(oracle, "_worker_count", lambda n_chunks: min(n_chunks, 1))
@@ -460,19 +403,32 @@ class TestThreadedChunks:
                 assert self.estimates() == serial
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(oracle, "_map_chunks", self.reversed_chunks)
+        monkeypatch.setattr(oracle, "_run_jobs", self.reversed_jobs)
         assert self.estimates() == serial
 
-    def test_chunks_run_on_pool_threads_in_index_order(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_worker_count", lambda n_chunks: min(n_chunks, 2))
-        threads = set()
+    def test_every_job_runs_once_on_a_pool_thread(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_jobs: min(n_jobs, 2))
+        runs, meanwhile_threads = [], []
 
-        def evaluate(c):
-            threads.add(threading.get_ident())
-            return c * c
+        def job(c):
+            runs.append((c, threading.get_ident()))
 
-        assert oracle._map_chunks(evaluate, 7) == [c * c for c in range(7)]
+        jobs = [functools.partial(job, c) for c in range(7)]
+        oracle._run_jobs(jobs, meanwhile=lambda: meanwhile_threads.append(threading.get_ident()))
+        assert sorted(c for c, _ in runs) == list(range(7))
+        threads = {thread for _, thread in runs}
         assert threading.get_ident() not in threads and 1 <= len(threads) <= 2
+        assert meanwhile_threads == [threading.get_ident()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_job_raises(self, monkeypatch, workers):
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_jobs: min(n_jobs, workers))
+
+        def fail():
+            raise ValueError("job failed")
+
+        with pytest.raises(ValueError, match="job failed"):
+            oracle._run_jobs([lambda: None, fail, lambda: None])
 
     def test_worker_count_is_bounded_by_chunks_and_cpus(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -577,12 +533,7 @@ class TestOnePool:
         finally:
             sys.setswitchinterval(interval)
 
-        def reversed_jobs(evaluate, n_chunks, meanwhile=None):
-            if meanwhile is not None:
-                meanwhile()
-            return TestThreadedChunks.reversed_chunks(evaluate, n_chunks)
-
-        monkeypatch.setattr(oracle, "_map_chunks", reversed_jobs)
+        monkeypatch.setattr(oracle, "_run_jobs", TestThreadedChunks.reversed_jobs)
         assert run_verification(**self.SIZES) == serial
 
     def test_one_thread_pool_per_run(self, monkeypatch):
@@ -622,16 +573,16 @@ class TestOnePool:
                 for attr, obj in list(vars(module).items()):
                     if inspect.isfunction(obj) and obj in wrappers:
                         monkeypatch.setattr(module, attr, wrappers[obj])
-        map_chunks = oracle._map_chunks
+        run_jobs = oracle._run_jobs
 
-        def recording_map(evaluate, n_chunks, meanwhile=None):
-            def run(c):
+        def recording_run(jobs, meanwhile=None):
+            def run(job):
                 job_threads.add(threading.get_ident())
-                return evaluate(c)
+                job()
 
-            return map_chunks(run, n_chunks, meanwhile)
+            run_jobs([functools.partial(run, job) for job in jobs], meanwhile)
 
-        monkeypatch.setattr(oracle, "_map_chunks", recording_map)
+        monkeypatch.setattr(oracle, "_run_jobs", recording_run)
         oracle.run_verification(**self.SIZES)
         assert callers == {threading.get_ident()}
         assert job_threads and threading.get_ident() not in job_threads
@@ -648,7 +599,7 @@ class TestOnePool:
             case_jobs, finish = oracle._phase_factor_chunks(*case)
             jobs += case_jobs
             finishes.append(finish)
-        oracle._map_chunks(lambda c: jobs[c](), len(jobs))
+        oracle._run_jobs(jobs)
         expected = [legacy_phase_factor(*case) for case in cases]
         assert [finish() for finish in finishes] == expected
         assert [mc_averaged_phase_factor(*case) for case in cases] == expected

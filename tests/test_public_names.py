@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tpi_sim
-from tpi_sim import numerics
+from tpi_sim import numerics, oracle
 
 
 def modules_with_all():
@@ -40,3 +40,11 @@ def test_voigt_value_is_gone():
     """``interference.overlap_weight`` is the one Voigt-profile kernel."""
     assert not hasattr(tpi_sim, "voigt_value")
     assert not hasattr(numerics, "voigt_value")
+
+
+@pytest.mark.parametrize("name", ["draw_jitter", "JitterSample", "RngSeed"])
+def test_per_photon_sampler_is_gone(name):
+    """The oracle draws only the relative jitter of a pair, in ``mc_g2_estimate``."""
+    assert name not in oracle.__all__
+    assert not hasattr(oracle, name)
+    assert not hasattr(tpi_sim, name)
