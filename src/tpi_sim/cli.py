@@ -126,6 +126,10 @@ _BLOCK_ROWS = 16384
 # long ('-1.2345678901234567e-308').
 _CELL_WIDTH = 24
 
+# Cells rendered per '%' operation: its tuple, text and split list hold
+# about 100 bytes per cell, so sub-blocks of this many bound them to 0.2 MB.
+_PERCENT_ROWS = 2048
+
 # 10**q for q = 0..22, each exact in binary64.
 _POW10 = np.array([float(10**q) for q in range(23)])
 
@@ -166,8 +170,8 @@ def _float_matrix(values: np.ndarray) -> np.ndarray:
     hold the sign, the "0.000" prefix of k < 0, then the 17 digits with a
     point slot after digit k; trailing fraction zeros are NUL.  Every other
     value (zeros, subnormals, nan, inf, exponential notation) is rendered by
-    one '%.17g' ``%`` operation.  The values are taken ``_BLOCK_ROWS`` at a
-    time, which bounds the temporaries.
+    '%.17g' ``%`` operations of ``_PERCENT_ROWS`` values.  The values are
+    taken ``_BLOCK_ROWS`` at a time, which bounds the temporaries.
     """
     x = np.asarray(values, dtype=float).ravel()
     if len(x) <= _BLOCK_ROWS:
@@ -243,10 +247,11 @@ def _float_slice(x: np.ndarray) -> np.ndarray:
     cells[7 + k[point], point] = ord(".")
 
     rest = np.flatnonzero(~positional)
-    if len(rest):
-        text = ("%.17g\0" * len(rest)) % tuple(x[rest].tolist())
+    for start in range(0, len(rest), _PERCENT_ROWS):
+        part = rest[start : start + _PERCENT_ROWS]
+        text = ("%.17g\0" * len(part)) % tuple(x[part].tolist())
         rendered = np.array(text.split("\0")[:-1], dtype=f"S{_CELL_WIDTH}")
-        cells[:, rest] = rendered.view(np.uint8).reshape(len(rest), _CELL_WIDTH).T
+        cells[:, part] = rendered.view(np.uint8).reshape(len(part), _CELL_WIDTH).T
     return cells
 
 

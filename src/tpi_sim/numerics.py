@@ -466,6 +466,10 @@ _WG = np.array([
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
+# integrate cuts an infinite range at this many decay times, and gives up
+# once it has refined the range into this many intervals.
+_TRUNCATION = 40.0
+_MAX_INTERVALS = 4000
 
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
@@ -486,8 +490,6 @@ def integrate(
     tol: float = 1e-10,
     *,
     decay_time: float | None = None,
-    truncation_factor: float = 40.0,
-    max_intervals: int = 4000,
 ) -> float:
     """Adaptive Gauss-Kronrod integral of ``f`` over [a, b].
 
@@ -495,16 +497,16 @@ def integrate(
     interval with the largest |K15 - G7| discrepancy until the summed
     error indicator drops below ``tol`` (absolute).
 
-    Semi-infinite or doubly infinite ranges are truncated at
-    ``truncation_factor`` times ``decay_time`` measured from the finite
-    endpoint (or from 0 for a doubly infinite range); ``decay_time`` is
-    the slowest decay constant of the integrand and must be supplied for
-    infinite ranges.
+    Semi-infinite or doubly infinite ranges are truncated at 40 times
+    ``decay_time`` (``_TRUNCATION``) measured from the finite endpoint (or
+    from 0 for a doubly infinite range); ``decay_time`` is the slowest
+    decay constant of the integrand and must be supplied for infinite
+    ranges.
 
     Raises
     ------
     QuadratureError
-        If ``max_intervals`` refinements do not reach ``tol``.
+        If 4000 intervals (``_MAX_INTERVALS``) do not reach ``tol``.
     """
     if not tol > 0.0:  # also refuses nan
         raise ValueError("tol must be positive")
@@ -513,7 +515,7 @@ def integrate(
     if math.isinf(a) or math.isinf(b):
         if decay_time is None or decay_time <= 0.0:
             raise ValueError("infinite ranges need a positive decay_time")
-        span = truncation_factor * decay_time
+        span = _TRUNCATION * decay_time
         if math.isinf(a) and math.isinf(b):
             a, b = -span, span
         elif math.isinf(b):
@@ -542,7 +544,7 @@ def integrate(
         err_total += err
 
     while err_total > tol:
-        if count >= max_intervals:
+        if count >= _MAX_INTERVALS:
             raise QuadratureError(
                 f"integral did not converge: error {err_total:.3e} > tol {tol:.3e} "
                 f"after {count} intervals"

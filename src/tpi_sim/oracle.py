@@ -17,8 +17,8 @@ evaluation order.  A sampler's set-up therefore returns its work as jobs
 :func:`mc_averaged_phase_factor` case, whose short chunks run in order
 inside it) and a ``finish`` that reduces their outputs.
 :func:`run_verification` runs the jobs of every sampler of a run on one
-thread pool, one thread per CPU in the process's affinity set, while the
-calling thread does the quadrature checks; the outputs are identical
+thread pool, one thread per CPU in the process's affinity set, after the
+calling thread has done the quadrature checks; the outputs are identical
 whatever the number of threads.
 
 Draw order of :func:`mc_g2_estimate`: the coincidence density depends on
@@ -109,27 +109,20 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, cpus)
 
 
-def _run_jobs(jobs: list[Callable[[], None]], meanwhile: Callable[[], None] | None = None) -> None:
+def _run_jobs(jobs: list[Callable[[], None]]) -> None:
     """Run every job once, on :func:`_worker_count` threads.
 
     Each job draws from its own generator and writes only its own outputs,
     and numpy's generator fills and ufuncs release the GIL, so the jobs run
     in parallel and the outputs do not depend on the thread count.
-    ``meanwhile()``, if given, runs on the calling thread while the pool
-    works (after the jobs when there is no pool).
     """
     workers = _worker_count(len(jobs))
     if workers <= 1:
         for job in jobs:
             job()
-        if meanwhile is not None:
-            meanwhile()
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = [pool.submit(job) for job in jobs]
-        if meanwhile is not None:
-            meanwhile()
-        for done in pending:
+        for done in [pool.submit(job) for job in jobs]:
             done.result()
 
 
@@ -292,8 +285,8 @@ def quadrature_g2(
     return numerics.integrate(integrand, lo, hi, tol=tol)
 
 
-def _gauss_legendre_nodes(lo: float, hi: float, panels: int, order: int = 16):
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gauss_legendre_nodes(lo: float, hi: float, panels: int):
+    x, w = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
     halves = 0.5 * np.diff(edges)[:, None]
@@ -537,9 +530,32 @@ def run_verification(
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
         phase_cases.append((pair, tau, phase_trials, int(rng.integers(2**62)), phase))
 
+    # the public closed forms and quadratures run on this thread before the
+    # pool starts, so they never compete with its threads for the GIL
+    worst = max(
+        (abs(coincidence_probability(*c) - quadrature_p_coinc(*c)) for c in quadrature_cases),
+        default=0.0,
+    )
+    closed_form_check = VerificationCheck(
+        name=f"coincidence closed form vs quadrature ({closed_form_instances} instances)",
+        observed=worst,
+        bound=1e-6,
+        passed=bool(worst <= 1e-6),
+    )
+    pair_far = PhotonPair(
+        EmitterParams(lifetime=0.7e-9, inhomogeneous_fwhm=1e15),
+        EmitterParams(lifetime=0.65e-9, inhomogeneous_fwhm=1e15),
+    )
+    p0 = quadrature_p_coinc(beam_splitter(0.5), 1, 2, 1, 2, pair_far)
+    limit_check = VerificationCheck(
+        name="distinguishable-limit coincidence at a symmetric splitter",
+        observed=abs(p0 - 0.5),
+        bound=1e-4,
+        passed=bool(abs(p0 - 0.5) <= 1e-4),
+    )
+
     # every Monte-Carlo job of the run goes to one pool, whose threads run
-    # private code and numpy only; the public closed forms and quadratures
-    # run on this thread
+    # private code and numpy only
     jobs: list[Callable[[], None]] = []
     lag_finishes, phase_finishes = [], []
     for *instance, tau, lag_seed in lag_cases:
@@ -550,34 +566,7 @@ def run_verification(
         case_jobs, finish = _phase_factor_chunks(*case)
         jobs += case_jobs
         phase_finishes.append(finish)
-    quadrature_checks: list[VerificationCheck] = []
-
-    def check_quadratures() -> None:
-        worst = max(
-            (abs(coincidence_probability(*c) - quadrature_p_coinc(*c)) for c in quadrature_cases),
-            default=0.0,
-        )
-        pair_far = PhotonPair(
-            EmitterParams(lifetime=0.7e-9, inhomogeneous_fwhm=1e15),
-            EmitterParams(lifetime=0.65e-9, inhomogeneous_fwhm=1e15),
-        )
-        p0 = quadrature_p_coinc(beam_splitter(0.5), 1, 2, 1, 2, pair_far)
-        quadrature_checks.extend([
-            VerificationCheck(
-                name=f"coincidence closed form vs quadrature ({closed_form_instances} instances)",
-                observed=worst,
-                bound=1e-6,
-                passed=bool(worst <= 1e-6),
-            ),
-            VerificationCheck(
-                name="distinguishable-limit coincidence at a symmetric splitter",
-                observed=abs(p0 - 0.5),
-                bound=1e-4,
-                passed=bool(abs(p0 - 0.5) <= 1e-4),
-            ),
-        ])
-
-    _run_jobs(jobs, meanwhile=check_quadratures)
+    _run_jobs(jobs)
 
     results = []
     for (gate, i, j, k, l, pair, tau, _), finish in zip(lag_cases, lag_finishes):
@@ -593,6 +582,5 @@ def run_verification(
     phase_check = _monte_carlo_check(
         "averaged phase factor vs Monte-Carlo sampling (8 cases)", results
     )
-    closed_form_check, limit_check = quadrature_checks
     checks = [closed_form_check, trace_check, phase_check, limit_check]
     return VerificationReport(seed=seed, checks=checks)

@@ -60,6 +60,31 @@ def test_summary_medians_quartiles_and_wins():
     ]
 
 
+def test_runs_keep_correct_and_failed_counts():
+    # one perfbench summary line per run; seed 2 fails on both sides, seed 3 on the change
+    def fake_run(side, seed):
+        wrong = seed == 2 or (side, seed) == ("change", 3)
+        return bench_pairs.run_record({
+            "correct": not wrong, "attempted": 30, "failed": int(wrong),
+            "metrics": {"wall_s": {"value": 0.2 + seed / 100, "unit": "s"}},
+        })
+
+    results = bench_pairs.run_pairs([1, 2, 3], fake_run)
+    assert results["change"][3] == {"wall_s": 0.23, "correct": False, "failed": 1, "attempted": 30}
+    assert bench_pairs.summary_lines(results, METRICS[:1]) == [
+        "wall_s [s, lower]: parent 0.22 (0.215-0.225)  change 0.22 (0.215-0.225)"
+        "  change better in 0/3",
+    ]
+    assert bench_pairs.correctness_lines(results) == [
+        "parent: correct: false at 1 of 3 seeds: 2",
+        "change: correct: false at 2 of 3 seeds: 2, 3",
+    ]
+    every_seed_correct = {side: {1: {"correct": True}} for side in bench_pairs.SIDES}
+    assert bench_pairs.correctness_lines(every_seed_correct) == [
+        "parent: correct: false at 0 of 1 seeds", "change: correct: false at 0 of 1 seeds",
+    ]
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs the git command")
 def test_worktree_export_carries_uncommitted_and_untracked_files(tmp_path):
     repo, dest = tmp_path / "repo", tmp_path / "export"

@@ -288,6 +288,21 @@ class TestFloatMatrix:
         assert cells.shape == (cli._CELL_WIDTH, _BLOCK_ROWS)
         assert peak < 2.0e6, peak
 
+    def test_exponential_block_peak_memory(self):
+        # every cell on the '%' path: rendered at once, its tuple, text and
+        # split list took the peak to 3.2 MB
+        values = 10.0 ** np.random.default_rng(10).uniform(-300, -20, _BLOCK_ROWS)
+        _float_matrix(values)
+        tracemalloc.start()
+        try:
+            cells = _float_matrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rendered_cells(values) == format_floats(values)
+        assert cells.shape == (cli._CELL_WIDTH, _BLOCK_ROWS)
+        assert peak < 2.0e6, peak
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_multi_column_blocks(self, tmp_path, fmt, n):

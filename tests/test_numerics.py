@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tpi_sim import numerics
 from tpi_sim.interference import overlap_weight
 from tpi_sim.numerics import (
     QuadratureError,
@@ -289,13 +290,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="tol must be positive"):
             integrate(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, tol=tol)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_INTERVALS", 30)
         with pytest.raises(QuadratureError):
-            integrate(lambda x: np.abs(np.sin(100.0 * x)), 0.0, 10.0, tol=1e-14, max_intervals=30)
+            integrate(lambda x: np.abs(np.sin(100.0 * x)), 0.0, 10.0, tol=1e-14)
 
     def test_truncation_factor_configurable(self):
-        # a short truncation visibly cuts the tail of exp(-t)
-        short = integrate(
-            lambda t: np.exp(-t), 0.0, math.inf, tol=1e-13, decay_time=1.0, truncation_factor=2.0
-        )
+        # 40 decay times of 0.05 cut the tail of exp(-t) visibly, at t = 2
+        short = integrate(lambda t: np.exp(-t), 0.0, math.inf, tol=1e-13, decay_time=0.05)
         assert short == pytest.approx(1.0 - math.exp(-2.0), abs=1e-10)

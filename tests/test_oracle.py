@@ -384,9 +384,7 @@ class TestThreadedChunks:
         )
 
     @staticmethod
-    def reversed_jobs(jobs, meanwhile=None):
-        if meanwhile is not None:
-            meanwhile()
+    def reversed_jobs(jobs):
         for job in reversed(jobs):
             job()
 
@@ -408,17 +406,16 @@ class TestThreadedChunks:
 
     def test_every_job_runs_once_on_a_pool_thread(self, monkeypatch):
         monkeypatch.setattr(oracle, "_worker_count", lambda n_jobs: min(n_jobs, 2))
-        runs, meanwhile_threads = [], []
+        runs = []
 
         def job(c):
             runs.append((c, threading.get_ident()))
 
         jobs = [functools.partial(job, c) for c in range(7)]
-        oracle._run_jobs(jobs, meanwhile=lambda: meanwhile_threads.append(threading.get_ident()))
+        oracle._run_jobs(jobs)
         assert sorted(c for c, _ in runs) == list(range(7))
         threads = {thread for _, thread in runs}
         assert threading.get_ident() not in threads and 1 <= len(threads) <= 2
-        assert meanwhile_threads == [threading.get_ident()]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failing_job_raises(self, monkeypatch, workers):
@@ -448,6 +445,27 @@ class TestVerificationSuite:
         for check in report.checks:
             assert check.passed, f"{check.name}: {check.observed} > {check.bound}"
         assert report.all_passed
+
+    def test_quadratures_done_before_the_pool_starts(self, monkeypatch):
+        quadratures, entries = [], []
+        quadrature, run_jobs = oracle.quadrature_p_coinc, oracle._run_jobs
+
+        def counting_quadrature(*args, **kwargs):
+            quadratures.append(args)
+            return quadrature(*args, **kwargs)
+
+        def recording_run(*args, **kwargs):
+            entries.append(len(quadratures))
+            run_jobs(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "quadrature_p_coinc", counting_quadrature)
+        monkeypatch.setattr(oracle, "_run_jobs", recording_run)
+        run_verification(
+            seed=3, closed_form_instances=4, mc_instances=1, mc_realizations=300,
+            phase_trials=10_000,
+        )
+        # four closed-form instances and the distinguishable limit
+        assert entries == [5] and len(quadratures) == 5
 
 
 def reference_report(seed, closed_form_instances, mc_instances, mc_realizations, phase_trials):
@@ -510,9 +528,9 @@ def legacy_phase_factor(pair, tau, trials, seed, gate_phase):
 
 
 class TestOnePool:
-    """run_verification runs every Monte-Carlo job of a run on one pool while
-    the calling thread does the quadratures; the report is that of the plain
-    loop over the public samplers, whatever the threads and job order."""
+    """run_verification runs every Monte-Carlo job of a run on one pool after
+    the calling thread has done the quadratures; the report is that of the
+    plain loop over the public samplers, whatever the threads and job order."""
 
     SIZES = dict(
         seed=11, closed_form_instances=2, mc_instances=2, mc_realizations=300, phase_trials=20_000
@@ -575,12 +593,12 @@ class TestOnePool:
                         monkeypatch.setattr(module, attr, wrappers[obj])
         run_jobs = oracle._run_jobs
 
-        def recording_run(jobs, meanwhile=None):
+        def recording_run(jobs):
             def run(job):
                 job_threads.add(threading.get_ident())
                 job()
 
-            run_jobs([functools.partial(run, job) for job in jobs], meanwhile)
+            run_jobs([functools.partial(run, job) for job in jobs])
 
         monkeypatch.setattr(oracle, "_run_jobs", recording_run)
         oracle.run_verification(**self.SIZES)

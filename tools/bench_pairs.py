@@ -23,8 +23,13 @@ One line per end-to-end metric of ``BENCHMARK.json`` goes to stdout:
     wall_s [s, lower]: parent 0.0376 (0.037-0.0381)  change 0.0301 (0.0296-0.0305)  change better in 10/10
 
 with the median and q1-q3 (:func:`bench_summary.quantile`) of each side
-and the number of seeds in which the change was strictly better.  Each run
-also prints its metrics to stderr as it ends.
+and the number of seeds in which the change was strictly better.  Then one
+line per side names the seeds whose run read ``correct: false``:
+
+    parent: correct: false at 1 of 10 seeds: 9201
+
+Each run also prints its ``correct``, ``failed``/``attempted`` and metrics
+to stderr as it ends.
 """
 
 from __future__ import annotations
@@ -96,6 +101,24 @@ def summary_lines(results: dict[str, dict[int, dict]], metrics: list[dict]) -> l
     return lines
 
 
+def correctness_lines(results: dict[str, dict[int, dict]]) -> list[str]:
+    """One line per side: the seeds whose run read ``correct: false``."""
+    lines = []
+    for side in SIDES:
+        wrong = [seed for seed, run in sorted(results[side].items()) if not run["correct"]]
+        lines.append(f"{side}: correct: false at {len(wrong)} of {len(results[side])} seeds"
+                     + (": " + ", ".join(map(str, wrong)) if wrong else ""))
+    return lines
+
+
+def run_record(summary: dict) -> dict:
+    """One run from perfbench's summary line: each metric's value, plus the
+    run's ``correct``, ``failed`` and ``attempted``."""
+    record = {name: entry["value"] for name, entry in summary["metrics"].items()}
+    record.update({key: summary[key] for key in ("correct", "failed", "attempted")})
+    return record
+
+
 def export(rev: str, dest: Path) -> str:
     """Extract ``rev`` into ``dest`` with ``git archive``; return its commit."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -124,7 +147,7 @@ def export_worktree(root: Path, dest: Path) -> None:
 
 
 def perfbench_runner(trees: dict[str, Path], workload: str, seconds: int) -> Runner:
-    """``run(side, seed)``: perfbench's end-to-end metrics of one run on that side's tree."""
+    """``run(side, seed)``: the :func:`run_record` of one perfbench run on that side's tree."""
 
     def run(side: str, seed: int) -> dict:
         tree = trees[side]
@@ -137,10 +160,11 @@ def perfbench_runner(trees: dict[str, Path], workload: str, seconds: int) -> Run
             sys.stderr.write(done.stderr)
             raise RuntimeError(f"perfbench failed on the {side} tree at seed {seed}")
         summary = json.loads(done.stdout.strip().splitlines()[-1])
-        metrics = {name: entry["value"] for name, entry in summary["metrics"].items()}
-        print(f"seed {seed} {side}: " + " ".join(f"{k} {v:.4g}" for k, v in metrics.items()),
+        metrics = " ".join(f"{k} {v['value']:.4g}" for k, v in summary["metrics"].items())
+        print(f"seed {seed} {side}: correct {str(summary['correct']).lower()} "
+              f"failed {summary['failed']}/{summary['attempted']} {metrics}",
               file=sys.stderr, flush=True)
-        return metrics
+        return run_record(summary)
 
     return run
 
@@ -167,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
             for record in (trees["change"] / "perfbench" / "out").glob("*.json"):
                 shutil.copy2(record, records / record.name)
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {args.seconds} s per run")
-    for line in summary_lines(results, metrics):
+    for line in summary_lines(results, metrics) + correctness_lines(results):
         print(line)
     return 0
 
