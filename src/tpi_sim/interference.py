@@ -184,10 +184,18 @@ def averaged_phase_factor(pair: PhotonPair, tau: float, gate_phase: float) -> fl
     parts belong to the deterministic envelopes.
     """
     rates = pair.emitter_i.dephasing_rate + pair.emitter_j.dephasing_rate
-    envelope = math.exp(
-        -rates * abs(tau) - 2.0 * math.pi**2 * pair.sigma_sq_total * tau * tau
-    )
-    return 2.0 * envelope * math.cos(2.0 * math.pi * pair.delta_nu * tau - gate_phase)
+    envelope, beat = _phase_factor(rates, pair.sigma_sq_total, pair.delta_nu, tau, gate_phase)
+    return float(2.0 * envelope * beat)
+
+
+def _phase_factor(
+    rate: float, sigma_sq: float, delta_nu: float, tau: float | np.ndarray, phase: float
+):
+    """(envelope, beat) at a lag or lag array: exp(-rate |tau| - 2 pi^2
+    sigma_sq tau^2) and cos(2 pi delta_nu tau - phase), the one kernel of the
+    interference term of :func:`g2_trace` and of :func:`averaged_phase_factor`."""
+    envelope = np.exp(-rate * np.abs(tau) - 2.0 * math.pi**2 * sigma_sq * tau * tau)
+    return envelope, np.cos(2.0 * math.pi * delta_nu * tau - phase)
 
 
 def joint_detection_probability(
@@ -268,10 +276,9 @@ def g2_distinguishable(
 def _interference_term(
     quad: GateQuad, pair: PhotonPair, tau: np.ndarray
 ) -> np.ndarray:
-    envelope = np.exp(
-        -pair.gamma_total * np.abs(tau) - 2.0 * math.pi**2 * pair.sigma_sq_total * tau * tau
+    envelope, beat = _phase_factor(
+        pair.gamma_total, pair.sigma_sq_total, pair.delta_nu, tau, quad.phase
     )
-    beat = np.cos(2.0 * math.pi * pair.delta_nu * tau - quad.phase)
     return 2.0 * quad.magnitude / pair.lifetime_sum * envelope * beat
 
 

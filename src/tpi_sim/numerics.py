@@ -466,9 +466,7 @@ _WG = np.array([
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
-# integrate cuts an infinite range at this many decay times, and gives up
-# once it has refined the range into this many intervals.
-_TRUNCATION = 40.0
+# integrate gives up once it has refined the range into this many intervals.
 _MAX_INTERVALS = 4000
 
 
@@ -488,23 +486,20 @@ def integrate(
     a: float,
     b: float,
     tol: float = 1e-10,
-    *,
-    decay_time: float | None = None,
 ) -> float:
-    """Adaptive Gauss-Kronrod integral of ``f`` over [a, b].
+    """Adaptive Gauss-Kronrod integral of ``f`` over the finite range [a, b].
 
     The integrand must accept numpy arrays.  Refinement bisects the
     interval with the largest |K15 - G7| discrepancy until the summed
-    error indicator drops below ``tol`` (absolute).
-
-    Semi-infinite or doubly infinite ranges are truncated at 40 times
-    ``decay_time`` (``_TRUNCATION``) measured from the finite endpoint (or
-    from 0 for a doubly infinite range); ``decay_time`` is the slowest
-    decay constant of the integrand and must be supplied for infinite
-    ranges.
+    error indicator drops below ``tol`` (absolute).  The outermost nodes
+    sit at +-0.99146 of a panel's half-width, so a jump or spike between
+    them and the panel's ends is invisible to its estimate and its error
+    indicator: put such a feature at a bound.
 
     Raises
     ------
+    ValueError
+        If a bound is infinite or nan, or ``tol`` is not positive.
     QuadratureError
         If 4000 intervals (``_MAX_INTERVALS``) do not reach ``tol``.
     """
@@ -512,16 +507,8 @@ def integrate(
         raise ValueError("tol must be positive")
     a = float(a)
     b = float(b)
-    if math.isinf(a) or math.isinf(b):
-        if decay_time is None or decay_time <= 0.0:
-            raise ValueError("infinite ranges need a positive decay_time")
-        span = _TRUNCATION * decay_time
-        if math.isinf(a) and math.isinf(b):
-            a, b = -span, span
-        elif math.isinf(b):
-            b = a + span
-        else:
-            a = b - span
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     if a == b:
         return 0.0
     sign = 1.0

@@ -244,9 +244,9 @@ def quadrature_p_coinc(
     def integrand(tau: np.ndarray) -> np.ndarray:
         return _baseline(quad, pair, tau) + _interference_term(quad, pair, tau)
 
-    slowest = max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
-    left = numerics.integrate(integrand, -math.inf, 0.0, tol=0.5 * tol, decay_time=slowest)
-    right = numerics.integrate(integrand, 0.0, math.inf, tol=0.5 * tol, decay_time=slowest)
+    span = 40.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
+    left = numerics.integrate(integrand, -span, 0.0, tol=0.5 * tol)
+    right = numerics.integrate(integrand, 0.0, span, tol=0.5 * tol)
     return left + right
 
 
@@ -265,7 +265,9 @@ def quadrature_g2(
 
     Works for any pair of normalized wave-packet callables (a fixed jitter
     realization or a deterministic packet); the window is derived from the
-    callables' ``time_scale`` attributes.
+    callables' ``time_scale`` attributes.  The window is split at t0 = 0
+    and t0 = -tau, where packets that switch on at 0 jump, so each jump is
+    a bound and not inside a panel, where no node might sample it.
     """
     ts_i = float(getattr(zeta_i, "time_scale", 1e-9))
     ts_j = float(getattr(zeta_j, "time_scale", 1e-9))
@@ -282,7 +284,8 @@ def quadrature_g2(
     # validate normalization once up front
     joint_detection_probability(gate, i, j, k, l, zeta_i, zeta_j, 0.0, tau)
     hi = abs(tau) + 40.0 * joint_scale
-    return numerics.integrate(integrand, lo, hi, tol=tol)
+    edges = sorted({lo, min(0.0, -tau), max(0.0, -tau), hi})
+    return sum(numerics.integrate(integrand, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
 
 
 def _gauss_legendre_nodes(lo: float, hi: float, panels: int):

@@ -29,7 +29,8 @@ from tpi_sim.bell import fidelity_at_weight
 from tpi_sim.emitter import EmitterParams, PhotonPair, coherence_time, decompose_voigt_fwhm
 from tpi_sim.gates import TOMOGRAPHY_BASES, beam_splitter, cnot_gate, compose, gate_quad
 from tpi_sim.gates import prep_gate, tomography_gate
-from tpi_sim.interference import SIGMA_LIFETIME_THRESHOLD, _baseline, interference_weight
+from tpi_sim.interference import SIGMA_LIFETIME_THRESHOLD, _baseline, _interference_term
+from tpi_sim.interference import _phase_factor, averaged_phase_factor, interference_weight
 from tpi_sim.interference import overlap_weight
 from tpi_sim.numerics import GAUSS_FWHM_PER_SIGMA, _faddeeva, _voigt_residual, faddeeva_w
 from tpi_sim.numerics import voigt_fwhm
@@ -433,6 +434,38 @@ def heaviside_baseline(quad, pair, tau):
     return (p0a * term_a + p0b * term_b) / (ti + tj)
 
 
+def trace_cases():
+    """(quad, pair, lags) of 60 random gates and lifetime-only pairs: the
+    default 4001-point trace grid, signed zeros, infinities, extreme
+    magnitudes, and 60 random lags between 1e-320 and 1e300 in size."""
+    rng = np.random.default_rng(34)
+    edges = [0.0, math.inf, 5e-324, 1e308, 1e-300, 1e-9]
+    edges = np.array(edges + [-v for v in edges])
+    cnot = compose(cnot_gate(), prep_gate())
+    for n in range(60):
+        pair = PhotonPair(*(EmitterParams(float(10 ** rng.uniform(-11.0, -8.0)))
+                            for _ in range(2)))
+        if n % 2:
+            gate, modes = beam_splitter(float(rng.uniform(0.0, 1.0))), (1, 2, 1, 2)
+        else:
+            gate = compose(tomography_gate(TOMOGRAPHY_BASES[n % 6]), cnot)
+            modes = (3, 4, int(rng.integers(1, 4)), int(rng.integers(4, 7)))
+        span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
+        tau = np.concatenate([np.linspace(-span, span, 4001), edges,
+                              rng.choice([-1.0, 1.0], 60) * 10 ** rng.uniform(-320, 300, 60)])
+        yield gate_quad(gate, *modes), pair, tau
+
+
+def inline_interference_term(quad, pair, tau):
+    """interference._interference_term as it was, its envelope and beat
+    written inline."""
+    envelope = np.exp(
+        -pair.gamma_total * np.abs(tau) - 2.0 * math.pi**2 * pair.sigma_sq_total * tau * tau
+    )
+    beat = np.cos(2.0 * math.pi * pair.delta_nu * tau - quad.phase)
+    return 2.0 * quad.magnitude / pair.lifetime_sum * envelope * beat
+
+
 def concatenated_residual(total_fwhm, lor, gauss, lorentzian):
     """The Voigt half-maximum residual of a component width as the split solve
     once formed it, z_F and z_0 of every element in one Faddeeva call (y
@@ -513,22 +546,7 @@ class TestSingleBranchPaths:
             assert point == list(kernel_at(far_x[k], far_y[k]))
 
     def test_baseline_against_the_heaviside_form(self):
-        rng = np.random.default_rng(34)
-        edges = [0.0, math.inf, 5e-324, 1e308, 1e-300, 1e-9]
-        edges = np.array(edges + [-v for v in edges])
-        cnot = compose(cnot_gate(), prep_gate())
-        for n in range(60):
-            pair = PhotonPair(*(EmitterParams(float(10 ** rng.uniform(-11.0, -8.0)))
-                                for _ in range(2)))
-            if n % 2:
-                gate, modes = beam_splitter(float(rng.uniform(0.0, 1.0))), (1, 2, 1, 2)
-            else:
-                gate = compose(tomography_gate(TOMOGRAPHY_BASES[n % 6]), cnot)
-                modes = (3, 4, int(rng.integers(1, 4)), int(rng.integers(4, 7)))
-            quad = gate_quad(gate, *modes)
-            span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
-            tau = np.concatenate([np.linspace(-span, span, 4001), edges,
-                                  rng.choice([-1.0, 1.0], 60) * 10 ** rng.uniform(-320, 300, 60)])
+        for quad, pair, tau in trace_cases():
             with np.errstate(over="ignore"):  # +-1e308 / lifetime, in both forms
                 assert same_bits(_baseline(quad, pair, tau), heaviside_baseline(quad, pair, tau))
             # a 0-d lag, and a nan lag stays nan (its sign bit is not kept)
@@ -567,3 +585,34 @@ class TestSingleBranchPaths:
         assert result.points == result.points  # built again, the same
         assert result.visibility_range == (min(weights.tolist()), max(weights.tolist()))
         assert emitter_assessment(constraint, constraint, n_points=5).points is None
+
+
+class TestPhaseFactorKernel:
+    def test_interference_term_against_the_inline_form(self):
+        rng = np.random.default_rng(35)
+        for quad, pair, tau in trace_cases():
+            # the same lifetimes with dephasing, inhomogeneous widths and a detuning
+            jittered = PhotonPair(
+                EmitterParams(pair.emitter_i.lifetime, *rng.uniform(0.0, 3e9, 2).tolist()),
+                EmitterParams(pair.emitter_j.lifetime, *rng.uniform(0.0, 3e9, 2).tolist(),
+                              detuning=float(rng.uniform(-3e9, 3e9))),
+            )
+            for p in (pair, jittered):
+                # infinite and huge lags overflow, and 0 * inf is nan, in both forms
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert same_bits(_interference_term(quad, p, tau),
+                                     inline_interference_term(quad, p, tau))
+
+    def test_phase_factor_scalar_calls_against_the_kernel(self):
+        # a scalar lag runs the array kernel of _interference_term, bit for bit
+        rng = np.random.default_rng(36)
+        for _ in range(30):
+            pair = PhotonPair(random_emitter(rng), random_emitter(rng))
+            rates = pair.emitter_i.dephasing_rate + pair.emitter_j.dephasing_rate
+            span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
+            tau = np.concatenate([[0.0, -0.0], rng.uniform(-span, span, 200)])
+            phase = float(rng.uniform(0.0, 2.0 * math.pi))
+            envelope, beat = _phase_factor(rates, pair.sigma_sq_total, pair.delta_nu, tau, phase)
+            scalar = [averaged_phase_factor(pair, t, phase) for t in tau.tolist()]
+            assert all(type(v) is float for v in scalar)
+            assert same_bits(np.array(scalar), 2.0 * envelope * beat)
