@@ -37,15 +37,19 @@ JSON output carries the same config object.  Floats are emitted with 17
 significant digits in both formats.
 
 Every table goes through one writer, :func:`_write_table`, a block of
-``_BLOCK_ROWS`` rows at a time.  A block is built in one byte matrix with a
-column per table row, allocated once, each part copied into it once: the
-float cells come from one call of the numpy kernel :func:`_float_matrix`,
-which gives the bytes of ``'%.17g' % x`` (:func:`format_float`) NUL-padded
-to a fixed width, less the rows that are NUL in every cell; labels and
-bools come as encoded bytes at their exact width, cells rendered ahead by
-the caller (the map axes) as given, and the separators as constant rows.
-The matrix is written with its NUL bytes deleted, in one write per block,
-so memory is bounded by a block whatever the size of the table.
+``_BLOCK_ROWS`` rows at a time, each block in one write, so memory is
+bounded by a block whatever the size of the table.  A block takes one of
+two paths by its size.  Up to ``_TEXT_CELLS`` cells (rows x columns; the
+crossover measured where the two cost the same), it is written as text
+rows: :func:`format_float` per float, ``str`` or ``json.dumps`` per label
+or bool.  A larger block is built in one byte matrix with a column per
+table row, allocated once, each part copied into it once: the float cells
+come from one call of the numpy kernel :func:`_float_matrix`, which gives
+the bytes of ``'%.17g' % x`` (:func:`format_float`) NUL-padded to a fixed
+width, less the rows that are NUL in every cell; labels and bools come as
+encoded bytes at their exact width, cells rendered ahead by the caller (the
+map axes) as given, and the separators as constant rows.  The matrix is
+written with its NUL bytes deleted.  Both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -121,6 +125,14 @@ def dumps(obj: Any) -> str:
 # rows, and on a Xeon with 2 MB of L2 per core a maps pass ran 17.5% faster
 # at 16384 rows than at 4096 but only 5.5% faster at 32768.
 _BLOCK_ROWS = 16384
+
+# Cells (rows x columns) up to which a block is written as text rows rather
+# than built in one byte matrix.  Text costs about 0.75 us per cell, the
+# matrix about 110 us per block (some 60 numpy calls) plus 0.2 us per cell.
+# Five float columns written to /dev/null on a Xeon, text vs matrix: 1 row
+# 7 vs 121 us, 40 rows (200 cells) 147 vs 164 us, 48 rows 180 vs 169 us,
+# 128 rows 474 vs 221 us; three columns in JSON crossed at 190-240 cells.
+_TEXT_CELLS = 200
 
 # Byte rows of a rendered cell: '%.17g' of a float is at most 24 characters
 # long ('-1.2345678901234567e-308').
@@ -267,6 +279,51 @@ def _row_blocks(*columns) -> Iterator[tuple]:
         yield tuple(column[start : start + _BLOCK_ROWS] for column in columns)
 
 
+def _text_rows(block: tuple, label: Callable[[Any], str], lead: str, between: str,
+               end: str) -> str:
+    """The rows of a block as text, written cell by cell: :func:`format_float`
+    of each float, ``label`` of each label or bool, a rendered cell with its
+    NULs deleted."""
+    columns = []
+    for column in block:
+        if not isinstance(column, np.ndarray):
+            columns.append([label(v) for v in column])
+        elif column.ndim == 1:
+            columns.append([format_float(v) for v in column.tolist()])
+        else:
+            columns.append([cell.tobytes().translate(None, b"\0").decode() for cell in column.T])
+    return "".join(lead + between.join(cells) + end for cells in zip(*columns))
+
+
+def _block_matrix(block: tuple, n: int, label: Callable[[Any], str], lead: np.ndarray,
+                  between: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The rows of a block as one NUL-padded byte matrix with a column per
+    row: the float arrays rendered together by one :func:`_float_matrix`
+    call and sliced apart, each slice less its rows that are NUL in every
+    cell (often the sign and prefix), the labels encoded at their exact
+    width, rendered cells as given, the separators (byte columns)
+    broadcast."""
+    floats = [c for c in block if isinstance(c, np.ndarray) and c.ndim == 1]
+    rendered = _float_matrix(np.concatenate(floats)) if floats else None
+    parts = [lead]
+    for column in block:
+        if not isinstance(column, np.ndarray):
+            parts.append(_label_matrix([label(v) for v in column]))
+        elif column.ndim == 1:  # the next n columns of the rendered floats
+            cells, rendered = rendered[:, :n], rendered[:, n:]
+            parts.append(cells[cells.any(axis=1)])
+        else:
+            parts.append(column)
+        parts.append(between)
+    parts[-1] = end
+    matrix = np.empty((sum(len(part) for part in parts), n), np.uint8)
+    row = 0
+    for part in parts:
+        matrix[row : row + len(part)] = part
+        row += len(part)
+    return matrix
+
+
 def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -> None:
     """Write a table to ``config.out`` (stdout if None), one row block at a time.
 
@@ -274,26 +331,21 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
     byte matrix from :func:`_float_matrix` (cells already rendered, copied
     as given: a caller that renders a column once for many blocks trims its
     all-NUL rows once), or a list of labels or bools, which CSV writes as
-    ``str`` and JSON as ``json.dumps``.  A block becomes one byte matrix
-    with a column per row, allocated once, into which each part is copied
-    once: the float arrays rendered together by one :func:`_float_matrix`
-    call and sliced apart, each slice less its rows that are NUL in every
-    cell (often the sign and prefix), the labels encoded at their exact
-    width, the separators broadcast from constant rows.  Its NULs are
-    deleted and the rest written at once, so a block costs the same few
-    numpy calls whether it holds one row or thousands.  The bytes are those
-    of writing every row with :func:`format_float` per float cell and JSON
-    through :func:`dumps`.
+    ``str`` and JSON as ``json.dumps``.  Each block is written at once, by
+    one of two paths that give the same bytes, chosen by its size.  A block
+    of at most ``_TEXT_CELLS`` cells is written as text rows
+    (:func:`_text_rows`), at a cost per cell.  A larger one becomes one byte
+    matrix (:func:`_block_matrix`) whose NULs are deleted, so it costs the
+    same few tens of numpy calls whether it holds a hundred rows or
+    thousands.  The bytes are those of writing every row with
+    :func:`format_float` per float cell and JSON through :func:`dumps`.
     """
     as_json = config.fmt == "json"
     label = json.dumps if as_json else str
-    # the bytes before the first cell, between two cells and after the last
-    # cell of a row, as byte columns; a JSON row's leading comma is dropped
-    # for the first row
-    lead, between, end = (
-        np.frombuffer(text, np.uint8)[:, None]
-        for text in ((b",[", b",", b"]") if as_json else (b"", b",", b"\n"))
-    )
+    # the text before the first cell, between two cells and after the last
+    # cell of a row; a JSON row's leading comma is dropped for the first row
+    separators = (",[", ",", "]") if as_json else ("", ",", "\n")
+    byte_columns = [np.frombuffer(text.encode(), np.uint8)[:, None] for text in separators]
     with _byte_sink(config.out) as write:
         if as_json:
             # the keys of the payload in sorted order: columns, command, config, rows, seed
@@ -308,28 +360,15 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
         for block in blocks:
             # rows: the length of a column, the width of a rendered matrix
             n = block[0].shape[-1] if isinstance(block[0], np.ndarray) else len(block[0])
-            floats = [c for c in block if isinstance(c, np.ndarray) and c.ndim == 1]
-            rendered = _float_matrix(np.concatenate(floats)) if floats else None
-            parts = [lead]
-            for column in block:
-                if not isinstance(column, np.ndarray):
-                    parts.append(_label_matrix([label(v) for v in column]))
-                elif column.ndim == 1:  # the next n columns of the rendered floats
-                    cells, rendered = rendered[:, :n], rendered[:, n:]
-                    parts.append(cells[cells.any(axis=1)])
-                else:
-                    parts.append(column)
-                parts.append(between)
-            parts[-1] = end
-            matrix = np.empty((sum(len(part) for part in parts), n), np.uint8)
-            row = 0
-            for part in parts:
-                matrix[row : row + len(part)] = part
-                row += len(part)
-            if as_json and first:
-                matrix[0, 0] = 0
+            if n * len(block) <= _TEXT_CELLS:
+                text = _text_rows(block, label, *separators)
+                write((text[1:] if as_json and first else text).encode())
+            else:
+                matrix = _block_matrix(block, n, label, *byte_columns)
+                if as_json and first:
+                    matrix[0, 0] = 0
+                write(matrix.T.tobytes().translate(None, b"\0"))
             first = False
-            write(matrix.T.tobytes().translate(None, b"\0"))
         if as_json:
             write(f'],"seed":{json.dumps(config.seed)}}}\n'.encode())
 

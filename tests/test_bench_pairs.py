@@ -85,6 +85,43 @@ def test_runs_keep_correct_and_failed_counts():
     ]
 
 
+def test_verdicts_by_wins_spread_and_bound():
+    parent = [1.0 + 0.01 * k for k in range(10)]  # median 1.045, q1-q3 1.0225-1.0675
+    wide = [1.0] * 7 + [100.0] * 3  # median 1, q1-q3 1-75.25
+    cases = {
+        # name: (better, bound, parent runs, change runs, verdict)
+        "won_9": ("lower", 0.25, parent,
+                  [p - 0.1 for p in parent[:9]] + [parent[9] + 0.01], "gain"),
+        "won_8": ("lower", 0.25, parent,
+                  [p - 0.1 for p in parent[:8]] + [p + 0.01 for p in parent[8:]], "no regression"),
+        "worse_beyond_bound": ("lower", 0.1, [50.0] * 10, [55.5] * 10, "regression"),
+        "worse_within_bound": ("lower", 0.1, [50.0] * 10, [54.5] * 10, "no regression"),
+        "higher_is_better": ("higher", 0.25, parent, [p + 0.1 for p in parent], "gain"),
+        "ties": ("higher", 0.01, [1.0] * 10, [1.0] * 10, "no regression"),
+        "spread_beyond_bound": ("lower", 0.1, wide, wide[::-1], "unresolved"),
+        # every change run beats every parent run: resolved without a gain
+        "spread_but_all_better": ("lower", 0.1, wide, [0.5] * 10, "no regression"),
+    }
+    metrics = [{"name": name, "unit": "s", "better": better, "bound": bound}
+               for name, (better, bound, *_) in cases.items()]
+    results = {side: {seed: {name: case[2 + n][seed] for name, case in cases.items()}
+                      for seed in range(10)} for n, side in enumerate(bench_pairs.SIDES)}
+    lines = bench_pairs.verdict_lines(results, metrics)
+    assert [line.split(" (")[0] for line in lines] == [
+        f"{name} verdict: {case[-1]}" for name, case in cases.items()
+    ]
+    assert lines[0] == ("won_9 verdict: gain (median better by 0.1 s; parent q3-q1 0.045 s, "
+                        "bound 0.2612 s; change better in 9/10)")
+
+
+def test_header_says_whether_bytecode_is_written(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.header_line("assess", [301, 302, 310], 25) == (
+        "assess, seeds 301-310, 25 s per run, PYTHONDONTWRITEBYTECODE set")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.header_line("maps", [7], 8).endswith("PYTHONDONTWRITEBYTECODE not set")
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs the git command")
 def test_worktree_export_carries_uncommitted_and_untracked_files(tmp_path):
     repo, dest = tmp_path / "repo", tmp_path / "export"

@@ -106,8 +106,34 @@ SPECIAL_FLOATS = [
 ]
 
 
+# _TEXT_CELLS settings for the writer tests: every block as a byte matrix,
+# the shipped crossover, every block as text rows
+TEXT_CELLS = [0, cli._TEXT_CELLS, 10**9]
+
+
+def text_blocks(monkeypatch, text_cells):
+    """Set ``cli._TEXT_CELLS`` to ``text_cells`` and return the list into which
+    the writer's text path records the cell count of each block it writes."""
+    monkeypatch.setattr(cli, "_TEXT_CELLS", text_cells)
+    cells, text_rows = [], cli._text_rows
+
+    def recording(block, *args):
+        rows = block[0].shape[-1] if isinstance(block[0], np.ndarray) else len(block[0])
+        cells.append(rows * len(block))
+        return text_rows(block, *args)
+
+    monkeypatch.setattr(cli, "_text_rows", recording)
+    return cells
+
+
+def block_cells(n_rows, n_columns):
+    """The cell count of each :func:`_row_blocks` block of an ``n_rows`` table."""
+    return [min(_BLOCK_ROWS, n_rows - start) * n_columns for start in range(0, n_rows, _BLOCK_ROWS)]
+
+
 class TestColumnWriter:
-    """The columnar writer gives the bytes of the row writer it replaced."""
+    """The columnar writer gives the bytes of the row writer it replaced, on
+    its text path and its byte-matrix path alike."""
 
     @staticmethod
     def random_floats(rng, n):
@@ -121,9 +147,15 @@ class TestColumnWriter:
                      names, blocks)
         return out.read_text()
 
+    @pytest.mark.parametrize("text_cells", TEXT_CELLS)
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-    def test_floats_labels_and_bools(self, tmp_path, fmt, n):
+    @pytest.mark.parametrize("n", [
+        # five columns: 195, 200 and 205 cells, either side of the shipped crossover
+        1, cli._TEXT_CELLS // 5 - 1, cli._TEXT_CELLS // 5, cli._TEXT_CELLS // 5 + 1,
+        _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+    ])
+    def test_floats_labels_and_bools(self, tmp_path, monkeypatch, fmt, n, text_cells):
+        texted = text_blocks(monkeypatch, text_cells)
         rng = np.random.default_rng(n)
         bits = self.random_floats(rng, n)
         special = np.resize(np.array(SPECIAL_FLOATS), n)
@@ -139,6 +171,7 @@ class TestColumnWriter:
         blocks = _row_blocks(labels, bits, special, scaled, flags)
         expected = row_writer_text(config, names, rows)
         assert self.written(tmp_path, config, names, blocks) == expected
+        assert texted == [c for c in block_cells(n, len(names)) if c <= text_cells]
 
     def test_every_float_renders_as_format_float(self, tmp_path):
         values = np.concatenate([self.random_floats(np.random.default_rng(1), 200_000),
@@ -159,9 +192,11 @@ class TestColumnWriter:
         # map rows longer than a block: each is cut into a full block and a
         # ragged one
         (2, _BLOCK_ROWS + _BLOCK_ROWS // 3),
+        # one block of 12 cells: its rendered axis cells take the text path
+        (2, 2),
     ])
-    def test_map_rows_not_a_multiple_of_the_block(self, tmp_path, fmt, command, evaluate,
-                                                  value_name, n_pd, n_sd):
+    def test_map_rows_not_a_multiple_of_the_block(self, tmp_path, monkeypatch, fmt, command,
+                                                  evaluate, value_name, n_pd, n_sd):
         # the theta_sd range crosses the Lorentzian switch
         params = {
             "theta_pd": {"min": 1.0, "max": 80.0, "n": n_pd, "spacing": "log"},
@@ -169,10 +204,13 @@ class TestColumnWriter:
         }
         _, _, blocks, _ = cli._COMMANDS[command][0](params, 3)
         sizes = [len(block[2]) for block in blocks]
-        assert len(sizes) >= 3 and max(sizes) <= _BLOCK_ROWS and sizes[-1] < sizes[0]
+        assert max(sizes) <= _BLOCK_ROWS and sum(sizes) == n_pd * n_sd
+        assert len(sizes) >= 3 and sizes[-1] < sizes[0] or sizes == [4]
         cfg = write_config(tmp_path, {**params, "seed": 3})
         out = tmp_path / f"map.{fmt}"
+        texted = text_blocks(monkeypatch, cli._TEXT_CELLS)
         assert main([command, "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        assert texted == [3 * size for size in sizes if 3 * size <= cli._TEXT_CELLS]
         pd = np.geomspace(1.0, 80.0, n_pd)
         sd = np.geomspace(1e-14, 20.0, n_sd)
         matrix = evaluate(pd, sd)
@@ -303,9 +341,15 @@ class TestFloatMatrix:
         assert cells.shape == (cli._CELL_WIDTH, _BLOCK_ROWS)
         assert peak < 2.0e6, peak
 
+    @pytest.mark.parametrize("text_cells", TEXT_CELLS)
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-    def test_multi_column_blocks(self, tmp_path, fmt, n):
+    @pytest.mark.parametrize("n", [
+        # three columns: 198 and 201 cells, either side of the shipped crossover
+        1, cli._TEXT_CELLS // 3, cli._TEXT_CELLS // 3 + 1,
+        _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+    ])
+    def test_multi_column_blocks(self, tmp_path, monkeypatch, fmt, n, text_cells):
+        texted = text_blocks(monkeypatch, text_cells)
         rng = np.random.default_rng(n)
         columns = [
             rng.standard_normal(n) * 10.0 ** rng.integers(-6, 19, size=n),
@@ -319,6 +363,7 @@ class TestFloatMatrix:
         _write_table(RunConfig("g2", {"n_tau": n}, str(out), fmt, 2), ["a", "b", "c"],
                      _row_blocks(*columns))
         assert out.read_text() == expected
+        assert texted == [c for c in block_cells(n, 3) if c <= text_cells]
 
 
 class TestG2Command:
@@ -1023,23 +1068,28 @@ def modules_after_tiny_runs(tmp_path, commands=tuple(sorted(TINY_CONFIGS))):
     return modules
 
 
-def test_reader_closing_the_pipe_early(tmp_path):
-    """A reader that stops after a few bytes (``tpi-sim g2 ... | head -c 64``)
+@pytest.mark.parametrize("command,payload", [
+    ("g2", qd_pair_config(n_tau=200_000)),
+    ("vmap", {"theta_pd": {"min": 1.0, "max": 30.0, "n": 300},
+              "theta_sd": {"min": 0.0, "max": 20.0, "n": 300}}),
+], ids=["g2", "vmap"])
+def test_reader_closing_the_pipe_early(tmp_path, command, payload):
+    """A reader that stops after the first line (``tpi-sim g2 ... | head -n 1``)
     ends the run quietly: exit 0 and nothing on stderr."""
-    cfg = write_config(tmp_path, qd_pair_config(n_tau=200_000))
+    cfg = write_config(tmp_path, payload)
     src = str(Path(tpi_sim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "tpi_sim.cli", "g2", "--config", cfg],
+        [sys.executable, "-m", "tpi_sim.cli", command, "--config", cfg],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
     )
-    head = proc.stdout.read(64)
-    proc.stdout.close()  # the table is about 10 MB, far more than a pipe holds
+    head = proc.stdout.readline()
+    proc.stdout.close()  # each table is 5-10 MB, far more than a pipe holds
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0
     assert err == b""
-    assert head.startswith(b"# command = g2\n")
+    assert head == f"# command = {command}\n".encode()
 
 
 def test_runtime_imports_no_scipy(tmp_path):

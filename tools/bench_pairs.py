@@ -24,9 +24,26 @@ One line per end-to-end metric of ``BENCHMARK.json`` goes to stdout:
 
 with the median and q1-q3 (:func:`bench_summary.quantile`) of each side
 and the number of seeds in which the change was strictly better.  Then one
-line per side names the seeds whose run read ``correct: false``:
+verdict per metric:
+
+    wall_s verdict: gain (median better by 0.0075 s; parent q3-q1 0.0011 s, bound 0.0094 s; change better in 10/10)
+
+``gain`` when the change won at least nine tenths of the pairs and its
+median is better than the parent's by more than the parent's q3 - q1;
+``regression`` when its median is worse than the parent's by more than the
+metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent's
+median); ``unresolved`` when the parent's q3 - q1 is wider than that bound
+and not every run of the change beat every run of the parent; ``no
+regression`` otherwise.  Then one line per side names the seeds whose run
+read ``correct: false``:
 
     parent: correct: false at 1 of 10 seeds: 9201
+
+The header line says whether ``PYTHONDONTWRITEBYTECODE`` is set.  Both
+copies start without ``__pycache__``, so with it set every perfbench
+set-up probe compiles ``tpi_sim`` from source, which raises ``setup_s``
+(a probe took 137 ms against 119 ms with bytecode written) and can move
+``peak_rss_mb`` by a few per cent.
 
 Each run also prints its ``correct``, ``failed``/``attempted`` and metrics
 to stderr as it ends.
@@ -82,23 +99,64 @@ def run_pairs(seeds: list[int], run: Runner) -> dict[str, dict[int, dict]]:
     return results
 
 
+def _compare(results: dict[str, dict[int, dict]], metric: dict) -> tuple[dict, int, int]:
+    """The values of ``metric`` per side in seed order, its sign (+1 where
+    higher is better, -1 where lower is) and the seeds in which the change won."""
+    seeds = sorted(results["parent"])
+    sign = 1 if metric["better"] == "higher" else -1
+    values = {side: [results[side][s][metric["name"]] for s in seeds] for side in SIDES}
+    won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+    return values, sign, won
+
+
 def summary_lines(results: dict[str, dict[int, dict]], metrics: list[dict]) -> list[str]:
     """One line per metric (``name``, ``unit``, ``better`` of BENCHMARK.json):
     each side's median and q1-q3, and in how many seeds the change won."""
-    seeds = sorted(results["parent"])
     lines = []
     for metric in metrics:
-        name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
-        values = {side: [results[side][s][name] for s in seeds] for side in SIDES}
+        values, _, won = _compare(results, metric)
         parts = []
         for side in SIDES:
             v = values[side]
             parts.append(f"{side} {quantile(v, 0.5):.4g} "
                          f"({quantile(v, 0.25):.4g}-{quantile(v, 0.75):.4g})")
-        won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        lines.append(f"{name} [{metric['unit']}, {metric['better']}]: "
-                     f"{'  '.join(parts)}  change better in {won}/{len(seeds)}")
+        lines.append(f"{metric['name']} [{metric['unit']}, {metric['better']}]: "
+                     f"{'  '.join(parts)}  change better in {won}/{len(values['parent'])}")
     return lines
+
+
+def verdict_lines(results: dict[str, dict[int, dict]], metrics: list[dict]) -> list[str]:
+    """One verdict per metric (``bound`` of BENCHMARK.json too): gain,
+    regression, unresolved or no regression, by the rule the module
+    docstring states."""
+    lines = []
+    for metric in metrics:
+        values, sign, won = _compare(results, metric)
+        parent, change = values["parent"], values["change"]
+        better_by = sign * (quantile(change, 0.5) - quantile(parent, 0.5))
+        spread = quantile(parent, 0.75) - quantile(parent, 0.25)
+        bound = metric["bound"] * abs(quantile(parent, 0.5))
+        if 10 * won >= 9 * len(parent) and better_by > spread:
+            verdict = "gain"
+        elif -better_by > bound:
+            verdict = "regression"
+        elif spread > bound and min(sign * c for c in change) <= max(sign * p for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "no regression"
+        unit = metric["unit"]
+        lines.append(f"{metric['name']} verdict: {verdict} (median better by {better_by:.4g} "
+                     f"{unit}; parent q3-q1 {spread:.4g} {unit}, bound {bound:.4g} {unit}; "
+                     f"change better in {won}/{len(parent)})")
+    return lines
+
+
+def header_line(workload: str, seeds: list[int], seconds: int) -> str:
+    """The line above the metric lines: the workload, the seeds, the run
+    length, and whether ``PYTHONDONTWRITEBYTECODE`` is set."""
+    written = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "not set"
+    return (f"{workload}, seeds {seeds[0]}-{seeds[-1]}, {seconds} s per run, "
+            f"PYTHONDONTWRITEBYTECODE {written}")
 
 
 def correctness_lines(results: dict[str, dict[int, dict]]) -> list[str]:
@@ -190,8 +248,9 @@ def main(argv: list[str] | None = None) -> int:
             records.mkdir(parents=True, exist_ok=True)
             for record in (trees["change"] / "perfbench" / "out").glob("*.json"):
                 shutil.copy2(record, records / record.name)
-    print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {args.seconds} s per run")
-    for line in summary_lines(results, metrics) + correctness_lines(results):
+    print(header_line(args.workload, args.seeds, args.seconds))
+    lines = summary_lines(results, metrics) + verdict_lines(results, metrics)
+    for line in lines + correctness_lines(results):
         print(line)
     return 0
 
