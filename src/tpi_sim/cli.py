@@ -39,17 +39,17 @@ significant digits in both formats.
 Every table goes through one writer, :func:`_write_table`, a block of
 ``_BLOCK_ROWS`` rows at a time, each block in one write, so memory is
 bounded by a block whatever the size of the table.  A block takes one of
-two paths by its size.  Up to ``_TEXT_CELLS`` cells (rows x columns; the
-crossover measured where the two cost the same), it is written as text
-rows: :func:`format_float` per float, ``str`` or ``json.dumps`` per label
-or bool.  A larger block is built in one byte matrix with a column per
-table row, allocated once, each part copied into it once: the float cells
-come from one call of the numpy kernel :func:`_float_matrix`, which gives
-the bytes of ``'%.17g' % x`` (:func:`format_float`) NUL-padded to a fixed
-width, less the rows that are NUL in every cell; labels and bools come as
-encoded bytes at their exact width, cells rendered ahead by the caller (the
-map axes) as given, and the separators as constant rows.  The matrix is
-written with its NUL bytes deleted.  Both paths give the same bytes.
+two paths.  A block that holds a label or bool column, or at most
+``_TEXT_CELLS`` cells (rows x columns; the crossover measured where the two
+cost the same), is written as text rows: :func:`format_float` per float,
+``str`` or ``json.dumps`` per label or bool.  A larger block of numbers is
+built in one byte matrix with a column per table row, allocated once, each
+part copied into it once: the float cells come from one call of the numpy
+kernel :func:`_float_matrix`, which gives the bytes of ``'%.17g' % x``
+(:func:`format_float`) NUL-padded to a fixed width, less the rows that are
+NUL in every cell; cells rendered ahead by the caller (the map axes) come
+as given, and the separators as constant rows.  The matrix is written with
+its NUL bytes deleted.  Both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -267,12 +267,6 @@ def _float_slice(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _label_matrix(labels: list[str]) -> np.ndarray:
-    """UTF-8 bytes of each label as the columns of a NUL-padded byte matrix."""
-    encoded = np.array([label.encode() for label in labels], dtype=bytes)
-    return encoded.view(np.uint8).reshape(len(labels), -1).T
-
-
 def _row_blocks(*columns) -> Iterator[tuple]:
     """Equal-length columns cut into blocks of ``_BLOCK_ROWS`` rows."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
@@ -295,21 +289,18 @@ def _text_rows(block: tuple, label: Callable[[Any], str], lead: str, between: st
     return "".join(lead + between.join(cells) + end for cells in zip(*columns))
 
 
-def _block_matrix(block: tuple, n: int, label: Callable[[Any], str], lead: np.ndarray,
-                  between: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The rows of a block as one NUL-padded byte matrix with a column per
-    row: the float arrays rendered together by one :func:`_float_matrix`
-    call and sliced apart, each slice less its rows that are NUL in every
-    cell (often the sign and prefix), the labels encoded at their exact
-    width, rendered cells as given, the separators (byte columns)
-    broadcast."""
-    floats = [c for c in block if isinstance(c, np.ndarray) and c.ndim == 1]
+def _block_matrix(block: tuple, n: int, lead: np.ndarray, between: np.ndarray,
+                  end: np.ndarray) -> np.ndarray:
+    """The rows of a block of arrays as one NUL-padded byte matrix with a
+    column per row: the float arrays rendered together by one
+    :func:`_float_matrix` call and sliced apart, each slice less its rows
+    that are NUL in every cell (often the sign and prefix), rendered cells
+    as given, the separators (byte columns) broadcast."""
+    floats = [c for c in block if c.ndim == 1]
     rendered = _float_matrix(np.concatenate(floats)) if floats else None
     parts = [lead]
     for column in block:
-        if not isinstance(column, np.ndarray):
-            parts.append(_label_matrix([label(v) for v in column]))
-        elif column.ndim == 1:  # the next n columns of the rendered floats
+        if column.ndim == 1:  # the next n columns of the rendered floats
             cells, rendered = rendered[:, :n], rendered[:, n:]
             parts.append(cells[cells.any(axis=1)])
         else:
@@ -332,12 +323,12 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
     as given: a caller that renders a column once for many blocks trims its
     all-NUL rows once), or a list of labels or bools, which CSV writes as
     ``str`` and JSON as ``json.dumps``.  Each block is written at once, by
-    one of two paths that give the same bytes, chosen by its size.  A block
-    of at most ``_TEXT_CELLS`` cells is written as text rows
-    (:func:`_text_rows`), at a cost per cell.  A larger one becomes one byte
-    matrix (:func:`_block_matrix`) whose NULs are deleted, so it costs the
-    same few tens of numpy calls whether it holds a hundred rows or
-    thousands.  The bytes are those of writing every row with
+    one of two paths that give the same bytes.  A block with a label or
+    bool column, or of at most ``_TEXT_CELLS`` cells, is written as text
+    rows (:func:`_text_rows`), at a cost per cell.  A larger block of arrays
+    becomes one byte matrix (:func:`_block_matrix`) whose NULs are deleted,
+    so it costs the same few tens of numpy calls whether it holds a hundred
+    rows or thousands.  The bytes are those of writing every row with
     :func:`format_float` per float cell and JSON through :func:`dumps`.
     """
     as_json = config.fmt == "json"
@@ -360,11 +351,11 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
         for block in blocks:
             # rows: the length of a column, the width of a rendered matrix
             n = block[0].shape[-1] if isinstance(block[0], np.ndarray) else len(block[0])
-            if n * len(block) <= _TEXT_CELLS:
+            if not all(isinstance(c, np.ndarray) for c in block) or n * len(block) <= _TEXT_CELLS:
                 text = _text_rows(block, label, *separators)
                 write((text[1:] if as_json and first else text).encode())
             else:
-                matrix = _block_matrix(block, n, label, *byte_columns)
+                matrix = _block_matrix(block, n, *byte_columns)
                 if as_json and first:
                     matrix[0, 0] = 0
                 write(matrix.T.tobytes().translate(None, b"\0"))
@@ -645,11 +636,11 @@ def cmd_assess(cfg: dict, seed: int) -> Table:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError(f"config field {where!r} must be an object with a 'name'")
         name = entry["name"]
-        if not isinstance(name, str) or any(c in name for c in ",\r\n\0"):
-            # a name is one CSV cell, and the writer deletes NUL bytes
+        if not isinstance(name, str) or name[:1] == "#" or any(c in name for c in ",\r\n\0"):
+            # one CSV cell, not read as a '#' comment row; the writer deletes NULs
             raise ConfigError(
                 f"config field '{where}.name' must be a string without ',', "
-                f"'\\r', '\\n' or '\\0', not {name!r}"
+                f"'\\r', '\\n' or '\\0' that does not start with '#', not {name!r}"
             )
         constraint, canonical = _parse_constraint(
             {k: v for k, v in entry.items() if k not in ("name", "second")}, where

@@ -3,7 +3,8 @@
 Central quantities for two single photons entering a linear-optical gate at
 inputs (i, j) and being detected in coincidence at outputs (k, l):
 
-* the joint detection probability density for arbitrary wave packets,
+* the joint detection probability density for arbitrary wave packets
+  (the density alone; :func:`tpi_sim.oracle.quadrature_g2` checks them),
 * the ensemble-averaged cross-correlation G2(tau) for one-sided
   exponential wave packets under pure dephasing (PD) and spectral
   diffusion (SD),
@@ -208,7 +209,6 @@ def joint_detection_probability(
     zeta_j: Callable[[np.ndarray], np.ndarray],
     t0: float | np.ndarray,
     tau: float,
-    check_normalization: bool = True,
 ) -> float | np.ndarray:
     """Probability density for detections at t0 (output k) and t0+tau (output l).
 
@@ -216,18 +216,11 @@ def joint_detection_probability(
     one-based input modes i and j; they must accept numpy arrays.  For a
     symmetric beam splitter this reduces to the familiar
     |zeta_i(t0+tau) zeta_j(t0) - zeta_j(t0+tau) zeta_i(t0)|^2 / 4.
-    ``check_normalization`` integrates |zeta|^2 of both packets on every call.
+    This is the density alone: it checks the modes but not the packets'
+    norms, which :func:`tpi_sim.oracle.quadrature_g2` checks once per call.
     """
     if i == j or k == l:
         raise ValueError("input modes and output modes must each be distinct")
-    if check_normalization:
-        for zeta in (zeta_i, zeta_j):
-            scale = float(getattr(zeta, "time_scale", 1e-9))
-            norm = numerics.integrate(
-                lambda t: np.abs(zeta(t)) ** 2, -10.0 * scale, 80.0 * scale, tol=1e-10
-            )
-            if abs(norm - 1.0) > 1e-8:
-                raise ValueError(f"wave function is not normalized: integral = {norm!r}")
     u = gate.matrix
     gate._check_mode(i), gate._check_mode(j), gate._check_mode(k), gate._check_mode(l)
     ii, jj, kk, ll = i - 1, j - 1, k - 1, l - 1

@@ -517,8 +517,8 @@ def integrate(
         sign = -1.0
 
     # Seed with several panels so narrow features near one end are not
-    # masked by one coarse estimate over the whole range.
-    edges = np.linspace(a, b, 9)
+    # masked by one coarse estimate; Python float ends keep every sum a float.
+    edges = np.linspace(a, b, 9).tolist()
     heap: list[tuple[float, int, float, float, float]] = []
     count = 0
     total = 0.0

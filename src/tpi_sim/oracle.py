@@ -1,12 +1,15 @@
 """Brute-force verification of the closed-form interference results.
 
-Two independent routes re-derive what the analytic module computes:
+Independent routes re-derive what the analytic module computes:
 
 * Monte-Carlo sampling of the microscopic jitter model (Gaussian frequency
   jitter per photon, Wiener phase noise with increment variance
   2 * dephasing_rate * dt, drawn as the relative frequency and phase of
-  the pair) feeding the pre-average joint detection probability, and
-* direct adaptive quadrature of the correlation trace over the time lag.
+  the pair) feeding the pre-average joint detection probability,
+* direct adaptive quadrature of the correlation trace over the time lag, and
+* adaptive quadrature over t0 of the joint density of two wave packets
+  (:func:`quadrature_g2`), which checks each packet's ``time_scale`` and
+  norm once per call.
 
 Determinism: every sampler takes a 64-bit integer seed; streams for
 independent chunks are derived with ``numpy.random.SeedSequence.spawn``,
@@ -150,7 +153,8 @@ def exponential_wave(
 
     ``phi`` is linearly interpolated from the optional sampled phase
     trajectory and zero without one.  The returned callable is vectorized
-    and carries a ``time_scale`` attribute used by normalization checks.
+    and carries the ``time_scale`` attribute (the lifetime) that
+    :func:`quadrature_g2` requires.
     """
     if lifetime <= 0.0:
         raise ValueError("lifetime must be positive")
@@ -229,15 +233,20 @@ def _phase_factor_chunks(
     return [job], finish
 
 
+def _integrate_pieces(f: Callable[[np.ndarray], np.ndarray], edges, tol: float) -> float:
+    """Sum of the integrals of ``f`` between consecutive ``edges``, each to ``tol``."""
+    return sum(numerics.integrate(f, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
+
+
 def quadrature_p_coinc(
-    gate: GateMatrix, i: int, j: int, k: int, l: int, pair: PhotonPair, tol: float = 1e-9
+    gate: GateMatrix, i: int, j: int, k: int, l: int, pair: PhotonPair
 ) -> float:
     """Coincidence probability by direct integration of the correlation trace.
 
     Independent check of the Faddeeva-function route taken by
     :func:`tpi_sim.interference.coincidence_probability`: integrates the
     closed-form G2(tau) over all lags, truncated at 40 times the slowest
-    lifetime on each side.
+    lifetime on each side and cut at tau = 0, each side to 5e-10 absolute.
     """
     quad = gate_quad(gate, i, j, k, l)
 
@@ -245,9 +254,7 @@ def quadrature_p_coinc(
         return _baseline(quad, pair, tau) + _interference_term(quad, pair, tau)
 
     span = 40.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
-    left = numerics.integrate(integrand, -span, 0.0, tol=0.5 * tol)
-    right = numerics.integrate(integrand, 0.0, span, tol=0.5 * tol)
-    return left + right
+    return _integrate_pieces(integrand, (-span, 0.0, span), 0.5e-9)
 
 
 def quadrature_g2(
@@ -259,33 +266,35 @@ def quadrature_g2(
     zeta_i: Callable[[np.ndarray], np.ndarray],
     zeta_j: Callable[[np.ndarray], np.ndarray],
     tau: float,
-    tol: float | None = None,
 ) -> float:
     """Cross-correlation at one lag by adaptive integration over t0.
 
-    Works for any pair of normalized wave-packet callables (a fixed jitter
-    realization or a deterministic packet); the window is derived from the
-    callables' ``time_scale`` attributes.  The window is split at t0 = 0
-    and t0 = -tau, where packets that switch on at 0 jump, so each jump is
-    a bound and not inside a panel, where no node might sample it.
+    Works for any pair of wave-packet callables that switch on at t = 0 (a
+    fixed jitter realization or a deterministic packet).  Each must carry a
+    ``time_scale`` attribute in s, as :func:`exponential_wave`'s do, and its
+    norm, |zeta|^2 integrated over [-10, 80] time scales, must be 1 to 1e-8.
+    Each integral is cut at the jumps, t = 0 for a norm and t0 = 0 and
+    t0 = -tau for the window, so no jump lies inside a panel, where no node
+    might sample it.  The window (10 joint time scales before -|tau| to 40
+    after |tau|) is integrated to 1e-8 / (ts_i + ts_j) absolute.
     """
-    ts_i = float(getattr(zeta_i, "time_scale", 1e-9))
-    ts_j = float(getattr(zeta_j, "time_scale", 1e-9))
+    for name, zeta in (("zeta_i", zeta_i), ("zeta_j", zeta_j)):
+        if not hasattr(zeta, "time_scale"):
+            raise ValueError(f"wave packet {name} has no 'time_scale' attribute")
+        edges = (-10.0 * zeta.time_scale, 0.0, 80.0 * zeta.time_scale)
+        norm = _integrate_pieces(lambda t: np.abs(zeta(t)) ** 2, edges, 1e-10)
+        if abs(norm - 1.0) > 1e-8:
+            raise ValueError(f"wave packet {name} is not normalized: integral = {norm!r}")
+    ts_i, ts_j = float(zeta_i.time_scale), float(zeta_j.time_scale)
     joint_scale = 1.0 / (1.0 / ts_i + 1.0 / ts_j)
-    if tol is None:
-        tol = 1e-8 / (ts_i + ts_j)
-    lo = -abs(tau) - 10.0 * joint_scale
 
     def integrand(t0: np.ndarray) -> np.ndarray:
-        return joint_detection_probability(
-            gate, i, j, k, l, zeta_i, zeta_j, t0, tau, check_normalization=False
-        )
+        return joint_detection_probability(gate, i, j, k, l, zeta_i, zeta_j, t0, tau)
 
-    # validate normalization once up front
-    joint_detection_probability(gate, i, j, k, l, zeta_i, zeta_j, 0.0, tau)
+    lo = -abs(tau) - 10.0 * joint_scale
     hi = abs(tau) + 40.0 * joint_scale
     edges = sorted({lo, min(0.0, -tau), max(0.0, -tau), hi})
-    return sum(numerics.integrate(integrand, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
+    return _integrate_pieces(integrand, edges, 1e-8 / (ts_i + ts_j))
 
 
 def _gauss_legendre_nodes(lo: float, hi: float, panels: int):

@@ -80,15 +80,6 @@ class TestJointDetectionProbability:
         assert out.shape == t0.shape
         assert np.all(out >= 0.0)
 
-    def test_unnormalized_wave_rejected(self):
-        def bad(t):
-            return 2.0 * np.exp(-np.maximum(np.asarray(t, float), 0.0) / 1e-9)
-
-        bad.time_scale = 1e-9
-        good = exponential_wave(1e-9)
-        with pytest.raises(ValueError, match="not normalized"):
-            joint_detection_probability(HOM, 1, 2, 1, 2, bad, good, 0.0, 0.0)
-
     def test_mode_validation(self):
         z = exponential_wave(1e-9)
         with pytest.raises(ValueError):

@@ -277,8 +277,12 @@ class TestIntegrate:
             assert val == pytest.approx(a / (a * a + w * w), abs=1e-10)
 
     def test_reversed_and_empty_ranges(self):
-        assert integrate(lambda x: np.ones_like(x), 1.0, 1.0) == 0.0
-        assert integrate(lambda x: np.ones_like(x), 2.0, 0.0, tol=1e-12) == pytest.approx(-2.0)
+        empty = integrate(lambda x: np.ones_like(x), 1.0, 1.0)
+        backward = integrate(lambda x: np.ones_like(x), 2.0, 0.0, tol=1e-12)
+        assert empty == 0.0
+        assert backward == pytest.approx(-2.0)
+        # a Python float, as the signature says, not a numpy scalar
+        assert type(empty) is float and type(backward) is float
 
     @pytest.mark.parametrize(
         "a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0)]

@@ -83,9 +83,7 @@ def legacy_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed, panels=12):
             frequency, phase = relative_draw(pair, times, rng)
             zi = exponential_wave(pair.emitter_i.lifetime, frequency, times, phase)
             zj = exponential_wave(pair.emitter_j.lifetime)
-            p = joint_detection_probability(
-                gate, i, j, k, l, zi, zj, t0, tau, check_normalization=False
-            )
+            p = joint_detection_probability(gate, i, j, k, l, zi, zj, t0, tau)
             values[done + r] = float(np.dot(weights, p))
         done += n
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(realizations))
@@ -270,12 +268,37 @@ class TestQuadratureG2:
              exponential_wave(0.7e-9), exponential_wave(0.5e-9)),
             (PhotonPair(EmitterParams(0.4e-9, detuning=1.5e9), EmitterParams(0.9e-9)),
              exponential_wave(0.4e-9, frequency=1.5e9), exponential_wave(0.9e-9)),
+            # NV-like lifetimes of 11-12 ns, one of them against a 0.5 ns packet
+            (PhotonPair(EmitterParams(12e-9), EmitterParams(0.5e-9)),
+             exponential_wave(12e-9), exponential_wave(0.5e-9)),
+            (PhotonPair(EmitterParams(12e-9, detuning=0.2e9), EmitterParams(11e-9)),
+             exponential_wave(12e-9, frequency=0.2e9), exponential_wave(11e-9)),
         ]
         for pair, zi, zj in cases:
             for tau in (-1.1e-9, -0.3e-9, 0.05e-9, 0.2e-9, 0.8e-9):
                 trace = g2_trace(HOM, 1, 2, 1, 2, pair, [tau - 1.0, tau, tau + 1.0])
                 got = quadrature_g2(HOM, 1, 2, 1, 2, zi, zj, tau)
                 assert got == pytest.approx(float(trace.g2_values[1]), rel=1e-9)
+
+    @pytest.mark.parametrize("bad_as,message", [
+        # twice the amplitude of a 1 ns packet: four times its norm
+        ("zeta_i", "wave packet zeta_i is not normalized"),
+        # a normalized 12 ns packet without the attribute: no time scale is
+        # guessed for it
+        ("zeta_j", "wave packet zeta_j has no 'time_scale' attribute"),
+    ], ids=["unnormalized", "no_time_scale"])
+    def test_bad_packet_rejected(self, bad_as, message):
+        good = exponential_wave(1e-9)
+        if bad_as == "zeta_i":
+            def bad(t):
+                return 2.0 * good(t)
+
+            bad.time_scale = 1e-9
+            packets = bad, good
+        else:
+            packets = good, lambda t: exponential_wave(12e-9)(t)
+        with pytest.raises(ValueError, match=message):
+            quadrature_g2(HOM, 1, 2, 1, 2, *packets, 0.0)
 
     def test_detuned_deterministic_packets(self):
         # pure detuning without noise: interference envelope stays at full

@@ -23,7 +23,8 @@ def test_one_line_per_failing_seed(capsys):
             expected.append(f"seed {seed}: " + " | ".join(
                 f"{c.name} observed {c.observed:.4g} > bound {c.bound:g}" for c in failed
             ))
-    summary = f"{len(expected)} of 2 seeds failed (3-4)"
+    # 13 comparisons per seed, each outside 3 sigma with probability 0.0027
+    summary = f"{len(expected)} of 2 seeds failed (3-4); chance alone: 0.069"
     assert capsys.readouterr().out.splitlines() == [*expected, summary]
     assert status == (1 if expected else 0)
 

@@ -16,16 +16,23 @@ stdout,
 
 with each failing check of that seed after the first joined by `` | ``.
 For a Monte-Carlo check the observed value is the worst z.  A last line
-counts the failing seeds.  The exit status is 1 if any seed failed, else 0.
+counts the failing seeds and the count expected from chance alone,
+
+    7 of 200 seeds failed (0-199); chance alone: 6.9
+
+The exit status is 1 if any seed failed, else 0.
 
 The 3-sigma checks fail by chance: with m independent comparisons, a seed
 fails one with probability 1 - (1 - 2 Phi(-3))^m (1.3% for the five lags
 of one correlation-trace instance, 2.1% for the eight phase-factor cases).
+Over n seeds, chance alone gives n (1 - (1 - erfc(3 / sqrt 2))^m) failing
+seeds, with m = 5 mc_instances + 8 (3.5% of seeds at the default sizes).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from tpi_sim.oracle import run_verification
@@ -37,6 +44,14 @@ def failing_line(seed: int, checks) -> str | None:
         f"{c.name} observed {c.observed:.4g} > bound {c.bound:g}" for c in checks if not c.passed
     ]
     return f"seed {seed}: " + " | ".join(failed) if failed else None
+
+
+def chance_failures(seeds: int, mc_instances: int) -> float:
+    """Failing seeds expected from chance alone among ``seeds`` seeds: each
+    has 5 lags per Monte-Carlo instance and 8 phase-factor cases, each
+    outside 3 sigma with probability erfc(3 / sqrt 2)."""
+    comparisons = 5 * mc_instances + 8
+    return seeds * (1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** comparisons)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,7 +79,9 @@ def main(argv: list[str] | None = None) -> int:
         if line is not None:
             failures += 1
             print(line, flush=True)
-    print(f"{failures} of {len(seeds)} seeds failed ({args.first}-{args.last})")
+    expected = chance_failures(len(seeds), args.mc_instances)
+    print(f"{failures} of {len(seeds)} seeds failed ({args.first}-{args.last}); "
+          f"chance alone: {expected:.2g}")
     return 1 if failures else 0
 
 
