@@ -39,12 +39,12 @@ significant digits in both formats.
 Every table goes through one writer, :func:`_write_table`, a block of
 ``_BLOCK_ROWS`` rows at a time, each block in one write, so memory is
 bounded by a block whatever the size of the table.  A block takes one of
-two paths.  A block that holds a label or bool column, or at most
-``_TEXT_CELLS`` cells (rows x columns; the crossover measured where the two
-cost the same), is written as text rows: :func:`format_float` per float,
-``str`` or ``json.dumps`` per label or bool.  A larger block of numbers is
-built in one byte matrix with a column per table row, allocated once, each
-part copied into it once: the float cells come from one call of the numpy
+two paths, chosen by what it holds.  A block with a label or bool column
+(an ``assess`` or ``verify`` table) is written as text rows:
+:func:`format_float` per float, ``str`` or ``json.dumps`` per label or
+bool.  Every other block, a block of numbers whatever its size, is built
+in one byte matrix with a column per table row, allocated once, each part
+copied into it once: the float cells come from one call of the numpy
 kernel :func:`_float_matrix`, which gives the bytes of ``'%.17g' % x``
 (:func:`format_float`) NUL-padded to a fixed width, less the rows that are
 NUL in every cell; cells rendered ahead by the caller (the map axes) come
@@ -125,14 +125,6 @@ def dumps(obj: Any) -> str:
 # rows, and on a Xeon with 2 MB of L2 per core a maps pass ran 17.5% faster
 # at 16384 rows than at 4096 but only 5.5% faster at 32768.
 _BLOCK_ROWS = 16384
-
-# Cells (rows x columns) up to which a block is written as text rows rather
-# than built in one byte matrix.  Text costs about 0.75 us per cell, the
-# matrix about 110 us per block (some 60 numpy calls) plus 0.2 us per cell.
-# Five float columns written to /dev/null on a Xeon, text vs matrix: 1 row
-# 7 vs 121 us, 40 rows (200 cells) 147 vs 164 us, 48 rows 180 vs 169 us,
-# 128 rows 474 vs 221 us; three columns in JSON crossed at 190-240 cells.
-_TEXT_CELLS = 200
 
 # Byte rows of a rendered cell: '%.17g' of a float is at most 24 characters
 # long ('-1.2345678901234567e-308').
@@ -276,16 +268,13 @@ def _row_blocks(*columns) -> Iterator[tuple]:
 def _text_rows(block: tuple, label: Callable[[Any], str], lead: str, between: str,
                end: str) -> str:
     """The rows of a block as text, written cell by cell: :func:`format_float`
-    of each float, ``label`` of each label or bool, a rendered cell with its
-    NULs deleted."""
+    of each float, ``label`` of each label or bool."""
     columns = []
     for column in block:
-        if not isinstance(column, np.ndarray):
-            columns.append([label(v) for v in column])
-        elif column.ndim == 1:
+        if isinstance(column, np.ndarray):
             columns.append([format_float(v) for v in column.tolist()])
         else:
-            columns.append([cell.tobytes().translate(None, b"\0").decode() for cell in column.T])
+            columns.append([label(v) for v in column])
     return "".join(lead + between.join(cells) + end for cells in zip(*columns))
 
 
@@ -323,9 +312,9 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
     as given: a caller that renders a column once for many blocks trims its
     all-NUL rows once), or a list of labels or bools, which CSV writes as
     ``str`` and JSON as ``json.dumps``.  Each block is written at once, by
-    one of two paths that give the same bytes.  A block with a label or
-    bool column, or of at most ``_TEXT_CELLS`` cells, is written as text
-    rows (:func:`_text_rows`), at a cost per cell.  A larger block of arrays
+    one of two paths that give the same bytes, chosen by its column kinds.
+    A block with a label or bool column is written as text rows
+    (:func:`_text_rows`), at a cost per cell.  A block of arrays alone
     becomes one byte matrix (:func:`_block_matrix`) whose NULs are deleted,
     so it costs the same few tens of numpy calls whether it holds a hundred
     rows or thousands.  The bytes are those of writing every row with
@@ -349,16 +338,15 @@ def _write_table(config: RunConfig, names: list[str], blocks: Iterable[tuple]) -
             write((",".join(names) + "\n").encode())
         first = True
         for block in blocks:
-            # rows: the length of a column, the width of a rendered matrix
-            n = block[0].shape[-1] if isinstance(block[0], np.ndarray) else len(block[0])
-            if not all(isinstance(c, np.ndarray) for c in block) or n * len(block) <= _TEXT_CELLS:
-                text = _text_rows(block, label, *separators)
-                write((text[1:] if as_json and first else text).encode())
-            else:
-                matrix = _block_matrix(block, n, *byte_columns)
+            if all(isinstance(column, np.ndarray) for column in block):
+                # rows: the length of a float array, the width of a rendered matrix
+                matrix = _block_matrix(block, block[0].shape[-1], *byte_columns)
                 if as_json and first:
                     matrix[0, 0] = 0
                 write(matrix.T.tobytes().translate(None, b"\0"))
+            else:
+                text = _text_rows(block, label, *separators)
+                write((text[1:] if as_json and first else text).encode())
             first = False
         if as_json:
             write(f'],"seed":{json.dumps(config.seed)}}}\n'.encode())
@@ -636,11 +624,12 @@ def cmd_assess(cfg: dict, seed: int) -> Table:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError(f"config field {where!r} must be an object with a 'name'")
         name = entry["name"]
-        if not isinstance(name, str) or name[:1] == "#" or any(c in name for c in ",\r\n\0"):
-            # one CSV cell, not read as a '#' comment row; the writer deletes NULs
+        if not isinstance(name, str) or name[:1] in ("#", '"') or any(c in name for c in ",\r\n\0"):
+            # one CSV cell, neither read as a '#' comment row nor opening a
+            # quoted cell; the writer deletes NULs
             raise ConfigError(
                 f"config field '{where}.name' must be a string without ',', "
-                f"'\\r', '\\n' or '\\0' that does not start with '#', not {name!r}"
+                f"'\\r', '\\n' or '\\0' that does not start with '#' or '\"', not {name!r}"
             )
         constraint, canonical = _parse_constraint(
             {k: v for k, v in entry.items() if k not in ("name", "second")}, where
@@ -668,9 +657,11 @@ _VERIFY_SIZES = {
 
 def cmd_verify(cfg: dict, seed: int) -> Table:
     # imported here: the oracle and its thread pool are needed by verify only
-    from .oracle import run_verification
+    from .oracle import _MIN_REALIZATIONS, _MIN_TRIALS, run_verification
 
-    sizes = {key: _integer(cfg, key, 1, default=default) for key, default in _VERIFY_SIZES.items()}
+    minimum = {"mc_realizations": _MIN_REALIZATIONS, "phase_trials": _MIN_TRIALS}
+    sizes = {key: _integer(cfg, key, minimum.get(key, 1), default=default)
+             for key, default in _VERIFY_SIZES.items()}
     report = run_verification(seed=seed, **sizes)
     checks = report.checks
     measures = np.array([(c.observed, c.bound) for c in checks], dtype=float)

@@ -323,16 +323,8 @@ def _voigt_width(total, lor, gauss, unknown: str) -> np.ndarray:
     known = dict(zip(known, np.broadcast_arrays(*map(np.atleast_1d, known.values()))))
     f, l, g = map(known.get, ("total", "lorentzian", "gaussian"))
     bound = l + g if unknown == "total" else f
-    peak = None
     if unknown == "total":
         start = 0.5346 * l + np.sqrt(0.2166 * l * l + g * g)
-        # Re w(z_0) does not move with F: one axis call for the whole solve.
-        # An infinite L makes it nan (inf / inf in the series), which does
-        # not reach the result: the bracket [0, 2 B] is infinite, so the
-        # solve stops after its first step, at inf.
-        s = GAUSS_FWHM_PER_SIGMA / (g * math.sqrt(2.0))
-        with np.errstate(invalid="ignore"):
-            peak = _faddeeva(np.zeros(l.shape), 0.5 * l * s)[0]
     elif unknown == "lorentzian":  # 0.0692 L^2 - 1.0692 F L + F^2 - G^2 = 0, smaller root
         b = 1.0692 * f
         c = (f - g) * (f + g)
@@ -344,14 +336,12 @@ def _voigt_width(total, lor, gauss, unknown: str) -> np.ndarray:
 
     def residual(x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         at = {name: v[live] for name, v in known.items()} | {unknown: x}
-        return _voigt_residual(**at, unknown=unknown, peak=None if peak is None else peak[live])
+        return _voigt_residual(**at, unknown=unknown)
 
     return _newton(residual, start, 2.0 * bound, VOIGT_FWHM_RTOL)
 
 
-def _voigt_residual(
-    total, lorentzian, gaussian, unknown: str, peak: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _voigt_residual(total, lorentzian, gaussian, unknown: str) -> tuple[np.ndarray, np.ndarray]:
     """(r, dr/dx) of :func:`_voigt_width`'s half-maximum condition at the
     given FWHMs, x being the one named by ``unknown``.
 
@@ -363,16 +353,13 @@ def _voigt_residual(
     r rises with L and G and falls with F, so for F it is negated.  With
     w' = -2 z w + 2i / sqrt(pi), dr/dx = Re(w'(z_F) dz_F/dx - w'(z_0) dz_0/dx / 2),
     where dz_F/dF = s / 2 (dz_0/dF = 0), dz/dL = i s / 2 and dz/dG = -z / G.
-    z_F and z_0 take a Faddeeva call each, z_0 one on the imaginary axis;
-    ``peak`` = Re w(z_0) is taken as given when passed.
+    z_F and z_0 take a Faddeeva call each, z_0 one on the imaginary axis.
     """
     s = GAUSS_FWHM_PER_SIGMA / (gaussian * math.sqrt(2.0))
     a, y = 0.5 * total * s, 0.5 * lorentzian * s
     re, _, dre, dim = _faddeeva(a, y, slope=True)
     if unknown == "total":
-        if peak is None:
-            peak = _faddeeva(np.zeros(y.shape), y)[0]
-        return 0.5 * peak - re, -0.5 * s * dre
+        return 0.5 * _faddeeva(np.zeros(y.shape), y)[0] - re, -0.5 * s * dre
     peak, _, _, dim_0 = _faddeeva(np.zeros(y.shape), y, slope=True)
     if unknown == "lorentzian":  # Re(w' i s / 2) = -s Im w' / 2
         slope = (0.5 * dim_0 - dim) * (0.5 * s)

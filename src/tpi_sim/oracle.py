@@ -73,6 +73,11 @@ __all__ = [
 
 _CHUNK = 4096
 
+# The smallest sizes for which an estimate and its standard error mean
+# anything; the CLI reads them to refuse smaller ``verify`` sizes by name.
+_MIN_REALIZATIONS = 2
+_MIN_TRIALS = 10_000
+
 _REALIZATION_CHUNK = 256
 """Realizations of :func:`mc_g2_estimate` per spawned child stream.
 
@@ -195,8 +200,8 @@ def _phase_factor_chunks(
     pair: PhotonPair, tau: float, trials: int, seed: int, gate_phase: float
 ) -> tuple[list[Callable[[], None]], Callable[[], MonteCarloEstimate]]:
     """Set-up of :func:`mc_averaged_phase_factor`: one job and its ``finish``."""
-    if trials < 10_000:
-        raise ValueError("need at least 1e4 trials for a meaningful estimate")
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"need at least {_MIN_TRIALS} trials for a meaningful estimate")
     delta_nu = pair.delta_nu
     sigma_nu = pair.sigma_total
     spread_i = math.sqrt(2.0 * pair.emitter_i.dephasing_rate * abs(tau))
@@ -361,8 +366,8 @@ def _g2_chunks(
     stream, calling only numpy and private helpers, so the jobs may run on
     any threads in any order; ``finish()`` reduces the values once all ran.
     """
-    if realizations < 2:
-        raise ValueError("need at least 2 realizations")
+    if realizations < _MIN_REALIZATIONS:
+        raise ValueError(f"need at least {_MIN_REALIZATIONS} realizations")
     if i == j or k == l:
         raise ValueError("input modes and output modes must each be distinct")
     for mode in (i, j, k, l):

@@ -106,29 +106,22 @@ SPECIAL_FLOATS = [
 ]
 
 
-# _TEXT_CELLS settings for the writer tests: every block as a byte matrix,
-# the shipped crossover, every block as text rows
-TEXT_CELLS = [0, cli._TEXT_CELLS, 10**9]
-
-
-def text_blocks(monkeypatch, text_cells):
-    """Set ``cli._TEXT_CELLS`` to ``text_cells`` and return the list into which
-    the writer's text path records the cell count of each block it writes."""
-    monkeypatch.setattr(cli, "_TEXT_CELLS", text_cells)
-    cells, text_rows = [], cli._text_rows
+def text_blocks(monkeypatch):
+    """The list into which the writer's text path records the row count of
+    each block it writes."""
+    rows, text_rows = [], cli._text_rows
 
     def recording(block, *args):
-        rows = block[0].shape[-1] if isinstance(block[0], np.ndarray) else len(block[0])
-        cells.append(rows * len(block))
+        rows.append(len(block[0]))
         return text_rows(block, *args)
 
     monkeypatch.setattr(cli, "_text_rows", recording)
-    return cells
+    return rows
 
 
-def block_cells(n_rows, n_columns):
-    """The cell count of each :func:`_row_blocks` block of an ``n_rows`` table."""
-    return [min(_BLOCK_ROWS, n_rows - start) * n_columns for start in range(0, n_rows, _BLOCK_ROWS)]
+def block_rows(n_rows):
+    """The row count of each :func:`_row_blocks` block of an ``n_rows`` table."""
+    return [min(_BLOCK_ROWS, n_rows - start) for start in range(0, n_rows, _BLOCK_ROWS)]
 
 
 class TestColumnWriter:
@@ -147,15 +140,10 @@ class TestColumnWriter:
                      names, blocks)
         return out.read_text()
 
-    @pytest.mark.parametrize("text_cells", TEXT_CELLS)
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n", [
-        # five columns: 195, 200 and 205 cells, either side of the shipped crossover
-        1, cli._TEXT_CELLS // 5 - 1, cli._TEXT_CELLS // 5, cli._TEXT_CELLS // 5 + 1,
-        _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-    ])
-    def test_floats_labels_and_bools(self, tmp_path, monkeypatch, fmt, n, text_cells):
-        texted = text_blocks(monkeypatch, text_cells)
+    @pytest.mark.parametrize("n", [1, 39, 40, 41, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_floats_labels_and_bools(self, tmp_path, monkeypatch, fmt, n):
+        texted = text_blocks(monkeypatch)
         rng = np.random.default_rng(n)
         bits = self.random_floats(rng, n)
         special = np.resize(np.array(SPECIAL_FLOATS), n)
@@ -172,7 +160,7 @@ class TestColumnWriter:
         expected = row_writer_text(config, names, rows)
         assert self.written(tmp_path, config, names, blocks) == expected
         # a block with label or bool columns takes the text path whatever its size
-        assert texted == block_cells(n, len(names))
+        assert texted == block_rows(n)
 
     def test_every_float_renders_as_format_float(self, tmp_path):
         values = np.concatenate([self.random_floats(np.random.default_rng(1), 200_000),
@@ -193,7 +181,7 @@ class TestColumnWriter:
         # map rows longer than a block: each is cut into a full block and a
         # ragged one
         (2, _BLOCK_ROWS + _BLOCK_ROWS // 3),
-        # one block of 12 cells: its rendered axis cells take the text path
+        # one block of 4 rows, built as a byte matrix like the larger ones
         (2, 2),
     ])
     def test_map_rows_not_a_multiple_of_the_block(self, tmp_path, monkeypatch, fmt, command,
@@ -209,9 +197,9 @@ class TestColumnWriter:
         assert len(sizes) >= 3 and sizes[-1] < sizes[0] or sizes == [4]
         cfg = write_config(tmp_path, {**params, "seed": 3})
         out = tmp_path / f"map.{fmt}"
-        texted = text_blocks(monkeypatch, cli._TEXT_CELLS)
+        texted = text_blocks(monkeypatch)
         assert main([command, "--config", cfg, "--out", str(out), "--format", fmt]) == 0
-        assert texted == [3 * size for size in sizes if 3 * size <= cli._TEXT_CELLS]
+        assert texted == []
         pd = np.geomspace(1.0, 80.0, n_pd)
         sd = np.geomspace(1e-14, 20.0, n_sd)
         matrix = evaluate(pd, sd)
@@ -342,15 +330,10 @@ class TestFloatMatrix:
         assert cells.shape == (cli._CELL_WIDTH, _BLOCK_ROWS)
         assert peak < 2.0e6, peak
 
-    @pytest.mark.parametrize("text_cells", TEXT_CELLS)
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n", [
-        # three columns: 198 and 201 cells, either side of the shipped crossover
-        1, cli._TEXT_CELLS // 3, cli._TEXT_CELLS // 3 + 1,
-        _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-    ])
-    def test_multi_column_blocks(self, tmp_path, monkeypatch, fmt, n, text_cells):
-        texted = text_blocks(monkeypatch, text_cells)
+    @pytest.mark.parametrize("n", [1, 66, 67, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_multi_column_blocks(self, tmp_path, monkeypatch, fmt, n):
+        texted = text_blocks(monkeypatch)
         rng = np.random.default_rng(n)
         columns = [
             rng.standard_normal(n) * 10.0 ** rng.integers(-6, 19, size=n),
@@ -364,7 +347,8 @@ class TestFloatMatrix:
         _write_table(RunConfig("g2", {"n_tau": n}, str(out), fmt, 2), ["a", "b", "c"],
                      _row_blocks(*columns))
         assert out.read_text() == expected
-        assert texted == [c for c in block_cells(n, 3) if c <= text_cells]
+        # a block of numbers is built as a byte matrix, however few its rows
+        assert texted == []
 
 
 class TestG2Command:
@@ -773,7 +757,7 @@ class TestConfigBoundary:
             assert float(rows[0][header.index("v_min")]) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["qd, 850\nps", "a,b", "cr\rlf", "line\n", "nul\0name", 12,
-                                      True, None, ["qd"], "#qd"])
+                                      True, None, ["qd"], "#qd", '"qd'])
     def test_source_name_must_be_one_csv_cell(self, tmp_path, capsys, name):
         payload = {"sources": [{"name": "ok", "lifetime_ps": 670, "coherence_time_ps": 330},
                                {"name": name, "lifetime_ps": 670, "coherence_time_ps": 330}],
@@ -872,6 +856,13 @@ class TestConfigBoundary:
                                           "total_fwhm_mhz": 500}},
              "invalid constraint 'constraint': provide exactly one of"),
             ("assess", {"sources": []}, "field 'sources' must list at least one entry"),
+            # the oracle's own limits, refused before any check runs
+            ("verify", {"closed_form_instances": 3, "mc_instances": 1, "mc_realizations": 1,
+                        "phase_trials": 5000},
+             "config field 'mc_realizations' must be an integer >= 2, not 1"),
+            ("verify", {"closed_form_instances": 3, "mc_instances": 1, "mc_realizations": 2,
+                        "phase_trials": 5000},
+             "config field 'phase_trials' must be an integer >= 10000, not 5000"),
         ],
     )
     def test_structure_checks_named(self, tmp_path, capsys, command, payload, expected):
