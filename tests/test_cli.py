@@ -140,9 +140,12 @@ class TestColumnWriter:
                      names, blocks)
         return out.read_text()
 
+    # the text columns of the table: a label column, a bool column or both
+    @pytest.mark.parametrize("kept", [("name",), ("passed",), ("name", "passed")],
+                             ids=["labels", "bools", "labels_and_bools"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, 39, 40, 41, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-    def test_floats_labels_and_bools(self, tmp_path, monkeypatch, fmt, n):
+    def test_floats_labels_and_bools(self, tmp_path, monkeypatch, fmt, n, kept):
         texted = text_blocks(monkeypatch)
         rng = np.random.default_rng(n)
         bits = self.random_floats(rng, n)
@@ -153,13 +156,15 @@ class TestColumnWriter:
         labels = [words[k] for k in rng.integers(0, len(words), size=n)]
         flags = [bool(b) for b in rng.integers(0, 2, size=n)]
         config = RunConfig("assess", {"n_points": 3, "sources": [{"name": "x"}]}, None, fmt, 11)
-        names = ["name", "bits", "special", "scaled", "passed"]
-        columns = (labels, bits.tolist(), special.tolist(), scaled.tolist(), flags)
-        rows = [list(row) for row in zip(*columns)]
-        blocks = _row_blocks(labels, bits, special, scaled, flags)
+        table = {"name": (labels, labels), "bits": (bits.tolist(), bits),
+                 "special": (special.tolist(), special), "scaled": (scaled.tolist(), scaled),
+                 "passed": (flags, flags)}
+        names = [name for name in table if name in kept or name not in ("name", "passed")]
+        rows = [list(row) for row in zip(*(table[name][0] for name in names))]
+        blocks = _row_blocks(*(table[name][1] for name in names))
         expected = row_writer_text(config, names, rows)
         assert self.written(tmp_path, config, names, blocks) == expected
-        # a block with label or bool columns takes the text path whatever its size
+        # a block with a label or a bool column takes the text path whatever its size
         assert texted == block_rows(n)
 
     def test_every_float_renders_as_format_float(self, tmp_path):
@@ -330,9 +335,13 @@ class TestFloatMatrix:
         assert cells.shape == (cli._CELL_WIDTH, _BLOCK_ROWS)
         assert peak < 2.0e6, peak
 
+    # the columns given as rendered cells, as the map axes are: none, the
+    # first (the block's row count is then a matrix width) or all of them
+    @pytest.mark.parametrize("rendered", [(), (0,), (0, 1, 2)],
+                             ids=["floats", "first_rendered", "all_rendered"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [1, 66, 67, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-    def test_multi_column_blocks(self, tmp_path, monkeypatch, fmt, n):
+    def test_multi_column_blocks(self, tmp_path, monkeypatch, fmt, n, rendered):
         texted = text_blocks(monkeypatch)
         rng = np.random.default_rng(n)
         columns = [
@@ -344,8 +353,12 @@ class TestFloatMatrix:
         rows = [list(row) for row in zip(*(column.tolist() for column in columns))]
         expected = row_writer_text(config, ["a", "b", "c"], rows)
         out = tmp_path / f"table.{fmt}"
-        _write_table(RunConfig("g2", {"n_tau": n}, str(out), fmt, 2), ["a", "b", "c"],
-                     _row_blocks(*columns))
+        given = [_float_matrix(column) if i in rendered else column
+                 for i, column in enumerate(columns)]
+        given = [c[c.any(axis=1)] if c.ndim == 2 else c for c in given]
+        blocks = [tuple(c[..., start : start + _BLOCK_ROWS] for c in given)
+                  for start in range(0, n, _BLOCK_ROWS)]
+        _write_table(RunConfig("g2", {"n_tau": n}, str(out), fmt, 2), ["a", "b", "c"], blocks)
         assert out.read_text() == expected
         # a block of numbers is built as a byte matrix, however few its rows
         assert texted == []
