@@ -14,8 +14,6 @@ from .emitter import (
     NormalizedParams,
     PhotonPair,
     coherence_time,
-    decompose_linewidth,
-    decompose_voigt_fwhm,
     normalized_params,
 )
 from .gates import (
@@ -39,11 +37,9 @@ from .interference import (
     hom_visibility,
     interference_weight,
     joint_detection_probability,
-    normalized_visibility,
     overlap_weight,
     tuning_curve,
     visibility_map,
-    visibility_pd_only,
 )
 from .bell import (
     AssessmentResult,

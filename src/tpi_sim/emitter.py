@@ -43,8 +43,6 @@ __all__ = [
     "NormalizedParams",
     "InfeasibleDecompositionError",
     "coherence_time",
-    "decompose_linewidth",
-    "decompose_voigt_fwhm",
     "normalized_params",
 ]
 
@@ -93,9 +91,6 @@ class EmitterParams:
     def coherence_time(self) -> float:
         """Coherence time of this emitter including both broadenings (s)."""
         return coherence_time(self.lifetime, self.dephasing_rate, self.inhomogeneous_fwhm)
-
-    def with_detuning(self, detuning: float) -> "EmitterParams":
-        return replace(self, detuning=detuning)
 
 
 @dataclass(frozen=True)
@@ -148,8 +143,8 @@ class PhotonPair:
     def with_relative_detuning(self, delta_nu: float) -> "PhotonPair":
         """Same emitters, but with the relative detuning forced to ``delta_nu``."""
         return PhotonPair(
-            self.emitter_i.with_detuning(delta_nu),
-            self.emitter_j.with_detuning(0.0),
+            replace(self.emitter_i, detuning=delta_nu),
+            replace(self.emitter_j, detuning=0.0),
         )
 
 
@@ -222,28 +217,10 @@ def coherence_time(
     return float(out) if out.ndim == 0 else out
 
 
-def decompose_linewidth(
-    lifetime: float, tau_c: float, n_points: int = 200
-) -> list[tuple[float, float]]:
-    """All (dephasing_rate, inhomogeneous_fwhm) pairs matching a coherence time.
-
-    Returns ``n_points`` samples of the one-parameter family, starting at
-    the all-dephasing endpoint (rate_max, 0) and ending at the
-    all-inhomogeneous endpoint (0, fwhm_max).  Interior points are spaced
-    geometrically in the Gaussian FWHM; both endpoints are exact.
-
-    Raises
-    ------
-    InfeasibleDecompositionError
-        If ``tau_c`` exceeds the Fourier limit 2 * lifetime.
-    """
-    return EmitterConstraint(lifetime, coherence_time=tau_c).decomposition(n_points)
-
-
 def _linewidth_splits(
     lifetime: float, tau_c: float, n_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`decompose_linewidth` as (dephasing_rate, inhomogeneous_fwhm) arrays."""
+    """The coherence-time :meth:`EmitterConstraint.decomposition` as arrays."""
     if tau_c > 2.0 * lifetime * (1.0 + 1e-12):
         raise InfeasibleDecompositionError(
             f"coherence time {tau_c} exceeds the Fourier limit {2 * lifetime}"
@@ -263,37 +240,10 @@ def _linewidth_splits(
     return _split_curve(rate_max, fwhm_max, n_points, rates_at)
 
 
-def decompose_voigt_fwhm(
-    lifetime: float, total_fwhm: float, n_points: int = 200
-) -> list[tuple[float, float]]:
-    """All (dephasing_rate, inhomogeneous_fwhm) pairs matching a Voigt linewidth.
-
-    The Lorentzian component is gamma_h / pi.  Each unknown width is solved
-    by :func:`tpi_sim.numerics._voigt_width`, the safeguarded Newton
-    iteration on the half-maximum condition of the Voigt profile that
-    ``voigt_fwhm`` also solves: the Lorentzian width of every interior split
-    at its fixed Gaussian width, and the largest Gaussian width at the
-    Fourier-limited Lorentzian.  Both stop at a Newton step of
-    ``VOIGT_FWHM_RTOL`` (1e-13) relative, so every pair reproduces
-    ``total_fwhm`` to about 1e-15 relative (at most 6.1e-16 off a 40-digit
-    mpmath evaluation on the 200 splits of ``decompose_linewidth.json``,
-    which ``tests/test_accuracy.py`` holds).
-    Endpoints (all-Lorentzian and Fourier-limited Lorentzian plus maximal
-    Gaussian) are exact; interior points are geometric in the Gaussian FWHM.
-
-    Raises
-    ------
-    InfeasibleDecompositionError
-        If ``total_fwhm`` is below the Fourier-limited Lorentzian width
-        1 / (2 pi * lifetime).
-    """
-    return EmitterConstraint(lifetime, total_fwhm=total_fwhm).decomposition(n_points)
-
-
 def _voigt_splits(
     lifetime: float, total_fwhm: float, n_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`decompose_voigt_fwhm` as (dephasing_rate, inhomogeneous_fwhm) arrays."""
+    """The Voigt :meth:`EmitterConstraint.decomposition` as arrays."""
     fourier_fwhm = 1.0 / (2.0 * math.pi * lifetime)
     if total_fwhm < fourier_fwhm * (1.0 - 1e-12):
         raise InfeasibleDecompositionError(
@@ -374,7 +324,25 @@ class EmitterConstraint:
             raise ValueError("gaussian_fwhm only combines with a Lorentzian width")
 
     def decomposition(self, n_points: int = 200) -> list[tuple[float, float]]:
-        """(dephasing_rate, inhomogeneous_fwhm) samples consistent with this constraint."""
+        """(dephasing_rate, inhomogeneous_fwhm) samples consistent with this constraint.
+
+        A coherence time or a total FWHM gives ``n_points`` samples from the
+        all-dephasing endpoint (rate_max, 0) to the all-inhomogeneous endpoint
+        (0, fwhm_max), both exact, the interior geometric in the Gaussian FWHM
+        from fwhm_max / 1000; at the Fourier limit it is the one pair (0, 0).
+        A Voigt split's Lorentzian part is gamma_h / pi; each unknown width is
+        solved by ``numerics._voigt_width``, the solver of ``voigt_fwhm``, to
+        a Newton step of ``VOIGT_FWHM_RTOL`` (1e-13) relative, so every pair
+        reproduces ``total_fwhm`` to about 1e-15 (``tests/test_accuracy.py``
+        holds the 200 splits of the shipped 119 MHz Voigt config within
+        6.1e-16 of 40-digit mpmath).  A known split is its one pair; a bounded
+        Lorentzian gives ``n_points`` rates, linear from 0, at its Gaussian width.
+
+        Raises ``ValueError`` for ``n_points`` below 2, and
+        :class:`InfeasibleDecompositionError` where ``coherence_time`` exceeds
+        the Fourier limit 2 * lifetime, or ``total_fwhm``, ``lorentzian_fwhm``
+        or ``lorentzian_fwhm_max`` is below 1 / (2 pi * lifetime).
+        """
         return list(zip(*(column.tolist() for column in self._splits(n_points))))
 
     def _splits(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:

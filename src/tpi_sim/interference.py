@@ -11,7 +11,7 @@ inputs (i, j) and being detected in coincidence at outputs (k, l):
 * the closed-form overall coincidence probability, evaluated through the
   real part of the Faddeeva function,
 * Hong-Ou-Mandel visibilities, tuning curves, and lifetime-free
-  visibility maps for identical emitters.
+  visibility maps for identical emitters, all one kernel, :func:`overlap_weight`.
 
 All functions are pure; sweeps can fan out over grid points freely.
 """
@@ -42,9 +42,7 @@ __all__ = [
     "coincidence_at_weight",
     "coincidence_probability",
     "hom_visibility",
-    "visibility_pd_only",
     "tuning_curve",
-    "normalized_visibility",
     "visibility_map",
 ]
 
@@ -365,30 +363,6 @@ def hom_visibility(pair: PhotonPair) -> VisibilityResult:
     return VisibilityResult(float(visibility), float(p), 0.5, pair)
 
 
-def visibility_pd_only(pair: PhotonPair) -> float:
-    """HOM visibility in the pure-dephasing limit (no inhomogeneous widths).
-
-    Lorentzian tuning curve
-
-        V = 4/(tau_i + tau_j) * S / (S^2 + 16 pi^2 delta_nu^2),
-        S = 1/tau_i + 1/tau_j + 2 rate_i + 2 rate_j.
-    """
-    if pair.emitter_i.inhomogeneous_fwhm != 0.0 or pair.emitter_j.inhomogeneous_fwhm != 0.0:
-        raise ValueError("visibility_pd_only requires zero inhomogeneous widths")
-    s = (
-        1.0 / pair.emitter_i.lifetime
-        + 1.0 / pair.emitter_j.lifetime
-        + 2.0 * pair.emitter_i.dephasing_rate
-        + 2.0 * pair.emitter_j.dephasing_rate
-    )
-    return (
-        4.0
-        / pair.lifetime_sum
-        * s
-        / (s * s + 16.0 * math.pi**2 * pair.delta_nu**2)
-    )
-
-
 def tuning_curve(
     pair: PhotonPair, delta_nu_grid: Sequence[float] | np.ndarray
 ) -> list[VisibilityResult]:
@@ -406,28 +380,21 @@ def tuning_curve(
     ]
 
 
-def normalized_visibility(theta_pd: float, theta_sd: float) -> float:
-    """HOM visibility of identical emitters from normalized linewidths only.
-
-    The scalar entry of :func:`visibility_map`, bit for bit: the overlap
-    weight of the identical pair, in closed form
-    V = sqrt(2 ln2 / pi) * erfcx(y) / (2 theta_sd) with
-    y = sqrt(ln2 / (2 pi^2)) * theta_pd / theta_sd, and V = 1 / theta_pd in
-    the vanishing-theta_sd limit.  It is independent of the lifetime.
-    Raises ``ValueError`` for theta_pd < 1 or theta_sd < 0.
-    """
-    return float(visibility_map([theta_pd], [theta_sd])[0, 0])
-
-
 def visibility_map(
     theta_pd_grid: Sequence[float] | np.ndarray,
     theta_sd_grid: Sequence[float] | np.ndarray,
 ) -> np.ndarray:
     """Visibility on the outer product of normalized-linewidth grids.
 
-    Every element is :func:`overlap_weight` of the identical resonant pair
-    with those normalized linewidths (see :func:`normalized_visibility`).
-    Returns shape (len(theta_pd_grid), len(theta_sd_grid)).
+    Every element is the HOM visibility of identical emitters from
+    normalized linewidths only: :func:`overlap_weight` of the identical
+    resonant pair with those linewidths, in closed form
+    V = sqrt(2 ln2 / pi) * erfcx(y) / (2 theta_sd) with
+    y = sqrt(ln2 / (2 pi^2)) * theta_pd / theta_sd, and V = 1 / theta_pd in
+    the vanishing-theta_sd limit.  It is independent of the lifetime; one
+    point is ``visibility_map([theta_pd], [theta_sd])[0, 0]``.
+    Returns shape (len(theta_pd_grid), len(theta_sd_grid)); raises
+    ``ValueError`` for an empty grid, theta_pd < 1 or theta_sd < 0.
     """
     pd = np.asarray(theta_pd_grid, dtype=float)
     sd = np.asarray(theta_sd_grid, dtype=float)

@@ -488,7 +488,8 @@ def integrate(
     ValueError
         If a bound is infinite or nan, or ``tol`` is not positive.
     QuadratureError
-        If 4000 intervals (``_MAX_INTERVALS``) do not reach ``tol``.
+        If 4000 intervals (``_MAX_INTERVALS``) do not reach ``tol``, or at
+        once if the error indicator is nan, as where the integrand gives nan.
     """
     if not tol > 0.0:  # also refuses nan
         raise ValueError("tol must be positive")
@@ -517,7 +518,11 @@ def integrate(
         total += val
         err_total += err
 
-    while err_total > tol:
+    while not err_total <= tol:  # a nan error fails every comparison
+        if math.isnan(err_total):
+            raise QuadratureError(
+                f"integrand gave nan: error indicator nan after {count} intervals"
+            )
         if count >= _MAX_INTERVALS:
             raise QuadratureError(
                 f"integral did not converge: error {err_total:.3e} > tol {tol:.3e} "

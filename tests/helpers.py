@@ -1,5 +1,7 @@
 """Helpers shared by the tests; no command or library path needs them."""
 
+import math
+
 from tpi_sim.emitter import EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix
 
@@ -27,3 +29,21 @@ def emitter_from_normalized(
 def pair_from_normalized(theta_pd: float, theta_sd: float, lifetime: float = 1.0) -> PhotonPair:
     """Identical resonant pair realizing the given normalized linewidths."""
     return PhotonPair.identical(emitter_from_normalized(theta_pd, theta_sd, lifetime))
+
+
+def visibility_pd_only(pair: PhotonPair) -> float:
+    """HOM visibility in the pure-dephasing limit (no inhomogeneous widths),
+    the tests' Lorentzian reference, independent of ``overlap_weight``:
+
+        V = 4/(tau_i + tau_j) * S / (S^2 + 16 pi^2 delta_nu^2),
+        S = 1/tau_i + 1/tau_j + 2 rate_i + 2 rate_j.
+    """
+    if pair.emitter_i.inhomogeneous_fwhm != 0.0 or pair.emitter_j.inhomogeneous_fwhm != 0.0:
+        raise ValueError("visibility_pd_only requires zero inhomogeneous widths")
+    s = (
+        1.0 / pair.emitter_i.lifetime
+        + 1.0 / pair.emitter_j.lifetime
+        + 2.0 * pair.emitter_i.dephasing_rate
+        + 2.0 * pair.emitter_j.dephasing_rate
+    )
+    return 4.0 / pair.lifetime_sum * s / (s * s + 16.0 * math.pi**2 * pair.delta_nu**2)

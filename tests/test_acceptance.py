@@ -29,12 +29,12 @@ from tpi_sim.gates import (
 from tpi_sim.interference import (
     g2_trace,
     hom_visibility,
-    normalized_visibility,
     visibility_map,
-    visibility_pd_only,
 )
 from tpi_sim.numerics import integrate
 from tpi_sim.oracle import run_verification
+
+from helpers import visibility_pd_only
 
 HOM = beam_splitter(0.5)
 
@@ -237,10 +237,10 @@ class TestVisibilityBoundGap:
         x_c = np.array(
             [coherence_time(1.0, 0.0, s) / 2.0 for s in theta_sd]
         )
-        # one map row; each of its entries is normalized_visibility(1, s) bit for bit
+        # one map row; each of its entries is the one-point map at (1, s) bit for bit
         v_no_pd = visibility_map([1.0], theta_sd)[0]
         for k in range(0, theta_sd.size, 800):
-            assert v_no_pd[k] == normalized_visibility(1.0, float(theta_sd[k]))
+            assert v_no_pd[k] == visibility_map([1.0], [float(theta_sd[k])])[0, 0]
         gap = v_no_pd - x_c
         idx = int(np.argmax(gap))
         ok = abs(gap[idx] - 0.048) <= 0.003 and abs(x_c[idx] - 0.40) <= 0.02

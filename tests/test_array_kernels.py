@@ -26,7 +26,7 @@ import pytest
 
 from tpi_sim.bell import AssessmentPoint, EmitterConstraint, bell_fidelity, emitter_assessment
 from tpi_sim.bell import fidelity_at_weight
-from tpi_sim.emitter import EmitterParams, PhotonPair, coherence_time, decompose_voigt_fwhm
+from tpi_sim.emitter import EmitterConstraint, EmitterParams, PhotonPair, coherence_time
 from tpi_sim.gates import TOMOGRAPHY_BASES, beam_splitter, cnot_gate, compose, gate_quad
 from tpi_sim.gates import prep_gate, tomography_gate
 from tpi_sim.interference import SIGMA_LIFETIME_THRESHOLD, _baseline, _interference_term
@@ -244,8 +244,8 @@ class TestVoigtKernels:
     "lifetime,total_fwhm,n_points",
     [(1.72e-9, 119e6, 40), (850e-12, 270e6, 25), (9.5e-9, 19e6, 3)],
 )
-def test_decompose_voigt_fwhm_equals_scalar_newton(lifetime, total_fwhm, n_points):
-    got = decompose_voigt_fwhm(lifetime, total_fwhm, n_points)
+def test_voigt_decomposition_equals_scalar_newton(lifetime, total_fwhm, n_points):
+    got = EmitterConstraint(lifetime, total_fwhm=total_fwhm).decomposition(n_points)
     assert got == scalar_decompose_voigt_fwhm(lifetime, total_fwhm, n_points)
     assert all(type(v) is float for pair in got for v in pair)
 

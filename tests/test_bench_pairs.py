@@ -139,8 +139,10 @@ def test_worktree_export_carries_uncommitted_and_untracked_files(tmp_path):
     (repo / "run.log").write_text("ignored\n")
     (repo / "out").mkdir()
     (repo / "out" / "record.json").write_text("ignored\n")
-    bench_pairs.export_worktree(repo, dest)
+    index = (repo / ".git" / "index").read_bytes()
+    bench_pairs.export(bench_pairs.worktree_tree(repo), dest, repo)
     files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert files == [".gitignore", "pkg/kept.py", "pkg/new.py"]
     assert (dest / "pkg" / "kept.py").read_text() == "edited, not committed\n"
     assert not (dest / ".git").exists()
+    assert (repo / ".git" / "index").read_bytes() == index

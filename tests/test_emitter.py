@@ -11,8 +11,6 @@ from tpi_sim.emitter import (
     InfeasibleDecompositionError,
     PhotonPair,
     coherence_time,
-    decompose_linewidth,
-    decompose_voigt_fwhm,
     normalized_params,
 )
 from tpi_sim.bell import emitter_assessment
@@ -123,7 +121,7 @@ class TestCoherenceTime:
 
 class TestDecomposeLinewidth:
     def test_endpoints_match_reported_values(self):
-        pairs = decompose_linewidth(670e-12, 330e-12)
+        pairs = EmitterConstraint(670e-12, coherence_time=330e-12).decomposition()
         rate_max, fwhm0 = pairs[0]
         rate0, fwhm_max = pairs[-1]
         assert fwhm0 == 0.0 and rate0 == 0.0
@@ -131,23 +129,23 @@ class TestDecomposeLinewidth:
         assert fwhm_max == pytest.approx(1.39e9, rel=5e-3)
 
     def test_second_reported_endpoint(self):
-        pairs = decompose_linewidth(155e-12, 153e-12)
+        pairs = EmitterConstraint(155e-12, coherence_time=153e-12).decomposition()
         assert pairs[0][0] == pytest.approx(3.31e9, rel=5e-3)
 
     def test_round_trip(self):
         tau_r, tc = 256e-12, 256e-12
-        for rate, fwhm in decompose_linewidth(tau_r, tc):
+        for rate, fwhm in EmitterConstraint(tau_r, coherence_time=tc).decomposition():
             assert coherence_time(tau_r, rate, fwhm) == pytest.approx(tc, rel=1e-9)
 
     def test_fourier_limit_single_point(self):
-        assert decompose_linewidth(1e-9, 2e-9) == [(0.0, 0.0)]
+        assert EmitterConstraint(1e-9, coherence_time=2e-9).decomposition() == [(0.0, 0.0)]
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleDecompositionError):
-            decompose_linewidth(1e-9, 2.1e-9)
+            EmitterConstraint(1e-9, coherence_time=2.1e-9).decomposition()
 
     def test_point_count_and_ordering(self):
-        pairs = decompose_linewidth(670e-12, 330e-12, n_points=50)
+        pairs = EmitterConstraint(670e-12, coherence_time=330e-12).decomposition(50)
         assert len(pairs) == 50
         fwhms = [f for _, f in pairs]
         assert fwhms == sorted(fwhms)
@@ -157,15 +155,15 @@ class TestDecomposeVoigtFwhm:
     def test_fourier_limited_single_point(self):
         tau_r = 410e-12
         fourier = 1.0 / (2.0 * math.pi * tau_r)
-        assert decompose_voigt_fwhm(tau_r, fourier) == [(0.0, 0.0)]
+        assert EmitterConstraint(tau_r, total_fwhm=fourier).decomposition() == [(0.0, 0.0)]
 
     def test_infeasible_below_fourier(self):
         with pytest.raises(InfeasibleDecompositionError):
-            decompose_voigt_fwhm(12e-9, 10e6)  # Fourier limit is ~13 MHz
+            EmitterConstraint(12e-9, total_fwhm=10e6).decomposition()  # Fourier limit is ~13 MHz
 
     def test_round_trip(self):
         tau_r, fwhm = 1.72e-9, 119e6
-        for rate, gauss in decompose_voigt_fwhm(tau_r, fwhm, n_points=40):
+        for rate, gauss in EmitterConstraint(tau_r, total_fwhm=fwhm).decomposition(40):
             lor = (0.5 / tau_r + rate) / math.pi
             assert voigt_fwhm(lor, gauss) == pytest.approx(fwhm, rel=1e-6) or gauss == 0.0
             if gauss == 0.0:
@@ -176,7 +174,7 @@ class TestDecomposeVoigtFwhm:
         # curve: the sampled curve must bracket it monotonically
         tau_r = 410e-12
         total = voigt_fwhm(480e6, 550e6)
-        pairs = decompose_voigt_fwhm(tau_r, total, n_points=400)
+        pairs = EmitterConstraint(tau_r, total_fwhm=total).decomposition(400)
         rate_expected = math.pi * 480e6 - 0.5 / tau_r
         below = [r for r, f in pairs if f < 550e6]
         above = [r for r, f in pairs if f > 550e6]
@@ -212,8 +210,8 @@ class TestNormalizedParams:
 
 
 DECOMPOSITIONS = [
-    pytest.param(decompose_linewidth, 1e-9, 1e-9, id="coherence_time"),
-    pytest.param(decompose_voigt_fwhm, 1.72e-9, 119e6, id="total_fwhm"),
+    pytest.param(EmitterConstraint(1e-9, coherence_time=1e-9), id="coherence_time"),
+    pytest.param(EmitterConstraint(1.72e-9, total_fwhm=119e6), id="total_fwhm"),
 ]
 
 
@@ -221,25 +219,25 @@ class TestSplitCurve:
     """Both decompositions share one curve: (rate_max, 0), the geometric
     interior from fwhm_max / 1000, then (0, fwhm_max)."""
 
-    @pytest.mark.parametrize("decompose,lifetime,target", DECOMPOSITIONS)
-    def test_two_points_are_the_two_endpoints(self, decompose, lifetime, target):
-        full = decompose(lifetime, target, 200)
+    @pytest.mark.parametrize("constraint", DECOMPOSITIONS)
+    def test_two_points_are_the_two_endpoints(self, constraint):
+        full = constraint.decomposition(200)
         assert full[0][1] == 0.0 and full[-1][0] == 0.0
-        assert decompose(lifetime, target, 2) == [full[0], full[-1]]
+        assert constraint.decomposition(2) == [full[0], full[-1]]
 
-    @pytest.mark.parametrize("decompose,lifetime,target", DECOMPOSITIONS)
-    def test_three_points_add_the_narrowest_interior_split(self, decompose, lifetime, target):
-        full = decompose(lifetime, target, 200)
-        pairs = decompose(lifetime, target, 3)
+    @pytest.mark.parametrize("constraint", DECOMPOSITIONS)
+    def test_three_points_add_the_narrowest_interior_split(self, constraint):
+        full = constraint.decomposition(200)
+        pairs = constraint.decomposition(3)
         assert pairs[0] == full[0] and pairs[2] == full[-1]
         assert pairs[1] == full[1]
         assert pairs[1][1] == full[-1][1] * 1e-3
         assert 0.0 < pairs[1][0] < pairs[0][0]
 
     @pytest.mark.parametrize("n_points", [2, 3, 200])
-    @pytest.mark.parametrize("decompose,lifetime,target", DECOMPOSITIONS)
-    def test_pairs_are_python_floats(self, decompose, lifetime, target, n_points):
-        pairs = decompose(lifetime, target, n_points)
+    @pytest.mark.parametrize("constraint", DECOMPOSITIONS)
+    def test_pairs_are_python_floats(self, constraint, n_points):
+        pairs = constraint.decomposition(n_points)
         assert len(pairs) == n_points
         assert all(type(x) is float for pair in pairs for x in pair)
 

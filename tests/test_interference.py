@@ -17,14 +17,12 @@ from tpi_sim.interference import (
     hom_visibility,
     interference_weight,
     joint_detection_probability,
-    normalized_visibility,
     tuning_curve,
     visibility_map,
-    visibility_pd_only,
 )
 from tpi_sim.oracle import exponential_wave, quadrature_p_coinc
 
-from helpers import pair_from_normalized
+from helpers import pair_from_normalized, visibility_pd_only
 
 HOM = beam_splitter(0.5)
 
@@ -338,13 +336,15 @@ class TestTuningCurve:
         assert curve[1].visibility == pytest.approx(QD_V_3GHZ, rel=1e-12)
 
 
-class TestNormalizedVisibility:
+class TestMapPoint:
+    """One point of :func:`visibility_map`, ``visibility_map([pd], [sd])[0, 0]``."""
+
     def test_fourier_point(self):
-        assert normalized_visibility(1.0, 0.0) == 1.0
+        assert visibility_map([1.0], [0.0])[0, 0] == 1.0
 
     def test_no_diffusion_axis_is_coherence_ratio(self):
         for theta_pd in (1.0, 1.7, 4.2, 30.0):
-            assert normalized_visibility(theta_pd, 0.0) == pytest.approx(
+            assert visibility_map([theta_pd], [0.0])[0, 0] == pytest.approx(
                 1.0 / theta_pd, rel=1e-14
             )
 
@@ -355,15 +355,15 @@ class TestNormalizedVisibility:
             theta_sd = rng.uniform(0.0, 10.0)
             for lifetime in (1.0, 1e-9, 37e-12):
                 pair = pair_from_normalized(theta_pd, theta_sd, lifetime)
-                assert normalized_visibility(theta_pd, theta_sd) == pytest.approx(
+                assert visibility_map([theta_pd], [theta_sd])[0, 0] == pytest.approx(
                     hom_visibility(pair).visibility, rel=1e-10
                 )
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            normalized_visibility(0.8, 0.0)
+            visibility_map([0.8], [0.0])
         with pytest.raises(ValueError):
-            normalized_visibility(1.0, -0.2)
+            visibility_map([1.0], [-0.2])
 
 
 def erfcx_visibility(theta_pd, theta_sd):
@@ -381,9 +381,8 @@ def erfcx_visibility(theta_pd, theta_sd):
 
 
 class TestAgainstMpmath:
-    """normalized_visibility is visibility_map's scalar entry, on the
-    package's Faddeeva kernel, so both are held to an mpmath evaluation of
-    the erfcx form."""
+    """visibility_map, on the package's Faddeeva kernel, one point at a time
+    and as a whole map, held to an mpmath evaluation of the erfcx form."""
 
     @staticmethod
     def grids(seed):
@@ -396,11 +395,11 @@ class TestAgainstMpmath:
         return theta_pd, theta_sd
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
-    def test_normalized_visibility(self, seed):
+    def test_map_points(self, seed):
         for tp in self.grids(seed)[0].tolist():
             for ts in self.grids(seed)[1].tolist():
                 ref = erfcx_visibility(tp, ts)
-                assert abs(normalized_visibility(tp, ts) - ref) <= 1e-14 * ref
+                assert abs(visibility_map([tp], [ts])[0, 0] - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_visibility_map(self, seed):
@@ -420,7 +419,7 @@ class TestVisibilityMap:
         assert m.shape == (3, 4)
         for a, tp in enumerate(pd):
             for b, ts in enumerate(sd):
-                assert m[a, b] == pytest.approx(normalized_visibility(tp, ts), rel=1e-12)
+                assert m[a, b] == pytest.approx(visibility_map([tp], [ts])[0, 0], rel=1e-12)
 
     def test_monotone_decreasing_along_both_axes(self):
         pd = np.linspace(1.0, 10.0, 40)

@@ -298,6 +298,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="tol must be positive"):
             integrate(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, tol=tol)
 
+    def test_nan_integrand_raises(self):
+        # a nan error indicator fails err_total > tol, so the loop used to
+        # stop there and return nan
+        with pytest.raises(QuadratureError, match="integrand gave nan"):
+            integrate(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MAX_INTERVALS", 30)
         with pytest.raises(QuadratureError):

@@ -24,7 +24,7 @@ from tpi_sim.interference import (
     g2_trace,
     joint_detection_probability,
 )
-from tpi_sim.numerics import integrate
+from tpi_sim.numerics import QuadratureError, integrate
 from tpi_sim.oracle import (
     MonteCarloEstimate,
     _envelope,
@@ -299,6 +299,18 @@ class TestQuadratureG2:
             packets = good, lambda t: exponential_wave(12e-9)(t)
         with pytest.raises(ValueError, match=message):
             quadrature_g2(HOM, 1, 2, 1, 2, *packets, 0.0)
+
+    def test_nan_packet_rejected(self):
+        # nan beyond 3 lifetimes: its norm is nan, which abs(norm - 1) > 1e-8
+        # lets through, so the call used to return nan
+        good = exponential_wave(1e-9)
+
+        def bad(t):
+            return np.where(t > 3e-9, np.nan, good(t))
+
+        bad.time_scale = 1e-9
+        with pytest.raises(QuadratureError, match="integrand gave nan"):
+            quadrature_g2(HOM, 1, 2, 1, 2, bad, good, 0.0)
 
     def test_detuned_deterministic_packets(self):
         # pure detuning without noise: interference envelope stays at full

@@ -1,8 +1,7 @@
 """Property tests over the one overlap kernel behind every visibility.
 
-``interference_weight``, ``hom_visibility``, ``tuning_curve``,
-``visibility_map`` and ``normalized_visibility`` (the map's scalar entry)
-all evaluate ``overlap_weight``.  ``hom_visibility`` is the weight bit for
+``interference_weight``, ``hom_visibility``, ``tuning_curve`` and
+``visibility_map`` all evaluate ``overlap_weight``.  ``hom_visibility`` is the weight bit for
 bit wherever it lies in [0, 1], with p_coinc = (1 - V) / 2, and the map is
 held to ``test_interference.erfcx_visibility``, an mpmath evaluation of the
 lifetime-free ``erfcx`` closed form, as its independent reference.  Input
@@ -11,8 +10,8 @@ and detunings from 1 to 1e15 (or exactly zero).  The correlation trace's
 interference term is checked against its distinguishable baseline, and the
 coincidence probabilities of all output pairs (bunched ones included)
 against probability conservation, on random unitaries of dimension 2-6 and
-on the balanced splitter.  Every split of both linewidth decompositions
-must reproduce the linewidth it was solved for.
+on the balanced splitter.  Every split of a coherence-time or a Voigt
+``EmitterConstraint`` must reproduce the linewidth it was solved for.
 """
 
 import math
@@ -20,13 +19,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from tpi_sim.emitter import (
-    EmitterParams,
-    PhotonPair,
-    coherence_time,
-    decompose_linewidth,
-    decompose_voigt_fwhm,
-)
+from tpi_sim.emitter import EmitterConstraint, EmitterParams, PhotonPair, coherence_time
 from tpi_sim.gates import GateMatrix, beam_splitter, gate_quad
 from tpi_sim.interference import (
     SIGMA_LIFETIME_THRESHOLD,
@@ -193,7 +186,8 @@ EXCESS = zero_or(log_uniform(1e-12, 1e6))
 @given(LIFETIMES, EXCESS, st.integers(2, 40))
 def test_voigt_splits_reproduce_the_linewidth(lifetime, excess, n_points):
     total_fwhm = (1.0 + excess) / (2.0 * math.pi * lifetime)
-    rates, gauss = np.array(decompose_voigt_fwhm(lifetime, total_fwhm, n_points)).T
+    constraint = EmitterConstraint(lifetime, total_fwhm=total_fwhm)
+    rates, gauss = np.array(constraint.decomposition(n_points)).T
     lorentz = (rates + 0.5 / lifetime) / math.pi
     np.testing.assert_allclose(voigt_fwhm(lorentz, gauss), total_fwhm, rtol=1e-14, atol=0.0)
 
@@ -201,5 +195,5 @@ def test_voigt_splits_reproduce_the_linewidth(lifetime, excess, n_points):
 @given(LIFETIMES, log_uniform(1e-9, 1.0), st.integers(2, 40))
 def test_coherence_splits_reproduce_the_coherence_time(lifetime, x_c, n_points):
     tau_c = 2.0 * lifetime * x_c
-    for rate, fwhm in decompose_linewidth(lifetime, tau_c, n_points):
+    for rate, fwhm in EmitterConstraint(lifetime, coherence_time=tau_c).decomposition(n_points):
         assert abs(coherence_time(lifetime, rate, fwhm) - tau_c) <= 1e-12 * tau_c

@@ -4,11 +4,13 @@ Usage (from the repository root):
 
     python3 tools/bench_pairs.py HEAD --workload assess --seeds 211-220 --seconds 8
 
-Both sides run from fresh copies in one temporary directory: REV (the
-parent) exported with ``git archive``, and the working tree (the change)
-as the files ``git ls-files --cached --others --exclude-standard`` lists,
-uncommitted edits and untracked files included, ignored files, deleted
-files and ``.git`` left out.  The directory is removed when the tool ends;
+Both sides run from fresh copies in one temporary directory, each
+exported with ``git archive``: REV (the parent), and the working tree (the
+change) as a tree written from a temporary index (``git read-tree HEAD``,
+``git add -A``, ``git write-tree``), uncommitted edits and untracked files
+included, ignored files, deleted files and ``.git`` left out; the
+repository's own index is not touched.  The tool prints the commit of REV
+and the tree id of the change.  The directory is removed when the tool ends;
 the change side's ``perfbench/out`` records are first copied into the
 working tree's ``perfbench/out``.  For every seed in A-B (both included)
 ``perfbench/run.py --trace 0`` runs once on each copy, each with its own
@@ -177,31 +179,37 @@ def run_record(summary: dict) -> dict:
     return record
 
 
-def export(rev: str, dest: Path) -> str:
-    """Extract ``rev`` into ``dest`` with ``git archive``; return its commit."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
-                            capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
-                             capture_output=True, check=True).stdout
+def _git(root: Path, *args: str, env: dict | None = None) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, env=env, capture_output=True,
+                          check=True).stdout
+
+
+def resolve(rev: str, root: Path = ROOT) -> str:
+    """The commit id of ``rev`` in the repository at ``root``."""
+    return _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+
+
+def worktree_tree(root: Path = ROOT) -> str:
+    """The id of a tree of the working tree of the repository at ``root``:
+    every tracked file as it is on disk and every untracked file that is
+    not ignored, deleted files left out.  It is written from a temporary
+    index, so the repository's own index is left as it is."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        _git(root, "read-tree", "HEAD", env=env)
+        _git(root, "add", "-A", env=env)
+        return _git(root, "write-tree", env=env).decode().strip()
+
+
+def export(treeish: str, dest: Path, root: Path = ROOT) -> None:
+    """Extract ``treeish`` (a commit or a tree) of the repository at ``root``
+    into ``dest`` with ``git archive``."""
+    archive = _git(root, "archive", "--format=tar", treeish)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         if hasattr(tarfile, "data_filter"):
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
-    return commit
-
-
-def export_worktree(root: Path, dest: Path) -> None:
-    """Copy the working tree of the repository at ``root`` into ``dest``:
-    every tracked file as it is on disk and every untracked file that is
-    not ignored; deleted files and ``.git`` are left out."""
-    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-                            cwd=root, capture_output=True, check=True).stdout
-    for name in {os.fsdecode(n) for n in listed.split(b"\0") if n}:
-        source = root / name
-        if source.is_symlink() or source.is_file():
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, dest / name, follow_symlinks=False)
 
 
 def perfbench_runner(trees: dict[str, Path], workload: str, seconds: int) -> Runner:
@@ -237,9 +245,10 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
-        commit = export(args.rev, trees["parent"])
-        export_worktree(ROOT, trees["change"])
-        print(f"parent: {args.rev} = {commit}; change: a copy of the working tree {ROOT}",
+        commit, tree = resolve(args.rev), worktree_tree()
+        export(commit, trees["parent"])
+        export(tree, trees["change"])
+        print(f"parent: {args.rev} = {commit}; change: tree {tree} of the working tree {ROOT}",
               file=sys.stderr)
         try:
             results = run_pairs(args.seeds, perfbench_runner(trees, args.workload, args.seconds))
