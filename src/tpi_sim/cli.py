@@ -657,10 +657,9 @@ _VERIFY_SIZES = {
 
 def cmd_verify(cfg: dict, seed: int) -> Table:
     # imported here: the oracle and its thread pool are needed by verify only
-    from .oracle import _MIN_REALIZATIONS, _MIN_TRIALS, run_verification
+    from .oracle import _MIN_SIZES, run_verification
 
-    minimum = {"mc_realizations": _MIN_REALIZATIONS, "phase_trials": _MIN_TRIALS}
-    sizes = {key: _integer(cfg, key, minimum.get(key, 1), default=default)
+    sizes = {key: _integer(cfg, key, _MIN_SIZES[key], default=default)
              for key, default in _VERIFY_SIZES.items()}
     report = run_verification(seed=seed, **sizes)
     checks = report.checks

@@ -3,8 +3,8 @@ post-selected CNOT, and the state-preparation / tomography stages around it.
 
 Mode indices in the public API are one-based, matching the usual optical-
 circuit labelling; storage is a plain complex numpy matrix.  Matrices are
-validated as unitary (to 1e-12) on construction and treated as immutable
-afterwards.
+validated as finite and unitary (to 1e-12) on construction and treated as
+immutable afterwards.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ class GateMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("gate matrix must be square")
+        # a nan defect compares False with the tolerance, so refuse it first
+        finite = np.isfinite(m)
+        if not finite.all():
+            where = ", ".join(f"({r}, {c})" for r, c in np.argwhere(~finite) + 1)
+            raise ValueError(f"gate matrix has non-finite entries at (row, column) {where}")
         object.__setattr__(self, "matrix", m)
         defect = self.unitarity_defect()
         if defect > UNITARITY_TOL:

@@ -38,6 +38,26 @@ class TestGateMatrix:
         with pytest.raises(ValueError):
             GateMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "entries,where",
+        [
+            ({(1, 2): np.nan}, "(2, 3)"),
+            ({(1, 2): np.inf}, "(2, 3)"),
+            ({(1, 2): -np.inf}, "(2, 3)"),
+            ({(1, 2): complex(0.0, np.nan)}, "(2, 3)"),
+            ({(0, 0): np.nan, (2, 1): np.inf}, "(1, 1), (3, 2)"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, entries, where):
+        # a nan defect compares False with the unitarity tolerance, and an
+        # inf entry makes the product warn; both are refused before it
+        m = np.eye(3, dtype=complex)
+        for index, value in entries.items():
+            m[index] = value
+        with pytest.raises(ValueError) as refused:
+            GateMatrix(m)
+        assert str(refused.value) == f"gate matrix has non-finite entries at (row, column) {where}"
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             GateMatrix(np.ones((2, 3)))
@@ -224,3 +244,11 @@ class TestGateJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             gate_from_json([[[1.0], [0.0]]])
+
+    @pytest.mark.parametrize(
+        "text", ["[[[NaN,0],[0,0]],[[0,0],[1,0]]]", "[[[1,0],[0,0]],[[0,0],[1,Infinity]]]"]
+    )
+    def test_non_finite_json_rejected(self, text):
+        # json reads NaN and Infinity as floats
+        with pytest.raises(ValueError, match="non-finite entries"):
+            gate_from_json(text)

@@ -65,13 +65,13 @@ def relative_draw(pair, times, rng):
     return frequency, np.cumsum(rng.normal(0.0, np.sqrt(2.0 * rate * dt)))
 
 
-def legacy_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed, panels=12):
+def legacy_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed):
     """The per-realization Monte-Carlo loop: complex wave packets with
     interpolated phase tables, the joint detection probability and a dot
     product with the quadrature weights, one realization at a time.  Photon
     i carries the relative frequency and phase, photon j none."""
     lo = max(0.0, -tau)
-    t0, weights = _gauss_legendre_nodes(lo, lo + 40.0 * pair.t_plus, panels)
+    t0, weights = _gauss_legendre_nodes(lo, lo + 40.0 * pair.t_plus, oracle._PANELS)
     times = np.unique(np.concatenate([t0, t0 + tau]))
     values = np.empty(realizations)
     children = np.random.SeedSequence(seed).spawn((realizations + 255) // 256)
@@ -98,7 +98,7 @@ def per_photon_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed):
     ca = u[l - 1, i - 1] * u[k - 1, j - 1]
     cb = u[l - 1, j - 1] * u[k - 1, i - 1]
     lo = max(0.0, -tau)
-    t0, weights = _gauss_legendre_nodes(lo, lo + 40.0 * pair.t_plus, 12)
+    t0, weights = _gauss_legendre_nodes(lo, lo + 40.0 * pair.t_plus, oracle._PANELS)
     late = t0 + tau
     times = np.unique(np.concatenate([t0, late]))
     early, late_at = np.searchsorted(times, t0), np.searchsorted(times, late)
@@ -379,6 +379,42 @@ class TestMcG2:
             spread = math.hypot(relative.stderr, per_photon.stderr)
             assert abs(relative.value - per_photon.value) <= 3.0 * spread
             assert relative.stderr == pytest.approx(per_photon.stderr, rel=0.05)
+
+    def test_node_sum_of_the_averaged_density_equals_the_trace(self):
+        # no sampling: the estimator samples the difference path exactly at
+        # every node, so its expectation is the node sum of the density with
+        # E[cos(D - arg)] = cos(2 pi dnu tau - arg) exp(-var(D) / 2), where
+        # var(D) = (2 pi Sigma tau)^2 + 2 (gamma_i + gamma_j) |tau|; that sum
+        # is G2 itself only if the rule resolves the t0 integral
+        rng = np.random.default_rng(33)
+        worst = 0.0
+        for _ in range(200):
+            gate, i, j, k, l, pair = _random_instance(rng)
+            u = gate.matrix
+            ca = u[l - 1, i - 1] * u[k - 1, j - 1]
+            cb = u[l - 1, j - 1] * u[k - 1, i - 1]
+            rate = pair.emitter_i.dephasing_rate + pair.emitter_j.dephasing_rate
+            lifetime_i, lifetime_j = pair.emitter_i.lifetime, pair.emitter_j.lifetime
+            for tau in max(lifetime_i, lifetime_j) * np.array([-1.5, -0.5, 0.25, 1.0, 2.5]):
+                lo = max(0.0, -tau)
+                t0, weights = _gauss_legendre_nodes(lo, lo + 40.0 * pair.t_plus, oracle._PANELS)
+                late = t0 + tau
+                env_a = _envelope(lifetime_i, late) * _envelope(lifetime_j, t0)
+                env_b = _envelope(lifetime_j, late) * _envelope(lifetime_i, t0)
+                variance = (2.0 * math.pi * pair.sigma_total * tau) ** 2 + 2.0 * rate * abs(tau)
+                mean_cos = math.cos(
+                    2.0 * math.pi * pair.delta_nu * tau - np.angle(ca * np.conj(cb))
+                ) * math.exp(-0.5 * variance)
+                density = (
+                    abs(ca) ** 2 * env_a**2
+                    + abs(cb) ** 2 * env_b**2
+                    + 2.0 * abs(ca * np.conj(cb)) * env_a * env_b * mean_cos
+                )
+                trace = g2_trace(gate, i, j, k, l, pair, [tau - 1.0, tau, tau + 1.0])
+                closed = float(trace.g2_values[1])
+                scale = max(abs(closed), float(trace.g2_distinguishable[1]))
+                worst = max(worst, abs(float(weights @ density) - closed) / scale)
+        assert worst <= 1e-13
 
     def test_mode_checks(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from tpi_sim.oracle import VerificationCheck, run_verification
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "verify_seeds.py"
@@ -39,3 +41,22 @@ def test_failing_line_format():
         "seed 60: gate a observed 3.115 > bound 3 | gate c observed 0.25 > bound 0.0001"
     )
     assert verify_seeds.failing_line(61, checks[1:2]) is None
+
+
+@pytest.mark.parametrize(
+    "option,value,least",
+    [
+        ("--closed-form-instances", 0, 1),
+        ("--mc-instances", -1, 1),
+        ("--mc-instances", 0, 1),
+        ("--mc-realizations", 1, 2),
+        ("--phase-trials", 9999, 10_000),
+    ],
+)
+def test_sizes_below_the_cli_limits_are_refused(capsys, option, value, least):
+    with pytest.raises(SystemExit) as stop:
+        verify_seeds.main(["0", "0", f"{option}={value}"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: {option} must be at least {least}")

@@ -20,7 +20,10 @@ counts the failing seeds and the count expected from chance alone,
 
     7 of 200 seeds failed (0-199); chance alone: 6.9
 
-The exit status is 1 if any seed failed, else 0.
+The exit status is 1 if any seed failed, else 0.  Sizes below those the
+CLI's ``verify`` accepts (an instance count below 1, fewer than 2
+realizations or 10,000 trials) end the tool with a usage error naming the
+option, before any seed runs.
 
 The 3-sigma checks fail by chance: with m independent comparisons, a seed
 fails one with probability 1 - (1 - 2 Phi(-3))^m (1.3% for the five lags
@@ -35,7 +38,7 @@ import argparse
 import math
 import sys
 
-from tpi_sim.oracle import run_verification
+from tpi_sim.oracle import _MIN_SIZES, run_verification
 
 
 def failing_line(seed: int, checks) -> str | None:
@@ -65,6 +68,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.last < args.first:
         parser.error("last seed is below the first")
+    for key, least in _MIN_SIZES.items():
+        if getattr(args, key) < least:
+            parser.error(f"--{key.replace('_', '-')} must be at least {least}")
     seeds = range(args.first, args.last + 1)
     failures = 0
     for seed in seeds:
