@@ -17,6 +17,9 @@ in every tomography setting), so ideal photons give exactly 1.
 Each probability is affine in the pair's overlap weight, with terms fixed
 by the circuit; the circuit is composed once into one cached table of them,
 which ``bell_fidelity`` and ``fidelity_at_weight`` both read.
+``emitter_assessment`` evaluates ``fidelity_at_weight`` along the split
+curves of partly characterized emitters and returns the visibility and
+fidelity ranges only.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics
-from .emitter import EmitterConstraint, NormalizedParams, PhotonPair, normalized_params
+from .emitter import EmitterConstraint, PhotonPair
 from .gates import TOMOGRAPHY_BASES, cnot_gate, compose, gate_quad, prep_gate, tomography_gate
 from .interference import (
     coincidence_at_weight,
@@ -41,7 +44,6 @@ from .interference import (
 __all__ = [
     "FidelityResult",
     "EmitterConstraint",
-    "AssessmentPoint",
     "AssessmentResult",
     "bell_fidelity",
     "fidelity_at_weight",
@@ -63,7 +65,6 @@ class FidelityResult:
     fidelity: float
     basis_probabilities: dict[str, float]
     success_probability: float
-    normalized_params: NormalizedParams | None
 
 
 def _signed_sum(p: dict[str, float]) -> float:
@@ -142,7 +143,6 @@ def bell_fidelity(pair: PhotonPair) -> FidelityResult:
         fidelity=_signed_sum(probs) / (2.0 * success),
         basis_probabilities=probs,
         success_probability=success,
-        normalized_params=normalized_params(pair.emitter_i) if pair.is_identical else None,
     )
 
 
@@ -160,34 +160,11 @@ def fidelity_map(
 
 
 @dataclass(frozen=True)
-class AssessmentPoint:
-    dephasing_rate: float
-    inhomogeneous_fwhm: float
-    theta_pd: float
-    theta_sd: float
-    visibility: float
-    fidelity: float
-
-
-@dataclass(frozen=True)
 class AssessmentResult:
-    """Visibility and fidelity ranges over a decomposition sweep.
-
-    ``columns`` holds, for a single-constraint sweep, one tuple per
-    :class:`AssessmentPoint` field with one value per split (None for a
-    pair of constraints); :attr:`points` builds the points from it on access.
-    """
+    """Visibility and fidelity (min, max) ranges over a decomposition sweep."""
 
     visibility_range: tuple[float, float]
     fidelity_range: tuple[float, float]
-    columns: tuple[tuple[float, ...], ...] | None
-
-    @property
-    def points(self) -> tuple[AssessmentPoint, ...] | None:
-        """The per-split sweep of a single constraint, in curve order (None for a pair)."""
-        if self.columns is None:
-            return None
-        return tuple(AssessmentPoint(*row) for row in zip(*self.columns))
 
 
 def _sweep(gamma_i, var_i, gamma_j, var_j, tau_sum: float) -> tuple[np.ndarray, np.ndarray]:
@@ -207,24 +184,22 @@ def emitter_assessment(
     """Achievable visibility and fidelity ranges for partially known emitters.
 
     With a single constraint the photon pair is two identical copies swept
-    together along the decomposition curve, and the per-point sweep is
-    returned.  With a ``second`` constraint the two emitters are swept
-    independently over the product of their curves (resonant, no relative
-    detuning) and only the ranges are reported: the product grid is
-    evaluated in blocks of about ``numerics._BLOCK`` points (whole rows of
-    the second curve), each keeping only its minima and maxima, so memory
-    grows with ``n_points`` and the block, not with the grid.  The kernels
-    are elementwise, so the ranges are those of the whole grid at once.
+    together along the decomposition curve; with a ``second`` constraint
+    the two emitters are swept independently over the product of their
+    curves (resonant, no relative detuning).  Either way only the ranges
+    are reported.  The product grid is evaluated in blocks of about
+    ``numerics._BLOCK`` points (whole rows of the second curve), each
+    keeping only its minima and maxima, so memory grows with ``n_points``
+    and the block, not with the grid.  The kernels are elementwise, so the
+    ranges are those of the whole grid at once.
     """
-    rates, fwhms, gamma, var, theta_pd, theta_sd = constraint.curve(n_points)
+    _, _, gamma, var, _, _ = constraint.curve(n_points)
     lifetime = constraint.lifetime
     if second is None:
         weights, fidelities = _sweep(gamma, var, gamma, var, lifetime + lifetime)
-        columns = (rates, fwhms, theta_pd, theta_sd, weights, fidelities)
         return AssessmentResult(
             visibility_range=(float(weights.min()), float(weights.max())),
             fidelity_range=(float(fidelities.min()), float(fidelities.max())),
-            columns=tuple(tuple(c.tolist()) for c in columns),
         )
     _, _, gamma_j, var_j, _, _ = second.curve(n_points)
     tau_sum = lifetime + second.lifetime
@@ -240,5 +215,4 @@ def emitter_assessment(
     return AssessmentResult(
         visibility_range=(float(lows[0]), float(highs[0])),
         fidelity_range=(float(lows[1]), float(highs[1])),
-        columns=None,
     )

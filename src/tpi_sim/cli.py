@@ -69,7 +69,7 @@ import numpy as np
 from .bell import emitter_assessment, fidelity_map
 from .emitter import EmitterConstraint, EmitterParams, PhotonPair, coherence_time
 from .gates import beam_splitter
-from .interference import _hom_arrays, g2_trace, visibility_map
+from .interference import g2_trace, tuning_curve, visibility_map
 
 PS = 1e-12
 MHZ = 1e6
@@ -554,8 +554,7 @@ def cmd_g2(cfg: dict, seed: int) -> Table:
 def cmd_tuning(cfg: dict, seed: int) -> Table:
     pair = _parse_pair(cfg)
     grid, grid_canonical = _parse_grid(cfg, "detuning_ghz", GHZ)
-    # the arrays behind tuning_curve, without its PhotonPair per point
-    visibility, p_coinc = _hom_arrays(pair, grid * GHZ)
+    visibility, p_coinc = tuning_curve(pair, grid * GHZ)
     columns = (grid, visibility, p_coinc, np.full(len(grid), 0.5))
     names = ["delta_nu_ghz", "visibility", "p_coinc", "p_coinc_classical"]
     return {**cfg, "detuning_ghz": grid_canonical}, names, _row_blocks(*columns), 0

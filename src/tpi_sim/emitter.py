@@ -29,7 +29,7 @@ view of that curve, are formed here only.  A Voigt linewidth is split by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -135,17 +135,6 @@ class PhotonPair:
     def t_plus(self) -> float:
         """Combined decay time, 1/T+ = 1/tau_i + 1/tau_j (s)."""
         return 1.0 / (1.0 / self.emitter_i.lifetime + 1.0 / self.emitter_j.lifetime)
-
-    @property
-    def is_identical(self) -> bool:
-        return self.emitter_i == self.emitter_j
-
-    def with_relative_detuning(self, delta_nu: float) -> "PhotonPair":
-        """Same emitters, but with the relative detuning forced to ``delta_nu``."""
-        return PhotonPair(
-            replace(self.emitter_i, detuning=delta_nu),
-            replace(self.emitter_j, detuning=0.0),
-        )
 
 
 @dataclass(frozen=True)

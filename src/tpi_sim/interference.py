@@ -10,8 +10,10 @@ inputs (i, j) and being detected in coincidence at outputs (k, l):
   diffusion (SD),
 * the closed-form overall coincidence probability, evaluated through the
   real part of the Faddeeva function,
-* Hong-Ou-Mandel visibilities, tuning curves, and lifetime-free
-  visibility maps for identical emitters, all one kernel, :func:`overlap_weight`.
+* Hong-Ou-Mandel visibilities, the tuning curve (visibility and
+  coincidence arrays over a detuning grid, which :func:`hom_visibility`
+  reads at the pair's own detuning) and lifetime-free visibility maps for
+  identical emitters, all one kernel, :func:`overlap_weight`.
 
 All functions are pure; sweeps can fan out over grid points freely.
 """
@@ -338,46 +340,36 @@ def coincidence_probability(
     return coincidence_at_weight(terms, interference_weight(pair))
 
 
-def _hom_arrays(pair: PhotonPair, delta_nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(visibility, p_coinc) arrays of :func:`hom_visibility` for ``pair`` at each
-    relative detuning in ``delta_nu``, from one :func:`overlap_weight` call: the
-    visibility is the weight, and p_coinc = 1/4 + 1/4 - V/2 from the exact terms
-    of a balanced splitter; p_coinc_classical is 1/2 throughout."""
-    weights = overlap_weight(pair.gamma_total, pair.sigma_total, delta_nu, pair.lifetime_sum)
-    if not np.all((weights >= -1e-9) & (weights <= 1.0 + 1e-9)):
-        raise ValueError(f"computed visibility outside [0, 1]: {weights!r}")
-    visibility = np.clip(weights, 0.0, 1.0)
-    return visibility, 0.5 * (1.0 - visibility)
-
-
 def hom_visibility(pair: PhotonPair) -> VisibilityResult:
     """Hong-Ou-Mandel visibility of the pair at a symmetric beam splitter.
 
-    V is :func:`interference_weight`, bit for bit wherever that lies in
-    [0, 1], and p_coinc = (1 - V) / 2 against p_coinc_classical = 1/2, so
-    V = 1 - p_coinc / p_coinc_classical.  Weights outside [-1e-9, 1 + 1e-9]
-    raise instead of being clamped; rounding-level excursions inside that
-    window are snapped onto [0, 1].
+    :func:`tuning_curve` at the pair's own detuning: V is
+    :func:`interference_weight`, bit for bit wherever that lies in [0, 1],
+    and p_coinc = (1 - V) / 2 against p_coinc_classical = 1/2, so
+    V = 1 - p_coinc / p_coinc_classical.
     """
-    (visibility,), (p,) = _hom_arrays(pair, np.array([pair.delta_nu]))
+    (visibility,), (p,) = tuning_curve(pair, [pair.delta_nu])
     return VisibilityResult(float(visibility), float(p), 0.5, pair)
 
 
 def tuning_curve(
     pair: PhotonPair, delta_nu_grid: Sequence[float] | np.ndarray
-) -> list[VisibilityResult]:
+) -> tuple[np.ndarray, np.ndarray]:
     """HOM visibility as a function of the relative detuning of the pair.
 
-    One :func:`overlap_weight` call over the grid; element k is, bit for bit,
-    ``hom_visibility(pair.with_relative_detuning(delta_nu_grid[k]))``, whose
-    visibility is the overlap weight at that detuning.
+    Returns the (visibility, p_coinc) arrays at each relative detuning in
+    ``delta_nu_grid``, from one :func:`overlap_weight` call with the pair's
+    linewidths and lifetimes: the visibility is the weight, and
+    p_coinc = 1/4 + 1/4 - V/2 from the exact terms of a balanced splitter,
+    against p_coinc_classical = 1/2 throughout.  Weights outside
+    [-1e-9, 1 + 1e-9] raise instead of being clamped; rounding-level
+    excursions inside that window are snapped onto [0, 1].
     """
-    grid = np.asarray(delta_nu_grid, dtype=float)
-    visibility, p = _hom_arrays(pair, grid)
-    return [
-        VisibilityResult(v, pk, 0.5, pair.with_relative_detuning(d))
-        for v, pk, d in zip(visibility.tolist(), p.tolist(), grid.tolist())
-    ]
+    weights = overlap_weight(pair.gamma_total, pair.sigma_total, delta_nu_grid, pair.lifetime_sum)
+    if not np.all((weights >= -1e-9) & (weights <= 1.0 + 1e-9)):
+        raise ValueError(f"computed visibility outside [0, 1]: {weights!r}")
+    visibility = np.clip(weights, 0.0, 1.0)
+    return visibility, 0.5 * (1.0 - visibility)
 
 
 def visibility_map(

@@ -34,8 +34,9 @@ their tau-shifted copies, at most 128 times on 4 panels.  Row r is
 realization r of the chunk: column 0 gives
 f_i - f_j = (d_i - d_j) + sqrt(sigma_i^2 + sigma_j^2) z, and columns 1..T
 the increments of phi_i - phi_j, each sqrt(2 (gamma_i + gamma_j) dt) z.
-Every value is loc + scale * z, so a zero scale still consumes its normal,
-and drawing the rows in smaller blocks changes nothing.
+Every value is loc + scale * z, so a zero scale still consumes its normal.
+A chunk draws its whole (n, T + 1) array at once and evaluates it in one
+pass; at most 256 x 129 normals, 264 kB per thread on 4 panels.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ _MIN_SIZES = {
     "phase_trials": _MIN_TRIALS,
 }
 
+# The lags of each Monte-Carlo instance of :func:`run_verification`, as
+# multiples of the slower lifetime, and its number of phase-factor cases:
+# each is one 3-sigma comparison, which ``tools/verify_seeds.py`` counts.
+_LAG_MULTIPLES = (-1.5, -0.5, 0.25, 1.0, 2.5)
+_PHASE_CASES = 8
+
 _REALIZATION_CHUNK = 256
 """Realizations of :func:`mc_g2_estimate` per spawned child stream.
 
@@ -116,19 +123,6 @@ distinguishable baseline, is 8.2e-10 on 1 panel, 6.8e-15 on 2, 3.4e-15 on
 4 and 2.3e-15 on 12.  A realization then draws at most 129 normals (at most
 128 sample times) and takes 64 cosines.
 """
-
-_BLOCK_ROWS = 64
-"""Realizations drawn and evaluated together inside one chunk.
-
-Not part of the seed contract: a chunk's stream is consumed row after row
-(T + 1 normals each) and each row is summed over the nodes in one fixed
-order, so any block size gives the same estimates bit for bit.  It bounds
-the working memory: a block's largest array, its normals, takes about
-66 kB (per thread) on the default quadrature grid, and the per-node arrays
-about half that.  It also sets the numpy calls per realization: a full
-chunk is four blocks.
-"""
-
 
 def _worker_count(n_jobs: int) -> int:
     """Threads for ``n_jobs`` jobs: at most one per CPU the process may use."""
@@ -365,9 +359,9 @@ def mc_g2_estimate(
     and their tau-shifted copies), so the estimate is unbiased with respect
     to the phase model: its expectation is the rule's sum of the
     jitter-averaged density, within about 3e-15 of the closed form (see
-    ``_PANELS``).  The density is evaluated for a block of
+    ``_PANELS``).  The density is evaluated for a whole chunk of
     realizations at once and summed over the nodes in node order; the
-    chunks of realizations run as jobs on :func:`_run_jobs`.
+    chunks run as jobs on :func:`_run_jobs`.
     """
     jobs, finish = _g2_chunks(gate, i, j, k, l, pair, tau, realizations, seed)
     _run_jobs(jobs)
@@ -429,28 +423,26 @@ def _g2_chunks(
     children = np.random.SeedSequence(seed).spawn(n_chunks)
 
     def evaluate_chunk(c: int) -> None:
-        rng = np.random.default_rng(children[c])
-        chunk_end = min((c + 1) * _REALIZATION_CHUNK, realizations)
-        for start in range(c * _REALIZATION_CHUNK, chunk_end, _BLOCK_ROWS):
-            n = min(_BLOCK_ROWS, chunk_end - start)
-            z = rng.standard_normal((n, len(times) + 1))
-            frequency = delta_nu + sigma_nu * z[:, 0]
-            # scaled and summed in place: the difference path is a view of z
-            path = z[:, 1:]
-            path *= increment
-            np.cumsum(path, axis=1, out=path)
-            # take, unlike a fancy index, lets the other chunk threads run;
-            # D and then the density are formed in place in one array
-            delta = path.take(at_late, axis=1)
-            delta -= path.take(at_early, axis=1)
-            delta += two_pi_tau * frequency[:, None]
-            delta -= beat_phase
-            density = np.cos(delta, out=delta)
-            density *= beat
-            density += direct
-            # a running sum adds the nodes in node order for any block size
-            # and memory layout; np.sum adds a contiguous row pairwise
-            values[start : start + n] = np.cumsum(density, axis=1)[:, -1]
+        start = c * _REALIZATION_CHUNK
+        end = min(start + _REALIZATION_CHUNK, realizations)
+        z = np.random.default_rng(children[c]).standard_normal((end - start, len(times) + 1))
+        frequency = delta_nu + sigma_nu * z[:, 0]
+        # scaled and summed in place: the difference path is a view of z
+        path = z[:, 1:]
+        path *= increment
+        np.cumsum(path, axis=1, out=path)
+        # take, unlike a fancy index, lets the other chunk threads run;
+        # D and then the density are formed in place in one array
+        delta = path.take(at_late, axis=1)
+        delta -= path.take(at_early, axis=1)
+        delta += two_pi_tau * frequency[:, None]
+        delta -= beat_phase
+        density = np.cos(delta, out=delta)
+        density *= beat
+        density += direct
+        # a running sum adds the nodes in node order for any memory layout;
+        # np.sum adds a contiguous row pairwise
+        values[start:end] = np.cumsum(density, axis=1)[:, -1]
 
     def finish() -> MonteCarloEstimate:
         mean = float(np.mean(values))
@@ -550,9 +542,10 @@ def run_verification(
 
     Covers: closed-form coincidence probability against lag quadrature on
     randomized gates and pairs (bound 1e-6 absolute), the correlation
-    trace against the Monte-Carlo microscopic model at five lags per
-    instance (3 standard errors), and the averaged phase factor against
-    its sampled estimate (3 standard errors, see :func:`_monte_carlo_check`).
+    trace against the Monte-Carlo microscopic model at the
+    ``_LAG_MULTIPLES`` lags of each instance (3 standard errors), and the
+    averaged phase factor against its sampled estimate in ``_PHASE_CASES``
+    cases (3 standard errors, see :func:`_monte_carlo_check`).
     """
     rng = np.random.default_rng(seed)
     # every draw from rng comes first, in the suite's order: the quadrature
@@ -563,10 +556,10 @@ def run_verification(
     for _ in range(mc_instances):
         gate, i, j, k, l, pair = _random_instance(rng)
         slowest = max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
-        for mult in (-1.5, -0.5, 0.25, 1.0, 2.5):
+        for mult in _LAG_MULTIPLES:
             lag_cases.append((gate, i, j, k, l, pair, mult * slowest, int(rng.integers(2**62))))
     phase_cases = []
-    for _ in range(8):
+    for _ in range(_PHASE_CASES):
         _, _, _, _, _, pair = _random_instance(rng)
         tau = float(rng.uniform(-0.5e-9, 0.5e-9))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -615,14 +608,16 @@ def run_verification(
         trace = g2_trace(gate, i, j, k, l, pair, tau_grid=[tau - 1.0, tau, tau + 1.0])
         results.append((finish(), float(trace.g2_values[1]), float(trace.g2_distinguishable[1])))
     trace_check = _monte_carlo_check(
-        f"correlation trace vs Monte-Carlo model ({mc_instances} instances x 5 lags)", results
+        f"correlation trace vs Monte-Carlo model "
+        f"({mc_instances} instances x {len(_LAG_MULTIPLES)} lags)",
+        results,
     )
     results = [
         (finish(), averaged_phase_factor(pair, tau, phase), 1.0)
         for (pair, tau, _, _, phase), finish in zip(phase_cases, phase_finishes)
     ]
     phase_check = _monte_carlo_check(
-        "averaged phase factor vs Monte-Carlo sampling (8 cases)", results
+        f"averaged phase factor vs Monte-Carlo sampling ({_PHASE_CASES} cases)", results
     )
     checks = [closed_form_check, trace_check, phase_check, limit_check]
     return VerificationReport(seed=seed, checks=checks)

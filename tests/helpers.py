@@ -1,9 +1,14 @@
 """Helpers shared by the tests; no command or library path needs them."""
 
 import math
+from dataclasses import replace
 
-from tpi_sim.emitter import EmitterParams, PhotonPair
+import numpy as np
+
+from tpi_sim.bell import fidelity_at_weight
+from tpi_sim.emitter import EmitterConstraint, EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix
+from tpi_sim.interference import overlap_weight
 
 
 def element(gate: GateMatrix, row: int, col: int) -> complex:
@@ -11,6 +16,24 @@ def element(gate: GateMatrix, row: int, col: int) -> complex:
     gate._check_mode(row)
     gate._check_mode(col)
     return complex(gate.matrix[row - 1, col - 1])
+
+
+def detuned(pair: PhotonPair, delta_nu: float) -> PhotonPair:
+    """The same emitters with the relative detuning set to ``delta_nu``:
+    emitter i at ``delta_nu``, emitter j at 0."""
+    return PhotonPair(
+        replace(pair.emitter_i, detuning=delta_nu), replace(pair.emitter_j, detuning=0.0)
+    )
+
+
+def identical_sweep(constraint: EmitterConstraint, n_points: int):
+    """(visibilities, fidelities) of two identical copies at each split of
+    ``constraint.curve(n_points)``, in curve order, from the elementwise
+    kernels: the per-split values whose ranges ``emitter_assessment`` reports."""
+    _, _, gamma, var, _, _ = constraint.curve(n_points)
+    weights = overlap_weight(gamma + gamma, np.sqrt(var + var), 0.0,
+                             constraint.lifetime + constraint.lifetime)
+    return weights, fidelity_at_weight(weights)
 
 
 def emitter_from_normalized(

@@ -34,7 +34,7 @@ from tpi_sim.interference import (
 from tpi_sim.numerics import integrate
 from tpi_sim.oracle import run_verification
 
-from helpers import visibility_pd_only
+from helpers import detuned, visibility_pd_only
 
 HOM = beam_splitter(0.5)
 
@@ -73,7 +73,7 @@ class TestReferencePairVisibility:
 
     def test_detuned_visibility(self):
         start = time.perf_counter()
-        v = hom_visibility(REFERENCE_PAIR.with_relative_detuning(3e9)).visibility
+        v = hom_visibility(detuned(REFERENCE_PAIR, 3e9)).visibility
         elapsed = time.perf_counter() - start
         ok = abs(v - 0.01) <= 0.005 and elapsed < 1.0
         report(

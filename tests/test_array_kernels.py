@@ -12,8 +12,8 @@ value and slope at single points.  ``coherence_time`` is held to a copy
 of its scalar form at the edges of each branch.
 The identical-pair fidelities of ``emitter_assessment`` are the affine
 ``fidelity_at_weight`` and agree with the 30 probabilities of
-``bell_fidelity`` to rounding.  The kernels that skip a branch, a mask
-pass or an eager object when no element needs it are held, bit for bit,
+``bell_fidelity`` to rounding.  The kernels that skip a branch or a mask
+pass when no element needs it are held, bit for bit,
 to test-local copies of the forms that computed everything.  Warnings are
 errors: no kernel may leak a RuntimeWarning from branches it computes and
 then discards.
@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from tpi_sim.bell import AssessmentPoint, EmitterConstraint, bell_fidelity, emitter_assessment
+from tpi_sim.bell import EmitterConstraint, bell_fidelity, emitter_assessment
 from tpi_sim.bell import fidelity_at_weight
 from tpi_sim.emitter import EmitterConstraint, EmitterParams, PhotonPair, coherence_time
 from tpi_sim.gates import TOMOGRAPHY_BASES, beam_splitter, cnot_gate, compose, gate_quad
@@ -34,6 +34,8 @@ from tpi_sim.interference import _phase_factor, averaged_phase_factor, interfere
 from tpi_sim.interference import overlap_weight
 from tpi_sim.numerics import GAUSS_FWHM_PER_SIGMA, _faddeeva, _voigt_residual, faddeeva_w
 from tpi_sim.numerics import voigt_fwhm
+
+from helpers import identical_sweep
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -378,15 +380,17 @@ class TestBellFromAffineTerms:
     def test_identical_sweep_equals_scalar_evaluation(self):
         constraint = EmitterConstraint(lifetime=1.72e-9, total_fwhm=119e6)
         result = emitter_assessment(constraint, n_points=12)
-        for point in result.points:
-            pair = PhotonPair.identical(
-                EmitterParams(1.72e-9, point.dephasing_rate, point.inhomogeneous_fwhm)
-            )
-            assert point.visibility == scalar_pair_weight(pair)
+        rates, fwhms, *_ = constraint.curve(12)
+        weights, fidelities = identical_sweep(constraint, 12)
+        for rate, fwhm, weight, fidelity in zip(rates, fwhms, weights, fidelities):
+            pair = PhotonPair.identical(EmitterParams(1.72e-9, float(rate), float(fwhm)))
+            assert weight == scalar_pair_weight(pair)
             # the affine form of the 30 probabilities, to rounding
-            assert point.fidelity == fidelity_at_weight(point.visibility)
+            assert fidelity == fidelity_at_weight(float(weight))
             reference = bell_fidelity(pair).fidelity
-            assert abs(point.fidelity - reference) <= 1e-15 * abs(reference)
+            assert abs(fidelity - reference) <= 1e-15 * abs(reference)
+        assert result.visibility_range == (weights.min(), weights.max())
+        assert result.fidelity_range == (fidelities.min(), fidelities.max())
 
 
 # --------------------------------------------------------------------------
@@ -574,17 +578,12 @@ class TestSingleBranchPaths:
             EmitterConstraint(lifetime=670e-12, coherence_time=330e-12),
         ],
     )
-    def test_assessment_points_equal_the_eager_tuple(self, constraint):
+    def test_assessment_ranges_equal_the_per_split_kernels(self, constraint):
         result = emitter_assessment(constraint, n_points=40)
-        rates, fwhms, gamma, var, theta_pd, theta_sd = constraint.curve(40)
-        weights = overlap_weight(gamma + gamma, np.sqrt(var + var), 0.0,
-                                 constraint.lifetime + constraint.lifetime)
-        columns = (rates, fwhms, theta_pd, theta_sd, weights, fidelity_at_weight(weights))
-        eager = tuple(AssessmentPoint(*row) for row in zip(*(c.tolist() for c in columns)))
-        assert result.points == eager and len(eager) == 40
-        assert result.points == result.points  # built again, the same
-        assert result.visibility_range == (min(weights.tolist()), max(weights.tolist()))
-        assert emitter_assessment(constraint, constraint, n_points=5).points is None
+        weights, fidelities = (a.tolist() for a in identical_sweep(constraint, 40))
+        assert len(weights) == 40
+        assert result.visibility_range == (min(weights), max(weights))
+        assert result.fidelity_range == (min(fidelities), max(fidelities))
 
 
 class TestPhaseFactorKernel:

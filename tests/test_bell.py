@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from tpi_sim.gates import (
 )
 from tpi_sim.interference import interference_weight, overlap_weight
 
-from helpers import pair_from_normalized
+from helpers import identical_sweep, pair_from_normalized
 
 IDEAL = PhotonPair.identical(EmitterParams(1e-9))
 
@@ -75,14 +76,6 @@ class TestBellFidelity:
         pair = PhotonPair.identical(EmitterParams(tau_r, dephasing_rate=0.5 / tau_r))
         assert interference_weight(pair) == pytest.approx(0.5, rel=1e-12)
         assert bell_fidelity(pair).fidelity == pytest.approx(0.5, abs=1e-9)
-
-    def test_normalized_params_attached_only_for_identical_pairs(self):
-        res = bell_fidelity(PhotonPair.identical(EmitterParams(1e-9, 1e8, 1e8)))
-        assert res.normalized_params is not None
-        res = bell_fidelity(
-            PhotonPair(EmitterParams(1e-9), EmitterParams(0.9e-9))
-        )
-        assert res.normalized_params is None
 
     @pytest.mark.parametrize("basis", TOMOGRAPHY_BASES)
     def test_coincidence_quad_has_a_real_phase(self, basis):
@@ -285,21 +278,18 @@ class TestEmitterAssessment:
         assert res.visibility_range[0] == res.visibility_range[1]
         assert res.visibility_range[0] == pytest.approx(0.6189, abs=2e-4)
         assert res.fidelity_range[0] == pytest.approx(0.5861, abs=2e-4)
-        assert res.points is not None and len(res.points) == 1
+        (v,), (f,) = identical_sweep(c, 200)  # a known split is one point
+        assert res.visibility_range == (v, v) and res.fidelity_range == (f, f)
 
     def test_identical_sweep_is_monotone_along_curve(self):
-        res = emitter_assessment(
-            EmitterConstraint(lifetime=1.72e-9, total_fwhm=119e6), n_points=60
-        )
-        vs = [p.visibility for p in res.points]
+        constraint = EmitterConstraint(lifetime=1.72e-9, total_fwhm=119e6)
+        res = emitter_assessment(constraint, n_points=60)
+        vs, fs = (a.tolist() for a in identical_sweep(constraint, 60))
         # toward the all-dephasing endpoint the visibility falls
         assert vs[0] == min(vs)
         assert vs[-1] == max(vs)
         assert res.visibility_range == (min(vs), max(vs))
-        assert res.fidelity_range == (
-            min(p.fidelity for p in res.points),
-            max(p.fidelity for p in res.points),
-        )
+        assert res.fidelity_range == (min(fs), max(fs))
 
     def test_product_sweep_for_two_distinct_emitters(self):
         res = emitter_assessment(
@@ -307,7 +297,6 @@ class TestEmitterAssessment:
             EmitterConstraint(lifetime=660e-12, coherence_time=420e-12),
             n_points=60,
         )
-        assert res.points is None
         lo, hi = res.visibility_range
         assert lo == pytest.approx(0.2772, abs=2e-3)
         assert hi == pytest.approx(0.3190, abs=2e-3)
@@ -323,9 +312,22 @@ class TestEmitterAssessment:
         # n_points = 2 is the all-dephasing and the all-diffusion endpoint
         full = emitter_assessment(constraint, n_points=200)
         ends = emitter_assessment(constraint, n_points=2)
-        assert ends.points == (full.points[0], full.points[-1])
-        assert ends.points[-1].dephasing_rate == 0.0
+        full_columns = (*constraint.curve(200), *identical_sweep(constraint, 200))
+        end_columns = (*constraint.curve(2), *identical_sweep(constraint, 2))
+        assert [c.tolist() for c in end_columns] == [[c[0], c[-1]] for c in full_columns]
+        assert end_columns[0][-1] == 0.0  # the dephasing rate of the last split
         assert ends.visibility_range == full.visibility_range
+
+    @pytest.mark.parametrize("second", [None, EmitterConstraint(lifetime=660e-12, coherence_time=420e-12)])
+    def test_one_return_shape_for_both_sweeps(self, second):
+        # the identical and the product sweep report the same thing: two
+        # (min, max) ranges of Python floats, nothing per point
+        first = EmitterConstraint(lifetime=1.72e-9, total_fwhm=119e6)
+        res = emitter_assessment(first, second, n_points=20)
+        assert [f.name for f in dataclasses.fields(res)] == ["visibility_range", "fidelity_range"]
+        for lo, hi in (res.visibility_range, res.fidelity_range):
+            assert type(lo) is float and type(hi) is float
+            assert 0.0 <= lo <= hi <= 1.0
 
     def test_infeasible_constraint_propagates(self):
         with pytest.raises(InfeasibleDecompositionError):
@@ -371,7 +373,6 @@ class TestBlockedPairGrid:
         visibility, fidelity = full_grid_ranges(first, second, n_points)
         assert res.visibility_range == visibility
         assert res.fidelity_range == fidelity
-        assert res.columns is None and res.points is None
 
     def test_nan_in_one_block_reaches_both_ranges(self, monkeypatch):
         first, second = PAIRS["coherence"]

@@ -88,6 +88,7 @@ def test_runs_keep_correct_and_failed_counts():
 def test_verdicts_by_wins_spread_and_bound():
     parent = [1.0 + 0.01 * k for k in range(10)]  # median 1.045, q1-q3 1.0225-1.0675
     wide = [1.0] * 7 + [100.0] * 3  # median 1, q1-q3 1-75.25
+    spread = [0.17, 0.175, 0.18, 0.19, 0.2, 0.2114, 0.23, 0.24, 0.25, 0.26]  # q1-q3 0.1825-0.2375
     cases = {
         # name: (better, bound, parent runs, change runs, verdict)
         "won_9": ("lower", 0.25, parent,
@@ -99,6 +100,10 @@ def test_verdicts_by_wins_spread_and_bound():
         "higher_is_better": ("higher", 0.25, parent, [p + 0.1 for p in parent], "gain"),
         "ties": ("higher", 0.01, [1.0] * 10, [1.0] * 10, "no regression"),
         "spread_beyond_bound": ("lower", 0.1, wide, wide[::-1], "unresolved"),
+        # medians 0.2057 -> 0.2675, worse by more than the 0.0514 bound, but
+        # the parent's q3-q1 of 0.055 is wider than the bound too
+        "spread_beyond_bound_and_worse": ("lower", 0.25, spread, [p + 0.0618 for p in spread],
+                                          "unresolved"),
         # every change run beats every parent run: resolved without a gain
         "spread_but_all_better": ("lower", 0.1, wide, [0.5] * 10, "no regression"),
     }

@@ -64,10 +64,6 @@ class TestPhotonPair:
         e = EmitterParams(500e-12, 1e8, 2e8)
         assert PhotonPair(e, e).gamma_total == 2.0 * e.gamma_h
 
-    def test_relative_detuning_override(self):
-        pair = PhotonPair.identical(EmitterParams(1e-9))
-        assert pair.with_relative_detuning(2e9).delta_nu == 2e9
-
 
 class TestCoherenceTime:
     def test_fourier_limit(self):

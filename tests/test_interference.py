@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tpi_sim import interference
 from tpi_sim.emitter import EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix, beam_splitter
 from tpi_sim.interference import (
@@ -22,7 +23,7 @@ from tpi_sim.interference import (
 )
 from tpi_sim.oracle import exponential_wave, quadrature_p_coinc
 
-from helpers import pair_from_normalized, visibility_pd_only
+from helpers import detuned, pair_from_normalized, visibility_pd_only
 
 HOM = beam_splitter(0.5)
 
@@ -101,7 +102,7 @@ class TestG2Trace:
         assert value == pytest.approx(1.0 / (4.0 * tau_r), rel=1e-12)
 
     def test_quantum_beat_period(self):
-        pair = QD_PAIR.with_relative_detuning(3e9)
+        pair = detuned(QD_PAIR, 3e9)
         grid = np.linspace(-2e-9, 2e-9, 16001)
         trace = g2_trace(HOM, 1, 2, 1, 2, pair, grid)
         osc = trace.g2_values - trace.g2_distinguishable
@@ -269,7 +270,7 @@ class TestHomVisibility:
         assert res.visibility == pytest.approx(1.0 - res.p_coinc / res.p_coinc_classical, rel=1e-12)
 
     def test_qd_pair_detuned(self):
-        res = hom_visibility(QD_PAIR.with_relative_detuning(3e9))
+        res = hom_visibility(detuned(QD_PAIR, 3e9))
         assert res.visibility == pytest.approx(QD_V_3GHZ, rel=1e-12)
 
     def test_identical_pd_only_equals_coherence_ratio(self):
@@ -282,7 +283,7 @@ class TestHomVisibility:
     def test_monotone_in_detuning_dephasing_diffusion(self):
         base = EmitterParams(0.7e-9, 0.4e9, 0.9e9)
         vs = [
-            hom_visibility(PhotonPair.identical(base).with_relative_detuning(d)).visibility
+            hom_visibility(detuned(PhotonPair.identical(base), d)).visibility
             for d in np.linspace(0.0, 5e9, 25)
         ]
         assert np.all(np.diff(vs) < 0.0)
@@ -325,15 +326,38 @@ class TestVisibilityPdOnly:
 class TestTuningCurve:
     def test_symmetry_and_peak(self):
         grid = np.linspace(-4e9, 4e9, 41)
-        curve = tuning_curve(QD_PAIR, grid)
-        vs = np.array([r.visibility for r in curve])
+        vs, _ = tuning_curve(QD_PAIR, grid)
         assert np.allclose(vs, vs[::-1], rtol=1e-12)
         assert np.argmax(vs) == 20
 
     def test_endpoint_values(self):
-        curve = tuning_curve(QD_PAIR, [0.0, 3e9])
-        assert curve[0].visibility == pytest.approx(QD_V_RESONANT, rel=1e-12)
-        assert curve[1].visibility == pytest.approx(QD_V_3GHZ, rel=1e-12)
+        vs, p_coinc = tuning_curve(QD_PAIR, [0.0, 3e9])
+        assert vs[0] == pytest.approx(QD_V_RESONANT, rel=1e-12)
+        assert vs[1] == pytest.approx(QD_V_3GHZ, rel=1e-12)
+        assert p_coinc.tolist() == (0.5 * (1.0 - vs)).tolist()
+
+    @pytest.mark.parametrize("weight", [-2e-9, 1.0 + 2e-9, math.nan])
+    def test_weights_outside_the_window_raise(self, monkeypatch, weight):
+        # one bad weight among good ones refuses the whole curve, and
+        # hom_visibility, the curve at one detuning, refuses it too
+        monkeypatch.setattr(
+            interference, "overlap_weight", lambda *args: np.array([0.5, weight, 0.25])
+        )
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            tuning_curve(QD_PAIR, [0.0, 1e9, 2e9])
+        monkeypatch.setattr(interference, "overlap_weight", lambda *args: np.array([weight]))
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            hom_visibility(QD_PAIR)
+
+    @pytest.mark.parametrize("weight,snapped", [(-1e-10, 0.0), (1.0 + 1e-10, 1.0)])
+    def test_rounding_excursions_are_snapped(self, monkeypatch, weight, snapped):
+        inside = 0.2916123969073535
+        monkeypatch.setattr(
+            interference, "overlap_weight", lambda *args: np.array([weight, inside])
+        )
+        vs, p_coinc = tuning_curve(QD_PAIR, [0.0, 1e9])
+        assert vs.tolist() == [snapped, inside]
+        assert p_coinc.tolist() == [0.5 * (1.0 - snapped), 0.5 * (1.0 - inside)]
 
 
 class TestMapPoint:

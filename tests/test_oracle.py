@@ -40,6 +40,8 @@ from tpi_sim.oracle import (
     run_verification,
 )
 
+from helpers import detuned
+
 HOM = beam_splitter(0.5)
 QD_PAIR = PhotonPair(
     EmitterParams(700e-12, 600e6, 1.4e9),
@@ -171,7 +173,7 @@ class TestMcAveragedPhaseFactor:
 
     def test_matches_closed_form_within_three_sigma(self):
         for tau, phase in [(0.2e-9, math.pi), (0.15e-9, 0.7), (-0.3e-9, 2.1)]:
-            pair = QD_PAIR.with_relative_detuning(3e9)
+            pair = detuned(QD_PAIR, 3e9)
             est = mc_averaged_phase_factor(pair, tau, trials=200_000, seed=11, gate_phase=phase)
             target = averaged_phase_factor(pair, tau, phase)
             assert abs(est.value - target) <= 3.0 * est.stderr
@@ -316,7 +318,7 @@ class TestQuadratureG2:
         # pure detuning without noise: interference envelope stays at full
         # contrast and beats at the detuning frequency
         tau_r = 0.6e-9
-        pair = PhotonPair.identical(EmitterParams(tau_r)).with_relative_detuning(2e9)
+        pair = detuned(PhotonPair.identical(EmitterParams(tau_r)), 2e9)
         zi = exponential_wave(tau_r, frequency=2e9)
         zj = exponential_wave(tau_r, frequency=0.0)
         for tau in (0.1e-9, 0.25e-9):
@@ -327,7 +329,7 @@ class TestQuadratureG2:
 
 class TestMcG2:
     def test_matches_trace_within_three_sigma(self):
-        pair = QD_PAIR.with_relative_detuning(3e9)
+        pair = detuned(QD_PAIR, 3e9)
         for tau in (-0.2e-9, 0.0, 0.15e-9, 0.333e-9, 0.5e-9):
             est = mc_g2_estimate(HOM, 1, 2, 1, 2, pair, tau, realizations=1500, seed=31)
             trace = g2_trace(HOM, 1, 2, 1, 2, pair, [tau - 1.0, tau, tau + 1.0])
@@ -347,7 +349,7 @@ class TestMcG2:
         i, j = (int(m) + 1 for m in rng.choice(dim, 2, replace=False))
         k, l = (int(m) + 1 for m in rng.choice(dim, 2, replace=False))
         base = JITTER_PAIRS[case % 4]
-        pair = base.with_relative_detuning(float(rng.uniform(-3e9, 3e9)))
+        pair = detuned(base, float(rng.uniform(-3e9, 3e9)))
         seed = int(rng.integers(2**62))
         slowest = max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
         for tau in (-0.8 * slowest, 0.0, 1.3 * slowest):
@@ -367,7 +369,7 @@ class TestMcG2:
         # spreads agree; the lags resolve the interference term to 30 and
         # 340 standard errors
         gate = random_gate(np.random.default_rng(5), 3)
-        pair = QD_PAIR.with_relative_detuning(1.2e9)
+        pair = detuned(QD_PAIR, 1.2e9)
         for tau in (-0.4e-9, 0.15e-9):
             relative = mc_g2_estimate(gate, 1, 3, 2, 1, pair, tau, realizations=20_000, seed=0)
             per_photon = per_photon_mc_g2(gate, 1, 3, 2, 1, pair, tau, 20_000, seed=1)
@@ -435,21 +437,6 @@ class TestMcG2:
         assert a == b
 
 
-class TestBlockSplit:
-    """The block size bounds memory only: each realization is summed over the
-    quadrature nodes in node order, also when it is alone in its block."""
-
-    @pytest.mark.parametrize("realizations", [2, 17, 33, 257, 369, 513])
-    def test_estimates_equal_for_every_block_size(self, monkeypatch, realizations):
-        gate, i, j, k, l, pair = _random_instance(np.random.default_rng(realizations))
-        cases = [(HOM, 1, 2, 1, 2, QD_PAIR, -1.05e-9), (gate, i, j, k, l, pair, 0.7e-9)]
-        results = []
-        for rows in (2, 7, 16, 64, 256):
-            monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
-            results.append([mc_g2_estimate(*case, realizations=realizations, seed=0) for case in cases])
-        assert all(r == results[0] for r in results[1:])
-
-
 class TestThreadedChunks:
     """Chunks own their random streams and outputs, so neither the number of
     threads nor the order in which the chunks run changes an estimate."""
@@ -461,7 +448,7 @@ class TestThreadedChunks:
             mc_g2_estimate(HOM, 1, 2, 1, 2, NO_JITTER, 0.0, realizations=600, seed=6),
             # detuned, at a negative lag, with a short last chunk (700 = 2 * 256 + 188)
             mc_g2_estimate(
-                HOM, 1, 2, 1, 2, QD_PAIR.with_relative_detuning(2e9), -0.2e-9,
+                HOM, 1, 2, 1, 2, detuned(QD_PAIR, 2e9), -0.2e-9,
                 realizations=700, seed=7,
             ),
         )
@@ -693,7 +680,7 @@ class TestOnePool:
         cases = [
             (QD_PAIR, 0.3e-9, 30_000, 4, 1.0),
             (NO_JITTER, -0.2e-9, 10_000, 5, 2.0),
-            (QD_PAIR.with_relative_detuning(1e9), 0.1e-9, 12_345, 6, 0.5),
+            (detuned(QD_PAIR, 1e9), 0.1e-9, 12_345, 6, 0.5),
         ]
         jobs, finishes = [], []
         for case in cases:

@@ -33,6 +33,7 @@ from tpi_sim.interference import (
 )
 from tpi_sim.numerics import voigt_fwhm
 
+from helpers import detuned
 from test_interference import erfcx_visibility
 
 
@@ -91,14 +92,12 @@ def test_hom_visibility_is_the_overlap_weight(pair):
 
 @given(PAIRS, st.lists(DETUNINGS, min_size=1, max_size=8))
 def test_tuning_curve_is_hom_visibility_bit_for_bit(pair, grid):
-    curve = tuning_curve(pair, np.array(grid))
-    assert len(curve) == len(grid)
-    for res, dnu in zip(curve, grid):
-        ref = hom_visibility(pair.with_relative_detuning(dnu))
-        assert res.visibility.hex() == ref.visibility.hex()
-        assert res.p_coinc.hex() == ref.p_coinc.hex()
-        assert res.p_coinc_classical == ref.p_coinc_classical
-        assert res.pair == ref.pair
+    visibility, p_coinc = tuning_curve(pair, np.array(grid))
+    assert visibility.shape == p_coinc.shape == (len(grid),)
+    for v, p, dnu in zip(visibility.tolist(), p_coinc.tolist(), grid):
+        ref = hom_visibility(detuned(pair, dnu))
+        assert v.hex() == ref.visibility.hex()
+        assert p.hex() == ref.p_coinc.hex()
 
 
 @given(st.lists(THETA_PD, min_size=1, max_size=6), st.lists(THETA_SD, min_size=1, max_size=6))

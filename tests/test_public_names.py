@@ -55,9 +55,7 @@ VERIFY_SIZES = {
 # Public names that no shipped config runs, each with why it stays.
 LIBRARY_ENTRIES = {
     "interference.hom_visibility":
-        "the paper's HOM visibility of one pair: `interference._hom_arrays` at its detuning",
-    "interference.tuning_curve":
-        "the paper's tuning curve, one result per detuning: `interference._hom_arrays`",
+        "the paper's HOM visibility of one pair: `interference.tuning_curve` at its detuning",
     "interference.g2_distinguishable":
         "the paper's distinguishable-photon G2 alone: `interference._baseline` of `g2_trace`",
     "bell.bell_fidelity":
@@ -87,15 +85,9 @@ LIBRARY_ENTRIES = {
     "emitter.EmitterParams.coherence_time":
         "one emitter's coherence time: `emitter.coherence_time`",
     "emitter.PhotonPair.identical": "two copies of one emitter, `PhotonPair(e, e)`",
-    "emitter.PhotonPair.is_identical":
-        "whether `bell.bell_fidelity` reports the pair's normalized linewidths",
-    "emitter.PhotonPair.with_relative_detuning":
-        "the pair of each `interference.tuning_curve` point",
-    "bell.AssessmentResult.points":
-        "one constraint's rows, from the columns `bell.emitter_assessment` keeps",
 }
 
-# a backticked name in a reason, such as `interference._hom_arrays`
+# a backticked name in a reason, such as `interference.tuning_curve`
 KERNEL = re.compile(r"`(\w+(?:\.\w+)+)`")
 
 

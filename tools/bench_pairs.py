@@ -31,12 +31,14 @@ verdict per metric:
     wall_s verdict: gain (median better by 0.0075 s; parent q3-q1 0.0011 s, bound 0.0094 s; change better in 10/10)
 
 ``gain`` when the change won at least nine tenths of the pairs and its
-median is better than the parent's by more than the parent's q3 - q1;
-``regression`` when its median is worse than the parent's by more than the
+median is better than the parent's by more than the parent's q3 - q1.
+Otherwise ``unresolved`` when the parent's q3 - q1 is wider than the
 metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent's
-median); ``unresolved`` when the parent's q3 - q1 is wider than that bound
-and not every run of the change beat every run of the parent; ``no
-regression`` otherwise.  Then one line per side names the seeds whose run
+median) and not every run of the change beat every run of the parent: the
+parent's own spread then exceeds the bound, so a gap between the medians
+cannot be told from noise.  Otherwise ``regression`` when the change's
+median is worse than the parent's by more than that bound, and ``no
+regression`` when it is not.  Then one line per side names the seeds whose run
 read ``correct: false``:
 
     parent: correct: false at 1 of 10 seeds: 9201
@@ -140,10 +142,10 @@ def verdict_lines(results: dict[str, dict[int, dict]], metrics: list[dict]) -> l
         bound = metric["bound"] * abs(quantile(parent, 0.5))
         if 10 * won >= 9 * len(parent) and better_by > spread:
             verdict = "gain"
-        elif -better_by > bound:
-            verdict = "regression"
         elif spread > bound and min(sign * c for c in change) <= max(sign * p for p in parent):
             verdict = "unresolved"
+        elif -better_by > bound:
+            verdict = "regression"
         else:
             verdict = "no regression"
         unit = metric["unit"]

@@ -38,7 +38,7 @@ import argparse
 import math
 import sys
 
-from tpi_sim.oracle import _MIN_SIZES, run_verification
+from tpi_sim.oracle import _LAG_MULTIPLES, _MIN_SIZES, _PHASE_CASES, run_verification
 
 
 def failing_line(seed: int, checks) -> str | None:
@@ -51,9 +51,10 @@ def failing_line(seed: int, checks) -> str | None:
 
 def chance_failures(seeds: int, mc_instances: int) -> float:
     """Failing seeds expected from chance alone among ``seeds`` seeds: each
-    has 5 lags per Monte-Carlo instance and 8 phase-factor cases, each
-    outside 3 sigma with probability erfc(3 / sqrt 2)."""
-    comparisons = 5 * mc_instances + 8
+    has the oracle's ``_LAG_MULTIPLES`` lags per Monte-Carlo instance and
+    its ``_PHASE_CASES`` phase-factor cases, each outside 3 sigma with
+    probability erfc(3 / sqrt 2)."""
+    comparisons = len(_LAG_MULTIPLES) * mc_instances + _PHASE_CASES
     return seeds * (1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** comparisons)
 
 
