@@ -30,13 +30,20 @@ phase phi_i - phi_j, so each realization draws those alone.  Each chunk of
 ``_REALIZATION_CHUNK`` realizations has its own child stream and consumes
 it as one standard-normal array of shape (n, T + 1) would, for a time grid
 of T distinct points: the ``_PANELS`` x 16 quadrature nodes over t0 and
-their tau-shifted copies, at most 128 times on 4 panels.  Row r is
+their tau-shifted copies, at most 64 times on 2 panels.  Row r is
 realization r of the chunk: column 0 gives
 f_i - f_j = (d_i - d_j) + sqrt(sigma_i^2 + sigma_j^2) z, and columns 1..T
 the increments of phi_i - phi_j, each sqrt(2 (gamma_i + gamma_j) dt) z.
 Every value is loc + scale * z, so a zero scale still consumes its normal.
 A chunk draws its whole (n, T + 1) array at once and evaluates it in one
-pass; at most 256 x 129 normals, 264 kB per thread on 4 panels.
+pass; at most 256 x 65 normals, 133 kB per thread on 2 panels.
+
+Draw order of :func:`mc_averaged_phase_factor`: the phase factor depends
+on the jitter through the same two relative quantities, so each trial
+draws one normal for f_i - f_j and one for the increment of phi_i - phi_j
+over |tau|, sqrt(2 (gamma_i + gamma_j) |tau|) z.  Each chunk of
+``_CHUNK`` trials has its own child stream and draws its n frequency
+normals, then its n phase normals.
 """
 
 from __future__ import annotations
@@ -104,7 +111,7 @@ each realization draws its T + 1 normals from, so changing this constant
 changes every estimate for every seed.
 """
 
-_PANELS = 4
+_PANELS = 2
 """Gauss-Legendre panels (16 nodes each) over t0 in :func:`mc_g2_estimate`.
 
 Part of the seed contract: the panels fix the quadrature nodes, hence the
@@ -112,16 +119,20 @@ T distinct times at which every difference path is sampled and the T + 1
 normals each realization draws, so changing this constant changes every
 estimate for every seed.
 
-Four panels suffice.  The path is sampled exactly at every node, so the
+Two panels suffice.  The path is sampled exactly at every node, so the
 expected estimate is the Gauss-Legendre sum of the jitter-averaged
 density, and every term of that density decays as exp(-t0 / t_plus) over
-a window 40 t_plus wide: each panel spans 10 decay lengths, which 16 nodes
+a window 40 t_plus wide: each panel spans 20 decay lengths, which 16 nodes
 integrate to rounding.  Against ``g2_trace`` on 200 random instances x 5
 lags (those of ``test_node_sum_of_the_averaged_density_equals_the_trace``),
 the worst gap of that sum, relative to the larger of |G2| and the
 distinguishable baseline, is 8.2e-10 on 1 panel, 6.8e-15 on 2, 3.4e-15 on
-4 and 2.3e-15 on 12.  A realization then draws at most 129 normals (at most
-128 sample times) and takes 64 cosines.
+4 and 2.3e-15 on 12.  A realization then draws at most 65 normals (at most
+64 sample times) and takes 32 cosines, half the work of 4 panels.  The
+coarser rule samples the path more sparsely, which widens the spread of a
+realization's value a little: at 3000 realizations on 40 random lags
+(``_LAG_MULTIPLES`` of 8 instances from ``default_rng(77)``), the stderr
+on 2 panels over that on 4 has median 1.040 and range 0.978-1.192.
 """
 
 def _worker_count(n_jobs: int) -> int:
@@ -157,8 +168,16 @@ class MonteCarloEstimate(NamedTuple):
 
 def _envelope(lifetime: float, t: np.ndarray) -> np.ndarray:
     """|zeta(t)| = H(t) exp(-t / (2 lifetime)) / sqrt(lifetime) of the exponential packet."""
-    mag = np.where(t >= 0.0, np.exp(-np.maximum(t, 0.0) / (2.0 * lifetime)), 0.0)
+    # a time beyond ~3.6e308 lifetimes overflows to -inf, and exp gives the exact 0
+    with np.errstate(over="ignore"):
+        mag = np.where(t >= 0.0, np.exp(-np.maximum(t, 0.0) / (2.0 * lifetime)), 0.0)
     return mag / math.sqrt(lifetime)
+
+
+def _check_lag(tau: float) -> None:
+    """Refuse a lag at which no sample is defined: a nan or infinite ``tau``."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
 
 
 def exponential_wave(
@@ -202,10 +221,13 @@ def mc_averaged_phase_factor(
 ) -> MonteCarloEstimate:
     """Monte-Carlo estimate of the averaged interference phase factor.
 
-    Samples 2 cos(2 pi dnu tau + dphi_i - dphi_j - gate_phase) with dnu
-    Gaussian around the pair detuning and dphi Gaussian increments of
-    variance 2 * dephasing_rate * |tau|; the closed form is
-    :func:`tpi_sim.interference.averaged_phase_factor`.
+    Samples 2 cos(2 pi dnu tau + dphi - gate_phase) with dnu Gaussian
+    around the pair detuning with the photons' summed frequency variances,
+    and dphi = dphi_i - dphi_j the relative phase over |tau|, Gaussian with
+    variance 2 (gamma_i + gamma_j) |tau|: two normals per trial (the draw
+    order is in the module doc).  The two draws stay separate, as the
+    microscopic model has them; the closed form, which sums their
+    variances, is :func:`tpi_sim.interference.averaged_phase_factor`.
     """
     jobs, finish = _phase_factor_chunks(pair, tau, trials, seed, gate_phase)
     _run_jobs(jobs)
@@ -218,10 +240,12 @@ def _phase_factor_chunks(
     """Set-up of :func:`mc_averaged_phase_factor`: one job and its ``finish``."""
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials for a meaningful estimate")
+    _check_lag(tau)
     delta_nu = pair.delta_nu
     sigma_nu = pair.sigma_total
-    spread_i = math.sqrt(2.0 * pair.emitter_i.dephasing_rate * abs(tau))
-    spread_j = math.sqrt(2.0 * pair.emitter_j.dephasing_rate * abs(tau))
+    # phi_i - phi_j over |tau| is one Wiener increment with the summed rates
+    rate = pair.emitter_i.dephasing_rate + pair.emitter_j.dephasing_rate
+    spread = math.sqrt(2.0 * rate * abs(tau))
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sums: list[float] = []
@@ -236,9 +260,15 @@ def _phase_factor_chunks(
         for c, child in enumerate(children):
             rng = np.random.default_rng(child)
             n = min(_CHUNK, trials - c * _CHUNK)
-            dnu = rng.normal(delta_nu, sigma_nu, n)
-            dphi = rng.normal(0.0, spread_i, n) - rng.normal(0.0, spread_j, n)
-            h = 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
+            # h = 2 cos(2 pi dnu tau + dphi - gate_phase), formed in place
+            h = rng.normal(delta_nu, sigma_nu, n)
+            dphi = rng.normal(0.0, spread, n)
+            h *= 2.0 * math.pi
+            h *= tau
+            h += dphi
+            h -= gate_phase
+            np.cos(h, out=h)
+            h *= 2.0
             if c == 0:
                 shift = float(h[0])
             h -= shift
@@ -342,7 +372,7 @@ def mc_g2_estimate(
 
     Each realization integrates the joint detection probability
     |ca A + cb B|^2 over t0 on a fixed composite Gauss-Legendre rule
-    (``_PANELS`` = 4 panels of 16 nodes over 40 t_plus), with
+    (``_PANELS`` = 2 panels of 16 nodes over 40 t_plus), with
     ca = U_li U_kj, cb = U_lj U_ki, A = zeta_i(t0+tau) zeta_j(t0) and
     B = zeta_j(t0+tau) zeta_i(t0).  With the envelopes Ea = |A| and
     Eb = |B| the density is, in real arithmetic,
@@ -358,7 +388,7 @@ def mc_g2_estimate(
     The path is sampled exactly at every evaluation time (quadrature nodes
     and their tau-shifted copies), so the estimate is unbiased with respect
     to the phase model: its expectation is the rule's sum of the
-    jitter-averaged density, within about 3e-15 of the closed form (see
+    jitter-averaged density, within about 7e-15 of the closed form (see
     ``_PANELS``).  The density is evaluated for a whole chunk of
     realizations at once and summed over the nodes in node order; the
     chunks run as jobs on :func:`_run_jobs`.
@@ -391,6 +421,7 @@ def _g2_chunks(
         raise ValueError("input modes and output modes must each be distinct")
     for mode in (i, j, k, l):
         gate._check_mode(mode)
+    _check_lag(tau)
     u = gate.matrix
     ca = u[l - 1, i - 1] * u[k - 1, j - 1]
     cb = u[l - 1, j - 1] * u[k - 1, i - 1]

@@ -78,6 +78,17 @@ most 128 times instead of 384 and draws at most 129 normals instead of
 of the correlation-trace row, 1.4215613166635597 -> 1.7358139423014292; no
 other hash moved.
 
+The two ``verify`` hashes were re-pinned when both Monte-Carlo samplers
+began to draw fewer normals.  The phase-factor sampler draws the relative
+phase phi_i - phi_j as one normal per trial, with the dephasing rates
+summed, after the frequency normals of its 4096-trial chunk (2 normals per
+trial instead of 3), and the correlation trace went from 4 to 2
+Gauss-Legendre panels over t0, so a realization draws at most 65 normals
+instead of 129.  Both are new random streams.  The two moved cells are the
+worst z of the correlation-trace row, 1.7358139423014292 ->
+1.8370357840694882, and of the phase-factor row, 1.5795750789156304 ->
+1.7176544112143401; no other hash moved.
+
 ``test_stdout_bytes_equal_the_file_bytes`` holds the writer to these pins
 on its other routes: a subprocess's stdout, which gets the bytes on its
 binary buffer, and a text-only ``io.StringIO`` under ``redirect_stdout``.
@@ -145,8 +156,8 @@ VERIFY_CONFIG = {
 }
 
 VERIFY_GOLDEN = {
-    "csv": "6afec75844a31b1ddee66130a9ba38c601bbc58a68749f53c8a0a13665dda007",
-    "json": "d21fe6b8b1132a1668e4489d53236aa0d00142d01480b83aa4f15d8161f29028",
+    "csv": "245a58eac19d645184c1c4f9acc64f0d6b5148bdbc174b1a80f9254937c9bd45",
+    "json": "3bfec1537f350cc406b5fc744d68523e98c662f23388faf517a6119f575a3daf",
 }
 
 

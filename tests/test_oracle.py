@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -129,6 +130,23 @@ def per_photon_mc_g2(gate, i, j, k, l, pair, tau, realizations, seed):
     )
 
 
+def per_photon_phase_factor(pair, tau, trials, seed, gate_phase):
+    """The per-photon phase-factor sampler: per 4096-trial chunk, the
+    frequency normals, then each photon's phase increment over |tau| as a
+    normal of its own, three normals per trial."""
+    spread_i = math.sqrt(2.0 * pair.emitter_i.dephasing_rate * abs(tau))
+    spread_j = math.sqrt(2.0 * pair.emitter_j.dephasing_rate * abs(tau))
+    samples = []
+    for c, child in enumerate(np.random.SeedSequence(seed).spawn((trials + 4095) // 4096)):
+        rng = np.random.default_rng(child)
+        n = min(4096, trials - c * 4096)
+        dnu = rng.normal(pair.delta_nu, pair.sigma_total, n)
+        dphi = rng.normal(0.0, spread_i, n) - rng.normal(0.0, spread_j, n)
+        samples.append(2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase))
+    h = np.concatenate(samples)
+    return MonteCarloEstimate(float(np.mean(h)), float(np.std(h, ddof=1) / math.sqrt(trials)))
+
+
 def random_gate(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -152,6 +170,11 @@ class TestExponentialWave:
         zeta = exponential_wave(1e-9, 0.0, times, values)
         expected = math.exp(-0.5) * complex(math.cos(0.5), -math.sin(0.5)) / math.sqrt(1e-9)
         assert complex(zeta(1e-9)) == pytest.approx(expected, rel=1e-12)
+
+    def test_envelope_at_a_huge_time_is_the_exact_zero(self):
+        # -t / (2 lifetime) overflows to -inf beyond ~3.6e308 lifetimes
+        env = _envelope(0.7e-9, np.array([1e300, -1e300, 0.0]))
+        assert env.tolist() == [0.0, 0.0, 1.0 / math.sqrt(0.7e-9)]
 
     @pytest.mark.parametrize("lifetime", [0.0, -0.0, -1e-9])
     def test_lifetime_must_be_positive(self, lifetime):
@@ -194,6 +217,33 @@ class TestMcAveragedPhaseFactor:
     def test_rejects_too_few_trials(self):
         with pytest.raises(ValueError):
             mc_averaged_phase_factor(QD_PAIR, 0.1e-9, trials=100, seed=0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_lag(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            mc_averaged_phase_factor(QD_PAIR, tau, trials=10_000, seed=0)
+
+    def test_relative_and_per_photon_samplers_agree(self):
+        # a detuned, jittered pair, 200,000 trials of each sampler from
+        # independent streams: both match the closed form and each other
+        # within 3 standard errors, and their per-trial spreads agree;
+        # dropping photon j's dephasing would move the closed form by more
+        # than 10 standard errors at both lags
+        pair = detuned(QD_PAIR, 1.2e9)
+        no_j_dephasing = PhotonPair(
+            pair.emitter_i, dataclasses.replace(pair.emitter_j, dephasing_rate=0.0)
+        )
+        for tau, phase in ((-0.3e-9, 0.7), (0.15e-9, 2.1)):
+            relative = mc_averaged_phase_factor(pair, tau, 200_000, seed=0, gate_phase=phase)
+            per_photon = per_photon_phase_factor(pair, tau, 200_000, seed=1, gate_phase=phase)
+            closed = averaged_phase_factor(pair, tau, phase)
+            shifted = averaged_phase_factor(no_j_dephasing, tau, phase)
+            assert abs(shifted - closed) > 10.0 * relative.stderr
+            for est in (relative, per_photon):
+                assert abs(est.value - closed) <= 3.0 * est.stderr
+            spread = math.hypot(relative.stderr, per_photon.stderr)
+            assert abs(relative.value - per_photon.value) <= 3.0 * spread
+            assert relative.stderr == pytest.approx(per_photon.stderr, rel=0.05)
 
 
 class TestQuadratureCoincidence:
@@ -436,6 +486,19 @@ class TestMcG2:
         b = mc_g2_estimate(HOM, 1, 2, 1, 2, QD_PAIR, 0.1e-9, realizations=200, seed=8)
         assert a == b
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_lag(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            mc_g2_estimate(HOM, 1, 2, 1, 2, QD_PAIR, tau, realizations=2)
+
+    @pytest.mark.parametrize("tau", [1e300, -1e300])
+    def test_huge_lag_gives_the_exact_zero(self, tau):
+        # no node sees both packets, so every term is exactly 0; the
+        # envelopes' exponents overflow to -inf on the way, without a warning
+        pair = PhotonPair(EmitterParams(700e-12), EmitterParams(650e-12))
+        est = mc_g2_estimate(HOM, 1, 2, 1, 2, pair, tau, realizations=20, seed=1)
+        assert est == MonteCarloEstimate(0.0, 0.0)
+
 
 class TestThreadedChunks:
     """Chunks own their random streams and outputs, so neither the number of
@@ -577,16 +640,18 @@ def reference_report(seed, closed_form_instances, mc_instances, mc_realizations,
 
 
 def legacy_phase_factor(pair, tau, trials, seed, gate_phase):
-    """The phase-factor sampler as a serial loop over its 4096-trial chunks."""
-    spread_i = math.sqrt(2.0 * pair.emitter_i.dephasing_rate * abs(tau))
-    spread_j = math.sqrt(2.0 * pair.emitter_j.dephasing_rate * abs(tau))
+    """The phase-factor sampler as a serial loop over its 4096-trial chunks:
+    per chunk, the frequency normals, then one normal per trial for the
+    relative phase phi_i - phi_j, whose variance sums the photons'."""
+    rate = pair.emitter_i.dephasing_rate + pair.emitter_j.dephasing_rate
+    spread = math.sqrt(2.0 * rate * abs(tau))
     children = np.random.SeedSequence(seed).spawn((trials + 4095) // 4096)
     total = total_sq = 0.0
     for c, child in enumerate(children):
         rng = np.random.default_rng(child)
         n = min(4096, trials - c * 4096)
         dnu = rng.normal(pair.delta_nu, pair.sigma_total, n)
-        dphi = rng.normal(0.0, spread_i, n) - rng.normal(0.0, spread_j, n)
+        dphi = rng.normal(0.0, spread, n)
         h = 2.0 * np.cos(2.0 * math.pi * dnu * tau + dphi - gate_phase)
         if c == 0:
             shift = float(h[0])

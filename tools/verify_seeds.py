@@ -16,9 +16,11 @@ stdout,
 
 with each failing check of that seed after the first joined by `` | ``.
 For a Monte-Carlo check the observed value is the worst z.  A last line
-counts the failing seeds and the count expected from chance alone,
+counts the failing seeds and the count expected from chance alone, in all
+and for each Monte-Carlo row, so a drift in one sampler stands out from
+chance,
 
-    7 of 200 seeds failed (0-199); chance alone: 6.9
+    7 of 200 seeds failed (0-199); chance alone: 6.9; correlation trace 3, chance 2.7; averaged phase factor 4, chance 4.3
 
 The exit status is 1 if any seed failed, else 0.  Sizes below those the
 CLI's ``verify`` accepts (an instance count below 1, fewer than 2
@@ -29,7 +31,9 @@ The 3-sigma checks fail by chance: with m independent comparisons, a seed
 fails one with probability 1 - (1 - 2 Phi(-3))^m (1.3% for the five lags
 of one correlation-trace instance, 2.1% for the eight phase-factor cases).
 Over n seeds, chance alone gives n (1 - (1 - erfc(3 / sqrt 2))^m) failing
-seeds, with m = 5 mc_instances + 8 (3.5% of seeds at the default sizes).
+seeds, with m = 5 mc_instances + 8 (3.5% of seeds at the default sizes);
+for the correlation-trace row alone m = 5 mc_instances, for the
+phase-factor row m = 8.
 """
 
 from __future__ import annotations
@@ -49,12 +53,20 @@ def failing_line(seed: int, checks) -> str | None:
     return f"seed {seed}: " + " | ".join(failed) if failed else None
 
 
-def chance_failures(seeds: int, mc_instances: int) -> float:
-    """Failing seeds expected from chance alone among ``seeds`` seeds: each
-    has the oracle's ``_LAG_MULTIPLES`` lags per Monte-Carlo instance and
-    its ``_PHASE_CASES`` phase-factor cases, each outside 3 sigma with
-    probability erfc(3 / sqrt 2)."""
-    comparisons = len(_LAG_MULTIPLES) * mc_instances + _PHASE_CASES
+def row_comparisons(mc_instances: int) -> dict[str, int]:
+    """The 3-sigma comparisons per seed of each Monte-Carlo row, keyed by the
+    start of its check name: the oracle's ``_LAG_MULTIPLES`` lags per
+    Monte-Carlo instance, and its ``_PHASE_CASES`` phase-factor cases."""
+    return {
+        "correlation trace": len(_LAG_MULTIPLES) * mc_instances,
+        "averaged phase factor": _PHASE_CASES,
+    }
+
+
+def chance_failures(seeds: int, comparisons: int) -> float:
+    """Failing seeds expected from chance alone among ``seeds`` seeds with
+    ``comparisons`` comparisons each, each outside 3 sigma with probability
+    erfc(3 / sqrt 2)."""
     return seeds * (1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** comparisons)
 
 
@@ -73,7 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, key) < least:
             parser.error(f"--{key.replace('_', '-')} must be at least {least}")
     seeds = range(args.first, args.last + 1)
+    rows = row_comparisons(args.mc_instances)
     failures = 0
+    row_failures = dict.fromkeys(rows, 0)
     for seed in seeds:
         report = run_verification(
             seed=seed,
@@ -86,9 +100,17 @@ def main(argv: list[str] | None = None) -> int:
         if line is not None:
             failures += 1
             print(line, flush=True)
-    expected = chance_failures(len(seeds), args.mc_instances)
+        for row in rows:
+            row_failures[row] += any(
+                c.name.startswith(row) and not c.passed for c in report.checks
+            )
+    expected = chance_failures(len(seeds), sum(rows.values()))
+    per_row = "".join(
+        f"; {row} {row_failures[row]}, chance {chance_failures(len(seeds), m):.2g}"
+        for row, m in rows.items()
+    )
     print(f"{failures} of {len(seeds)} seeds failed ({args.first}-{args.last}); "
-          f"chance alone: {expected:.2g}")
+          f"chance alone: {expected:.2g}{per_row}")
     return 1 if failures else 0
 
 
