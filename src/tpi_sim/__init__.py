@@ -48,7 +48,7 @@ from .bell import (
     emitter_assessment,
     fidelity_map,
 )
-from .numerics import faddeeva_w, integrate, voigt_fwhm
+from .numerics import faddeeva_w, voigt_fwhm
 
 __version__ = "0.1.0"
 

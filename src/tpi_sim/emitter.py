@@ -242,13 +242,16 @@ def _voigt_splits(
         return np.zeros(1), np.zeros(1)
 
     rate_max = math.pi * total_fwhm - 0.5 / lifetime
-    (gauss_max,) = _voigt_width(total_fwhm, fourier_fwhm, None, "gaussian").tolist()
 
     def rates_at(fwhms: np.ndarray) -> np.ndarray:
         lor = _voigt_width(total_fwhm, None, fwhms, "lorentzian")
         return np.maximum(math.pi * lor - 0.5 / lifetime, 0.0)
 
-    return _split_curve(rate_max, gauss_max, n_points, rates_at)
+    try:
+        (gauss_max,) = _voigt_width(total_fwhm, fourier_fwhm, None, "gaussian").tolist()
+        return _split_curve(rate_max, gauss_max, n_points, rates_at)
+    except ValueError as error:
+        raise ValueError(f"total_fwhm {total_fwhm!r} defeats the Voigt solver: {error}") from None
 
 
 def _split_curve(

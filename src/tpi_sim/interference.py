@@ -363,8 +363,10 @@ def tuning_curve(
     p_coinc = 1/4 + 1/4 - V/2 from the exact terms of a balanced splitter,
     against p_coinc_classical = 1/2 throughout.  Weights outside
     [-1e-9, 1 + 1e-9] raise instead of being clamped; rounding-level
-    excursions inside that window are snapped onto [0, 1].
+    excursions inside that window are snapped onto [0, 1]; a nan or inf detuning raises.
     """
+    if not np.isfinite(delta_nu_grid).all():
+        raise ValueError("delta_nu_grid must be finite")
     weights = overlap_weight(pair.gamma_total, pair.sigma_total, delta_nu_grid, pair.lifetime_sum)
     if not np.all((weights >= -1e-9) & (weights <= 1.0 + 1e-9)):
         raise ValueError(f"computed visibility outside [0, 1]: {weights!r}")

@@ -1,4 +1,4 @@
-"""Special-function and quadrature kernels shared by the whole package.
+"""Special-function kernels of the closed forms; the oracle keeps its own quadrature.
 
 A Voigt profile's FWHM and its component FWHMs are tied by one half-maximum
 condition, which one solver, :func:`_voigt_width`, solves for any of the three.
@@ -12,17 +12,14 @@ factors of 2*pi appear explicitly where a formula needs them.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "QuadratureError",
     "faddeeva_w",
     "voigt_fwhm",
-    "integrate",
 ]
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -53,10 +50,9 @@ _BLOCK = 4096
 # Relative tolerance of the Newton solves of _voigt_width, for a Voigt FWHM
 # (voigt_fwhm) or a component FWHM (the Voigt splits of emitter).
 VOIGT_FWHM_RTOL = 1e-13
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive integration failed to reach the requested tolerance."""
+# _newton's step cap.  A converging solve takes at most about 90 steps on widths
+# of 1e-300 to 1e300; one that reaches the cap cycles (a subnormal root: rtol x = 0).
+_MAX_STEPS = 5000
 
 
 def faddeeva_w(z: complex | np.ndarray) -> complex | np.ndarray:
@@ -297,9 +293,9 @@ def voigt_fwhm(
         raise ValueError("component widths must be nonnegative")
     if np.any((lor == 0.0) & (gauss == 0.0)):
         raise ValueError("Voigt FWHM undefined for two zero-width components")
-    # With one width zero the FWHM is the other one, which lor + gauss is.
+    # With one width zero or infinite, the FWHM is lor + gauss.
     out = np.array(lor + gauss)
-    mixed = (lor != 0.0) & (gauss != 0.0)
+    mixed = (lor != 0.0) & (gauss != 0.0) & (out < math.inf)
     out[mixed] = _voigt_width(None, lor[mixed], gauss[mixed], "total")
     return float(out) if out.ndim == 0 else out
 
@@ -323,16 +319,18 @@ def _voigt_width(total, lor, gauss, unknown: str) -> np.ndarray:
     known = dict(zip(known, np.broadcast_arrays(*map(np.atleast_1d, known.values()))))
     f, l, g = map(known.get, ("total", "lorentzian", "gaussian"))
     bound = l + g if unknown == "total" else f
-    if unknown == "total":
-        start = 0.5346 * l + np.sqrt(0.2166 * l * l + g * g)
-    elif unknown == "lorentzian":  # 0.0692 L^2 - 1.0692 F L + F^2 - G^2 = 0, smaller root
-        b = 1.0692 * f
-        c = (f - g) * (f + g)
-        start = 2.0 * c / (b + np.sqrt(b * b - 4.0 * 0.06919716 * c))
-    else:
-        d = f - 0.5346 * l
-        start = np.sqrt(np.maximum(d * d - 0.2166 * (l * l), 0.0))
-    start = np.clip(start, 1e-3 * bound, 2.0 * bound)
+    # squares overflow above about 1.3e154, and _newton refuses what follows
+    with np.errstate(over="ignore", invalid="ignore"):
+        if unknown == "total":
+            start = 0.5346 * l + np.sqrt(0.2166 * l * l + g * g)
+        elif unknown == "lorentzian":  # 0.0692 L^2 - 1.0692 F L + F^2 - G^2 = 0, smaller root
+            b = 1.0692 * f
+            c = (f - g) * (f + g)
+            start = 2.0 * c / (b + np.sqrt(b * b - 4.0 * 0.06919716 * c))
+        else:
+            d = f - 0.5346 * l
+            start = np.sqrt(np.maximum(d * d - 0.2166 * (l * l), 0.0))
+        start = np.clip(start, 1e-3 * bound, 2.0 * bound)
 
     def residual(x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         at = {name: v[live] for name, v in known.items()} | {unknown: x}
@@ -379,15 +377,21 @@ def _newton(residual: Callable, x: np.ndarray, hi: np.ndarray, rtol: float) -> n
     its Newton step is at most ``rtol`` times the point (the step is then
     taken) or its bracket at most ``rtol * hi``.  The state is held for the
     live elements only and compacted when some freeze.  Each element follows
-    its own iterates, so array and scalar solves agree bit for bit.
+    its own iterates, so array and scalar solves agree bit for bit.  A point
+    or residual that is not finite, which no freeze test stops, and step
+    ``_MAX_STEPS`` raise ``ValueError``.
     """
     out = x.copy()
     live = np.arange(x.size)
     lo = np.zeros_like(x)
     last = hi  # the step before: the bracket, to begin with
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live.size:
+        for _ in range(_MAX_STEPS):
+            if not live.size:
+                return out
             f, slope = residual(x, live)
+            if not (np.isfinite(x).all() and np.isfinite(f).all()):
+                raise ValueError("Newton point or residual is not finite")
             below = f < 0.0
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
@@ -405,137 +409,4 @@ def _newton(residual: Callable, x: np.ndarray, hi: np.ndarray, rtol: float) -> n
                 out[live[done]] = x[done]
                 keep = ~done
                 live, x, lo, hi, last = live[keep], x[keep], lo[keep], hi[keep], last[keep]
-    return out
-
-
-# 15-point Kronrod nodes on [-1, 1] and the matching 7-point Gauss weights.
-_XK = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-_WK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-# Gauss-7 weights sit on the odd Kronrod nodes.
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-# integrate gives up once it has refined the range into this many intervals.
-_MAX_INTERVALS = 4000
-
-
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 estimate and |K15 - G7| error indicator for one interval."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _XK
-    y = np.asarray(f(x), dtype=float)
-    k15 = half * float(np.dot(_WK, y))
-    g7 = half * float(np.dot(_WG, y[1::2]))
-    return k15, abs(k15 - g7)
-
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-) -> float:
-    """Adaptive Gauss-Kronrod integral of ``f`` over the finite range [a, b].
-
-    The integrand must accept numpy arrays.  Refinement bisects the
-    interval with the largest |K15 - G7| discrepancy until the summed
-    error indicator drops below ``tol`` (absolute).  The outermost nodes
-    sit at +-0.99146 of a panel's half-width, so a jump or spike between
-    them and the panel's ends is invisible to its estimate and its error
-    indicator: put such a feature at a bound.
-
-    Raises
-    ------
-    ValueError
-        If a bound is infinite or nan, or ``tol`` is not positive.
-    QuadratureError
-        If 4000 intervals (``_MAX_INTERVALS``) do not reach ``tol``, or at
-        once if the error indicator is nan, as where the integrand gives nan.
-    """
-    if not tol > 0.0:  # also refuses nan
-        raise ValueError("tol must be positive")
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-
-    # Seed with several panels so narrow features near one end are not
-    # masked by one coarse estimate; Python float ends keep every sum a float.
-    edges = np.linspace(a, b, 9).tolist()
-    heap: list[tuple[float, int, float, float, float]] = []
-    count = 0
-    total = 0.0
-    err_total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
-        heapq.heappush(heap, (-err, count, lo, hi, val))
-        count += 1
-        total += val
-        err_total += err
-
-    while not err_total <= tol:  # a nan error fails every comparison
-        if math.isnan(err_total):
-            raise QuadratureError(
-                f"integrand gave nan: error indicator nan after {count} intervals"
-            )
-        if count >= _MAX_INTERVALS:
-            raise QuadratureError(
-                f"integral did not converge: error {err_total:.3e} > tol {tol:.3e} "
-                f"after {count} intervals"
-            )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        err_total += neg_err  # neg_err is -err
-        total -= val
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            v, e = _panel(f, *seg)
-            heapq.heappush(heap, (-e, count, seg[0], seg[1], v))
-            count += 1
-            total += v
-            err_total += e
-    return sign * total
+    raise ValueError(f"Newton solve did not stop in {_MAX_STEPS} steps")

@@ -1,12 +1,15 @@
 """Brute-force verification of the closed-form interference results.
 
-Independent routes re-derive what the analytic module computes:
+Independent routes re-derive what the analytic module computes, without
+its Faddeeva and Voigt kernels (``tests/test_oracle.py`` lists the role of
+each name imported from the package):
 
 * Monte-Carlo sampling of the microscopic jitter model (Gaussian frequency
   jitter per photon, Wiener phase noise with increment variance
   2 * dephasing_rate * dt, drawn as the relative frequency and phase of
   the pair) feeding the pre-average joint detection probability,
-* direct adaptive quadrature of the correlation trace over the time lag, and
+* direct adaptive quadrature (:func:`integrate`) of the correlation trace
+  over the time lag, and
 * adaptive quadrature over t0 of the joint density of two wave packets
   (:func:`quadrature_g2`), which checks each packet's ``time_scale`` and
   norm once per call.
@@ -48,6 +51,7 @@ normals, then its n phase normals.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -57,7 +61,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import numerics
 from .emitter import EmitterParams, PhotonPair
 from .gates import GateMatrix, beam_splitter, gate_quad
 from .interference import (
@@ -250,6 +253,7 @@ def _phase_factor_chunks(
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sums: list[float] = []
 
+    @np.errstate(over="ignore", invalid="ignore")  # finish refuses the nan of a huge phase
     def job() -> None:
         # the chunks are short numpy calls, too short to gain from threads of
         # their own, so they run in order in one job; their sums accumulate in
@@ -278,6 +282,8 @@ def _phase_factor_chunks(
 
     def finish() -> MonteCarloEstimate:
         shift, total, total_sq = sums
+        if not math.isfinite(total):
+            raise ValueError(f"tau {tau!r} is too large: the sampled phase leaves the float range")
         mean_shifted = total / trials
         var = max(total_sq - trials * mean_shifted * mean_shifted, 0.0) / (trials - 1)
         return MonteCarloEstimate(value=shift + mean_shifted, stderr=math.sqrt(var / trials))
@@ -285,9 +291,146 @@ def _phase_factor_chunks(
     return [job], finish
 
 
+class QuadratureError(RuntimeError):
+    """Adaptive integration failed to reach the requested tolerance."""
+
+
+# 15-point Kronrod nodes on [-1, 1] and the matching 7-point Gauss weights.
+_XK = np.array([
+    -0.991455371120812639206854697526329,
+    -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926,
+    -0.741531185599394439863864773280788,
+    -0.586087235467691130294144838258730,
+    -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245,
+    0.0,
+    0.207784955007898467600689403773245,
+    0.405845151377397166906606412076961,
+    0.586087235467691130294144838258730,
+    0.741531185599394439863864773280788,
+    0.864864423359769072789712788640926,
+    0.949107912342758524526189684047851,
+    0.991455371120812639206854697526329,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649,
+    0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550,
+    0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518,
+    0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970,
+])
+# Gauss-7 weights sit on the odd Kronrod nodes.
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975,
+    0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082,
+])
+# integrate gives up once it has refined the range into this many intervals.
+_MAX_INTERVALS = 4000
+
+
+def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
+    """Kronrod-15 estimate and |K15 - G7| error indicator for one interval."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = mid + half * _XK
+    y = np.asarray(f(x), dtype=float)
+    k15 = half * float(np.dot(_WK, y))
+    g7 = half * float(np.dot(_WG, y[1::2]))
+    return k15, abs(k15 - g7)
+
+
+def integrate(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+) -> float:
+    """Adaptive Gauss-Kronrod integral of ``f`` over the finite range [a, b].
+
+    The integrand must accept numpy arrays.  Refinement bisects the
+    interval with the largest |K15 - G7| discrepancy until the summed
+    error indicator drops below ``tol`` (absolute).  The outermost nodes
+    sit at +-0.99146 of a panel's half-width, so a jump or spike between
+    them and the panel's ends is invisible to its estimate and its error
+    indicator: put such a feature at a bound.
+
+    Raises
+    ------
+    ValueError
+        If a bound is infinite or nan, or ``tol`` is not positive.
+    QuadratureError
+        If 4000 intervals (``_MAX_INTERVALS``) do not reach ``tol``, or at
+        once if the error indicator is nan, as where the integrand gives nan.
+    """
+    if not tol > 0.0:  # also refuses nan
+        raise ValueError("tol must be positive")
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
+    if a == b:
+        return 0.0
+    sign = 1.0
+    if a > b:
+        a, b = b, a
+        sign = -1.0
+
+    # Seed with several panels so narrow features near one end are not
+    # masked by one coarse estimate; Python float ends keep every sum a float.
+    edges = np.linspace(a, b, 9).tolist()
+    heap: list[tuple[float, int, float, float, float]] = []
+    count = 0
+    total = 0.0
+    err_total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = _panel(f, lo, hi)
+        heapq.heappush(heap, (-err, count, lo, hi, val))
+        count += 1
+        total += val
+        err_total += err
+
+    while not err_total <= tol:  # a nan error fails every comparison
+        if math.isnan(err_total):
+            raise QuadratureError(
+                f"integrand gave nan: error indicator nan after {count} intervals"
+            )
+        if count >= _MAX_INTERVALS:
+            raise QuadratureError(
+                f"integral did not converge: error {err_total:.3e} > tol {tol:.3e} "
+                f"after {count} intervals"
+            )
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        err_total += neg_err  # neg_err is -err
+        total -= val
+        mid = 0.5 * (lo + hi)
+        for seg in ((lo, mid), (mid, hi)):
+            v, e = _panel(f, *seg)
+            heapq.heappush(heap, (-e, count, seg[0], seg[1], v))
+            count += 1
+            total += v
+            err_total += e
+    return sign * total
+
+
 def _integrate_pieces(f: Callable[[np.ndarray], np.ndarray], edges, tol: float) -> float:
     """Sum of the integrals of ``f`` between consecutive ``edges``, each to ``tol``."""
-    return sum(numerics.integrate(f, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
+    return sum(integrate(f, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
 
 
 def quadrature_p_coinc(
@@ -447,10 +590,13 @@ def _g2_chunks(
     # a Wiener path with the summed dephasing rates
     delta_nu, sigma_nu = pair.delta_nu, pair.sigma_total
     rate = pair.emitter_i.dephasing_rate + pair.emitter_j.dephasing_rate
-    increment = np.sqrt(2.0 * rate * np.diff(times, prepend=times[0]))
+    with np.errstate(over="ignore"):  # at a huge lag, where no chunk is drawn
+        increment = np.sqrt(2.0 * rate * np.diff(times, prepend=times[0]))
 
-    values = np.empty(realizations)
-    n_chunks = (realizations + _REALIZATION_CHUNK - 1) // _REALIZATION_CHUNK
+    # the node sum of the direct terms is every realization's value where no
+    # node sees both packets (a huge lag, or ca cb* = 0), and no chunk is drawn
+    values = np.full(realizations, np.cumsum(direct)[-1])
+    n_chunks = (realizations + _REALIZATION_CHUNK - 1) // _REALIZATION_CHUNK if beat.any() else 0
     children = np.random.SeedSequence(seed).spawn(n_chunks)
 
     def evaluate_chunk(c: int) -> None:

@@ -31,8 +31,7 @@ from tpi_sim.interference import (
     hom_visibility,
     visibility_map,
 )
-from tpi_sim.numerics import integrate
-from tpi_sim.oracle import run_verification
+from tpi_sim.oracle import integrate, run_verification
 
 from helpers import detuned, visibility_pd_only
 

@@ -1109,10 +1109,12 @@ def test_runtime_imports_no_numpy_ma(tmp_path):
 
 
 def test_only_verify_imports_the_oracle(tmp_path):
-    """The oracle and its thread pool are imported by verify alone."""
+    """The oracle, its thread pool and its quadrature's heap are imported by
+    verify alone."""
     others = [command for command in sorted(TINY_CONFIGS) if command != "verify"]
     modules = modules_after_tiny_runs(tmp_path, others)
     assert "tpi_sim.oracle" not in modules and "concurrent.futures" not in modules
+    assert "heapq" not in modules
     modules = modules_after_tiny_runs(tmp_path, [*others, "verify"])
     assert "tpi_sim.oracle" in modules and "concurrent.futures" in modules
 

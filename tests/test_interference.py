@@ -359,6 +359,13 @@ class TestTuningCurve:
         assert vs.tolist() == [snapped, inside]
         assert p_coinc.tolist() == [0.5 * (1.0 - snapped), 0.5 * (1.0 - inside)]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_is_refused_by_name(self, bad):
+        # the input is at fault, not a computed visibility
+        with pytest.raises(ValueError, match="delta_nu_grid must be finite"):
+            tuning_curve(QD_PAIR, [0.0, bad, 1e9])
+
 
 class TestMapPoint:
     """One point of :func:`visibility_map`, ``visibility_map([pd], [sd])[0, 0]``."""

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import importlib
@@ -25,15 +26,16 @@ from tpi_sim.interference import (
     g2_trace,
     joint_detection_probability,
 )
-from tpi_sim.numerics import QuadratureError, integrate
 from tpi_sim.oracle import (
     MonteCarloEstimate,
+    QuadratureError,
     _envelope,
     _gauss_legendre_nodes,
     _haar_unitary,
     _monte_carlo_check,
     _random_instance,
     exponential_wave,
+    integrate,
     mc_averaged_phase_factor,
     mc_g2_estimate,
     quadrature_g2,
@@ -153,6 +155,78 @@ def random_gate(rng, dim):
     return GateMatrix(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
+class TestIntegrate:
+    # The infinite ranges below are cut at 40 decay times, where the tails
+    # are below 1e-17.
+    def test_exponential_to_infinity(self):
+        assert integrate(lambda t: np.exp(-t), 0.0, 40.0, tol=1e-12) == (
+            pytest.approx(1.0, abs=1e-12)
+        )
+
+    def test_unit_gaussian(self):
+        val = integrate(
+            lambda t: np.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),
+            -40.0,
+            40.0,
+            tol=1e-12,
+        )
+        assert val == pytest.approx(1.0, abs=1e-11)
+
+    def test_polynomial_exact(self):
+        # Kronrod-15 integrates low-degree polynomials exactly
+        assert integrate(lambda x: 3 * x**2, 0.0, 2.0, tol=1e-13) == pytest.approx(8.0, abs=1e-12)
+        assert integrate(lambda x: x**9 - x, -1.0, 3.0, tol=1e-12) == pytest.approx(
+            (3.0**10 - 1.0) / 10.0 - (9.0 - 1.0) / 2.0, rel=1e-12
+        )
+
+    def test_randomized_closed_forms(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            a = rng.uniform(0.5, 3.0)
+            w = rng.uniform(0.0, 8.0)
+            # int_0^inf e^{-a t} cos(w t) dt = a / (a^2 + w^2)
+            val = integrate(
+                lambda t: np.exp(-a * t) * np.cos(w * t),
+                0.0,
+                40.0 / a,
+                tol=1e-12,
+            )
+            assert val == pytest.approx(a / (a * a + w * w), abs=1e-10)
+
+    def test_reversed_and_empty_ranges(self):
+        empty = integrate(lambda x: np.ones_like(x), 1.0, 1.0)
+        backward = integrate(lambda x: np.ones_like(x), 2.0, 0.0, tol=1e-12)
+        assert empty == 0.0
+        assert backward == pytest.approx(-2.0)
+        # a Python float, as the signature says, not a numpy scalar
+        assert type(empty) is float and type(backward) is float
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0)]
+    )
+    def test_bounds_must_be_finite(self, a, b):
+        # a nan bound would otherwise return nan without an error
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            integrate(lambda t: np.exp(-t), a, b)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # a nan tol would pass err_total > tol as False and return the seed estimate
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, tol=tol)
+
+    def test_nan_integrand_raises(self):
+        # a nan error indicator fails err_total > tol, so the loop used to
+        # stop there and return nan
+        with pytest.raises(QuadratureError, match="integrand gave nan"):
+            integrate(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_INTERVALS", 30)
+        with pytest.raises(QuadratureError):
+            integrate(lambda x: np.abs(np.sin(100.0 * x)), 0.0, 10.0, tol=1e-14)
+
+
 class TestExponentialWave:
     def test_normalized(self):
         zeta = exponential_wave(0.6e-9, frequency=3e9)
@@ -222,6 +296,17 @@ class TestMcAveragedPhaseFactor:
     def test_rejects_a_non_finite_lag(self, tau):
         with pytest.raises(ValueError, match="tau must be finite"):
             mc_averaged_phase_factor(QD_PAIR, tau, trials=10_000, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [1e300, -1e300])
+    def test_a_phase_beyond_the_float_range_is_refused(self, tau):
+        # 2 pi dnu tau overflows for a jittered or a detuned pair
+        for pair in (QD_PAIR, NO_JITTER):
+            with pytest.raises(ValueError, match="tau .* is too large"):
+                mc_averaged_phase_factor(pair, tau, trials=10_000, seed=0)
+        resonant = PhotonPair.identical(EmitterParams(1e-9))
+        est = mc_averaged_phase_factor(resonant, tau, trials=10_000, seed=0)
+        assert est == MonteCarloEstimate(-2.0, 0.0)
 
     def test_relative_and_per_photon_samplers_agree(self):
         # a detuned, jittered pair, 200,000 trials of each sampler from
@@ -498,6 +583,24 @@ class TestMcG2:
         pair = PhotonPair(EmitterParams(700e-12), EmitterParams(650e-12))
         est = mc_g2_estimate(HOM, 1, 2, 1, 2, pair, tau, realizations=20, seed=1)
         assert est == MonteCarloEstimate(0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [1e300, -1e300])
+    @pytest.mark.parametrize("pair", JITTER_PAIRS)
+    def test_huge_lag_of_a_jittered_or_detuned_pair_gives_the_exact_zero(self, pair, tau):
+        # the path's variance and 2 pi (f_i - f_j) tau overflow, but no node
+        # sees both packets, so no path is drawn
+        est = mc_g2_estimate(HOM, 1, 2, 1, 2, pair, tau, realizations=20, seed=1)
+        assert est == MonteCarloEstimate(0.0, 0.0)
+
+    def test_a_gate_without_beat_matches_the_loop(self):
+        # ca cb* = 0: every realization is the node sum of the direct terms
+        gate = GateMatrix(np.eye(2))
+        for tau in (-0.4e-9, 0.0, 0.9e-9):
+            ref_value, _ = legacy_mc_g2(gate, 1, 2, 1, 2, QD_PAIR, tau, 300, 4)
+            est = mc_g2_estimate(gate, 1, 2, 1, 2, QD_PAIR, tau, realizations=300, seed=4)
+            assert abs(est.value - ref_value) <= 1e-12 * ref_value
+            assert est.stderr <= 1e-12 * ref_value
 
 
 class TestThreadedChunks:
@@ -805,7 +908,6 @@ class TestZeroVariancePoints:
         check = _monte_carlo_check("plain", [noisy, (MonteCarloEstimate(1.0, 0.1), 1.35, 1.0)])
         assert check.name == "plain" and not check.passed
 
-
     def test_zero_true_value_held_to_the_term_scale(self):
         # identical photons at a balanced splitter cancel exactly at tau = 0:
         # both sides are rounding noise of terms near the 3.6e8 baseline
@@ -850,3 +952,103 @@ class TestHaarUnitary:
             check=True,
         )
         assert done.stdout.strip() == "False"
+
+
+# Every name oracle.py takes from the rest of the package, with its role.
+ORACLE_IMPORTS = {
+    "emitter.EmitterParams": "model type",
+    "emitter.PhotonPair": "model type",
+    "gates.GateMatrix": "gate definition",
+    "gates.beam_splitter": "gate definition",
+    "gates.gate_quad": "gate definition: its amplitude products for two photons",
+    "interference.joint_detection_probability": "the wave-packet density it integrates",
+    "interference._baseline":
+        "the G2 integrand of the coincidence row, itself checked by the Monte-Carlo row",
+    "interference._interference_term":
+        "the G2 integrand of the coincidence row, itself checked by the Monte-Carlo row",
+    "interference.averaged_phase_factor": "comparison target only",
+    "interference.coincidence_probability": "comparison target only",
+    "interference.g2_trace": "comparison target only",
+}
+# The closed-form kernels the oracle checks: importing one fails outright.
+ORACLE_DENIED = (
+    "_faddeeva",
+    "faddeeva_w",
+    "overlap_weight",
+    "interference_weight",
+    "fidelity_at_weight",
+    "_circuit",
+    "_voigt_width",
+    "_voigt_residual",
+    "_newton",
+)
+
+
+def package_imports(source: str) -> list[tuple[str, str | None]]:
+    """(module, name) of every import of a ``tpi_sim`` module in ``source``,
+    at any depth; the module is "" for the package itself, and the name is
+    None for a whole-module ``import``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(a.name.partition(".")[2], None) for a in node.names
+                      if a.name.partition(".")[0] == "tpi_sim"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "tpi_sim":
+                    continue
+                module = module.partition(".")[2]
+            found += [(module, a.name) for a in node.names]
+    return found
+
+
+def boundary_faults(source: str) -> list[str]:
+    """Each import in ``source`` that breaks the oracle's boundary: a denied
+    kernel, a whole module, or a name that ``ORACLE_IMPORTS`` does not list."""
+    faults = []
+    for module, name in package_imports(source):
+        if name in ORACLE_DENIED:
+            faults.append(f"denied kernel {module}.{name}")
+        elif not module or name is None:
+            dotted = ".".join(part for part in ("tpi_sim", module, name) if part)
+            faults.append(f"whole-module import of {dotted}")
+        elif f"{module}.{name}" not in ORACLE_IMPORTS:
+            faults.append(f"unlisted {module}.{name}")
+    return faults
+
+
+class TestKernelBoundary:
+    """The oracle never takes the closed-form kernel it verifies: every name
+    it imports from the package is listed with its role in ``ORACLE_IMPORTS``."""
+
+    SOURCE = Path(oracle.__file__).read_text()
+
+    def test_oracle_keeps_its_boundary(self):
+        assert boundary_faults(self.SOURCE) == []
+        assert "numerics" not in {module for module, _ in package_imports(self.SOURCE)}
+
+    def test_every_listed_name_is_imported(self):
+        imported = {f"{module}.{name}" for module, name in package_imports(self.SOURCE)}
+        assert sorted(set(ORACLE_IMPORTS) - imported) == []
+
+    def test_roles_are_one_line_and_no_listed_name_is_denied(self):
+        assert [name for name, role in ORACLE_IMPORTS.items() if not role or "\n" in role] == []
+        assert [name for name in ORACLE_IMPORTS if name.partition(".")[2] in ORACLE_DENIED] == []
+
+    @pytest.mark.parametrize(
+        "added, fault",
+        [
+            ("from .numerics import _faddeeva", "denied kernel numerics._faddeeva"),
+            ("from tpi_sim.bell import fidelity_at_weight",
+             "denied kernel bell.fidelity_at_weight"),
+            ("from . import interference", "whole-module import of tpi_sim.interference"),
+            ("import tpi_sim.numerics", "whole-module import of tpi_sim.numerics"),
+            ("import tpi_sim", "whole-module import of tpi_sim"),
+            ("from .interference import coincidence_at_weight",
+             "unlisted interference.coincidence_at_weight"),
+            ("def f():\n    from .numerics import voigt_fwhm", "unlisted numerics.voigt_fwhm"),
+        ],
+    )
+    def test_each_kind_of_breach_is_caught(self, added, fault):
+        assert boundary_faults(self.SOURCE + "\n" + added + "\n") == [fault]

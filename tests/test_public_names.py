@@ -71,7 +71,7 @@ LIBRARY_ENTRIES = {
     "oracle.exponential_wave":
         "the oracle's one-sided exponential packet for `oracle.quadrature_g2`",
     "oracle.quadrature_g2":
-        "the oracle's general wave-packet G2 at one lag, by `numerics.integrate`",
+        "the oracle's general wave-packet G2 at one lag, by `oracle.integrate`",
     "oracle.mc_g2_estimate":
         "the oracle's Monte-Carlo G2 at one lag: `oracle._g2_chunks`, as `verify` runs them",
     "oracle.mc_averaged_phase_factor":
@@ -226,6 +226,14 @@ def test_voigt_value_is_gone():
     """``interference.overlap_weight`` is the one Voigt-profile kernel."""
     assert not hasattr(tpi_sim, "voigt_value")
     assert not hasattr(numerics, "voigt_value")
+
+
+def test_quadrature_is_the_oracle_s():
+    """``oracle.integrate`` is the one adaptive quadrature, apart from the
+    kernels it checks; the package does not export it."""
+    assert not hasattr(tpi_sim, "integrate")
+    for name in ("integrate", "QuadratureError", "_panel", "_MAX_INTERVALS", "heapq"):
+        assert not hasattr(numerics, name)
 
 
 @pytest.mark.parametrize("name", ["draw_jitter", "JitterSample", "RngSeed"])
