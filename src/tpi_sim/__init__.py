@@ -29,10 +29,8 @@ from .gates import (
     tomography_gate,
 )
 from .interference import (
-    CorrelationTrace,
     VisibilityResult,
     coincidence_probability,
-    g2_distinguishable,
     g2_trace,
     hom_visibility,
     interference_weight,

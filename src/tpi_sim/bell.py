@@ -140,7 +140,7 @@ def bell_fidelity(pair: PhotonPair) -> FidelityResult:
         [sum(coincidence_at_weight(t, weight) for t in rails) for _, rails in terms.values()]
     ))
     return FidelityResult(
-        fidelity=_signed_sum(probs) / (2.0 * success),
+        fidelity=float(_signed_sum(probs) / (2.0 * success)),
         basis_probabilities=probs,
         success_probability=success,
     )

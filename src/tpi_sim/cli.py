@@ -545,8 +545,8 @@ def cmd_g2(cfg: dict, seed: int) -> Table:
     default_span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime) / PS
     tau_max_ps = _quantity(cfg, "tau_max_ps", "", PS, "positive", default=default_span)
     grid = np.linspace(-tau_max_ps * PS, tau_max_ps * PS, n_tau)
-    trace = g2_trace(beam_splitter(0.5), 1, 2, 1, 2, pair, grid)
-    columns = (trace.tau_grid / PS, trace.g2_values, trace.g2_distinguishable)
+    g2, g2_classical = g2_trace(beam_splitter(0.5), 1, 2, 1, 2, pair, grid)
+    columns = (grid / PS, g2, g2_classical)
     canonical = {**cfg, "n_tau": n_tau, "tau_max_ps": tau_max_ps}
     return canonical, ["tau_ps", "g2", "g2_classical"], _row_blocks(*columns), 0
 

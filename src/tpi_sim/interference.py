@@ -7,7 +7,8 @@ inputs (i, j) and being detected in coincidence at outputs (k, l):
   (the density alone; :func:`tpi_sim.oracle.quadrature_g2` checks them),
 * the ensemble-averaged cross-correlation G2(tau) for one-sided
   exponential wave packets under pure dephasing (PD) and spectral
-  diffusion (SD),
+  diffusion (SD), and its distinguishable baseline, both from
+  :func:`g2_trace` at a lag or an array of lags,
 * the closed-form overall coincidence probability, evaluated through the
   real part of the Faddeeva function,
 * Hong-Ou-Mandel visibilities, the tuning curve (visibility and
@@ -31,14 +32,12 @@ from .emitter import PhotonPair
 from .gates import GateMatrix, GateQuad, gate_quad
 
 __all__ = [
-    "CorrelationTrace",
     "VisibilityResult",
     "SIGMA_LIFETIME_THRESHOLD",
     "overlap_weight",
     "interference_weight",
     "averaged_phase_factor",
     "joint_detection_probability",
-    "g2_distinguishable",
     "g2_trace",
     "coincidence_terms",
     "coincidence_at_weight",
@@ -56,33 +55,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # avoid the 0/0 at Sigma -> 0.  The Gaussian correction scales with the
 # square of this parameter, so the switch is continuous to ~1e-11 relative.
 SIGMA_LIFETIME_THRESHOLD = 1e-6
-
-
-@dataclass(frozen=True)
-class CorrelationTrace:
-    """Sampled coincidence correlation G2(tau) plus its classical baseline."""
-
-    tau_grid: np.ndarray
-    g2_values: np.ndarray
-    g2_distinguishable: np.ndarray
-    pair: PhotonPair
-
-    def __post_init__(self) -> None:
-        tau = np.asarray(self.tau_grid, dtype=float)
-        g2 = np.asarray(self.g2_values, dtype=float)
-        g0 = np.asarray(self.g2_distinguishable, dtype=float)
-        if not (tau.shape == g2.shape == g0.shape):
-            raise ValueError("trace arrays must share one shape")
-        if np.any(np.diff(tau) <= 0.0):
-            raise ValueError("tau_grid must be strictly increasing")
-        scale = float(np.max(g0)) if g0.size else 0.0
-        if np.any(g2 < -1e-12 * scale):
-            raise ValueError("negative correlation values beyond rounding noise")
-        for arr in (tau, g2, g0):
-            arr.setflags(write=False)
-        object.__setattr__(self, "tau_grid", tau)
-        object.__setattr__(self, "g2_values", g2)
-        object.__setattr__(self, "g2_distinguishable", g0)
 
 
 @dataclass(frozen=True)
@@ -182,11 +154,15 @@ def averaged_phase_factor(pair: PhotonPair, tau: float, gate_phase: float) -> fl
           * cos(2 pi delta_nu tau - gate_phase).
 
     Only the pure-dephasing rates enter here; the radiative 1/(2 tau_r)
-    parts belong to the deterministic envelopes.
+    parts belong to the deterministic envelopes.  A nan or infinite lag
+    raises ``ValueError``, as in :func:`g2_trace`, with the same limits far
+    out in the tails.
     """
     rates = pair.emitter_i.dephasing_rate + pair.emitter_j.dephasing_rate
-    envelope, beat = _phase_factor(rates, pair.sigma_sq_total, pair.delta_nu, tau, gate_phase)
-    return float(2.0 * envelope * beat)
+    tau = _finite_lag(tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope, beat = _phase_factor(rates, pair.sigma_sq_total, pair.delta_nu, tau, gate_phase)
+    return float(_far_lag_limit(2.0 * envelope * beat, tau, rates, pair.sigma_sq_total))
 
 
 def _phase_factor(
@@ -252,20 +228,6 @@ def _baseline(
     return (p0a * term_a + p0b * term_b) / (ti + tj)
 
 
-def g2_distinguishable(
-    gate: GateMatrix,
-    i: int,
-    j: int,
-    k: int,
-    l: int,
-    pair: PhotonPair,
-    tau: float | np.ndarray,
-) -> float | np.ndarray:
-    """Classical (fully distinguishable) limit of the cross-correlation."""
-    out = _baseline(gate_quad(gate, i, j, k, l), pair, np.asarray(tau, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
 def _interference_term(
     quad: GateQuad, pair: PhotonPair, tau: np.ndarray
 ) -> np.ndarray:
@@ -282,29 +244,54 @@ def g2_trace(
     k: int,
     l: int,
     pair: PhotonPair,
-    tau_grid: Sequence[float] | np.ndarray | None = None,
-) -> CorrelationTrace:
-    """Averaged cross-correlation G2(tau) on a grid of time lags.
+    tau: float | np.ndarray,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Averaged cross-correlation G2 and its distinguishable baseline at lags ``tau``.
 
-    G2 is the distinguishable baseline plus the interference term
+    Returns ``(g2, g2_classical)``, the columns ``g2`` writes.  G2 is the
+    baseline plus the interference term
 
         2 |quad| / (tau_i + tau_j) * exp(-gamma |tau| - 2 pi^2 Sigma^2 tau^2)
-          * cos(2 pi delta_nu tau - Phi_U).
+          * cos(2 pi delta_nu tau - Phi_U),
 
-    The default grid spans +-10 max(tau_i, tau_j) with 4001 points.  The
-    magnitude of the interference term never exceeds the baseline, so the
-    sampled G2 is nonnegative (tiny negative rounding residues are clipped).
+    which never exceeds the baseline, so G2 is nonnegative (rounding residues
+    are clipped).  Both broadcast over ``tau``; a scalar lag gives two floats,
+    the bits of its element of an array call.  With k == l, G2 counts both
+    detection orders at output k: its integral over all lags is twice the
+    probability that both photons leave by output k.  A nan or infinite lag
+    raises ``ValueError``; :func:`_far_lag_limit` holds the largest finite ones.
     """
-    if tau_grid is None:
-        span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
-        tau_grid = np.linspace(-span, span, 4001)
-    tau = np.asarray(tau_grid, dtype=float)
+    tau = _finite_lag(tau)
     quad = gate_quad(gate, i, j, k, l)
     g0 = _baseline(quad, pair, tau)
-    g2 = g0 + _interference_term(quad, pair, tau)
-    return CorrelationTrace(
-        tau_grid=tau, g2_values=np.maximum(g2, 0.0), g2_distinguishable=g0, pair=pair
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = _interference_term(quad, pair, tau)
+    g2 = np.maximum(g0 + _far_lag_limit(term, tau, pair.gamma_total, pair.sigma_sq_total), 0.0)
+    return (float(g2), float(g0)) if g2.ndim == 0 else (g2, g0)
+
+
+def _finite_lag(tau: float | np.ndarray) -> np.ndarray:
+    """``tau`` as a float array; a nan or infinite lag raises ``ValueError``."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.isfinite(tau).all():
+        raise ValueError("tau must be finite")
+    return tau
+
+
+def _far_lag_limit(term, tau: np.ndarray, rate: float, sigma_sq: float):
+    """``term``, a multiple of :func:`_phase_factor` at lags ``tau`` formed
+    under ``np.errstate``, with its exact 0 far out in the tails, where tau^2
+    overflows and the beat's phase may too (cos gives nan).  A nan element is
+    0 where the envelope is 0; elsewhere no float holds the beat, and the lag
+    is refused."""
+    lost = np.isnan(term)
+    if not lost.any():
+        return term
+    with np.errstate(over="ignore"):
+        envelope, _ = _phase_factor(rate, sigma_sq, 0.0, tau[lost], 0.0)
+    if envelope.any():
+        raise ValueError("tau is too large: the beat's phase leaves the float range")
+    return np.where(lost, 0.0, term)
 
 
 def coincidence_terms(quad: GateQuad) -> tuple[float, float, float]:

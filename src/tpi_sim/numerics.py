@@ -51,7 +51,7 @@ _BLOCK = 4096
 # (voigt_fwhm) or a component FWHM (the Voigt splits of emitter).
 VOIGT_FWHM_RTOL = 1e-13
 # _newton's step cap.  A converging solve takes at most about 90 steps on widths
-# of 1e-300 to 1e300; one that reaches the cap cycles (a subnormal root: rtol x = 0).
+# of 1e-300 to 1e300, and a float bracket halves to adjacent floats in about 2,100.
 _MAX_STEPS = 5000
 
 
@@ -284,7 +284,8 @@ def voigt_fwhm(
     The widths broadcast against each other; a scalar result is returned
     as a float.  All elements are solved in lockstep by :func:`_newton`,
     each freezing on its own tolerance, so array and elementwise scalar
-    evaluation agree bit for bit.
+    evaluation agree bit for bit.  A FWHM beyond the float range raises
+    ``ValueError``.
     """
     lor, gauss = np.broadcast_arrays(
         np.asarray(lorentzian_fwhm, dtype=float), np.asarray(gaussian_fwhm, dtype=float)
@@ -293,10 +294,20 @@ def voigt_fwhm(
         raise ValueError("component widths must be nonnegative")
     if np.any((lor == 0.0) & (gauss == 0.0)):
         raise ValueError("Voigt FWHM undefined for two zero-width components")
-    # With one width zero or infinite, the FWHM is lor + gauss.
-    out = np.array(lor + gauss)
-    mixed = (lor != 0.0) & (gauss != 0.0) & (out < math.inf)
-    out[mixed] = _voigt_width(None, lor[mixed], gauss[mixed], "total")
+    # With one width zero or infinite the FWHM is lor + gauss, and below
+    # G = 1e-9 L it rounds to L (it exceeds L by about 1.08 (G / L)^2).  The
+    # rest is solved with the wider width scaled into [1/2, 1) by a power of
+    # two, which is exact, so no square or ratio in the solve overflows.
+    thin = gauss < 1e-9 * lor
+    with np.errstate(over="ignore"):
+        out = np.where(thin, lor, lor + gauss)
+    mixed = ~thin & (lor != 0.0) & (lor < math.inf) & (gauss < math.inf)
+    exponent = np.frexp(np.maximum(lor, gauss)[mixed])[1]
+    width = _voigt_width(None, *(np.ldexp(w[mixed], -exponent) for w in (lor, gauss)), "total")
+    with np.errstate(over="ignore"):
+        out[mixed] = np.ldexp(width, exponent)
+    if np.isinf(out[mixed]).any():
+        raise ValueError("lorentzian_fwhm and gaussian_fwhm give a FWHM beyond the float range")
     return float(out) if out.ndim == 0 else out
 
 
@@ -375,11 +386,12 @@ def _newton(residual: Callable, x: np.ndarray, hi: np.ndarray, rtol: float) -> n
     the Newton step if it lands inside the bracket and is at most half the
     step before it; otherwise it bisects.  An element freezes once f == 0,
     its Newton step is at most ``rtol`` times the point (the step is then
-    taken) or its bracket at most ``rtol * hi``.  The state is held for the
-    live elements only and compacted when some freeze.  Each element follows
-    its own iterates, so array and scalar solves agree bit for bit.  A point
-    or residual that is not finite, which no freeze test stops, and step
-    ``_MAX_STEPS`` raise ``ValueError``.
+    taken) or its bracket at most ``rtol * hi`` or one float step (a
+    subnormal root).  The state is held for the live elements only and
+    compacted when some freeze.  Each element follows its own iterates, so
+    array and scalar solves agree bit for bit.  A non-finite point or
+    residual, which no freeze test stops, and step ``_MAX_STEPS`` raise
+    ``ValueError``.
     """
     out = x.copy()
     live = np.arange(x.size)
@@ -403,7 +415,7 @@ def _newton(residual: Callable, x: np.ndarray, hi: np.ndarray, rtol: float) -> n
             new = np.where(take, newton, 0.5 * (lo + hi))
             last = np.abs(new - x)
             stay = f == 0.0
-            done = stay | small | (hi - lo <= rtol * hi)
+            done = stay | small | (hi - lo <= rtol * hi) | (hi <= np.nextafter(lo, math.inf))
             x = np.where(stay, x, new)
             if done.any():
                 out[live[done]] = x[done]

@@ -10,10 +10,8 @@ from tpi_sim.emitter import EmitterParams, PhotonPair
 from tpi_sim.gates import GateMatrix, beam_splitter
 from tpi_sim.interference import (
     SIGMA_LIFETIME_THRESHOLD,
-    CorrelationTrace,
     averaged_phase_factor,
     coincidence_probability,
-    g2_distinguishable,
     g2_trace,
     hom_visibility,
     interference_weight,
@@ -87,39 +85,39 @@ class TestJointDetectionProbability:
             joint_detection_probability(HOM, 1, 2, 2, 2, z, z, 0.0, 0.0)
 
 
+def default_lags(pair):
+    """The lags of ``g2``'s default grid: 4001 over +-10 times the slower lifetime."""
+    span = 10.0 * max(pair.emitter_i.lifetime, pair.emitter_j.lifetime)
+    return np.linspace(-span, span, 4001)
+
+
 class TestG2Trace:
     def test_dip_at_zero_lag(self):
-        trace = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR)
-        mid = np.argmin(np.abs(trace.tau_grid))
-        assert abs(trace.g2_values[mid]) * QD_PAIR.lifetime_sum < 1e-10
+        g2, _ = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, np.linspace(-7e-9, 7e-9, 4001))
+        assert abs(g2[2000]) * QD_PAIR.lifetime_sum < 1e-10
 
     def test_distinguishable_baseline_peak(self):
         # with the half-maximum step convention the baseline at zero lag is
         # 1/(4 tau_r) for equal lifetimes
         tau_r = 0.8e-9
         pair = fourier_pair(tau_r)
-        value = g2_distinguishable(HOM, 1, 2, 1, 2, pair, 0.0)
+        value = g2_trace(HOM, 1, 2, 1, 2, pair, 0.0)[1]
         assert value == pytest.approx(1.0 / (4.0 * tau_r), rel=1e-12)
 
     def test_quantum_beat_period(self):
         pair = detuned(QD_PAIR, 3e9)
         grid = np.linspace(-2e-9, 2e-9, 16001)
-        trace = g2_trace(HOM, 1, 2, 1, 2, pair, grid)
-        osc = trace.g2_values - trace.g2_distinguishable
-        crossings = np.where(np.diff(np.sign(osc)) != 0)[0]
-        spacings = np.diff(trace.tau_grid[crossings])
+        g2, g0 = g2_trace(HOM, 1, 2, 1, 2, pair, grid)
+        crossings = np.where(np.diff(np.sign(g2 - g0)) != 0)[0]
+        spacings = np.diff(grid[crossings])
         # zeros of cos(2 pi dnu tau - pi) are 1/(2 dnu) apart
         assert np.median(spacings) == pytest.approx(1.0 / (2.0 * 3e9), rel=0.02)
 
     def test_trace_invariants(self):
-        trace = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR)
-        assert np.all(trace.g2_values >= 0.0)
-        assert np.all(np.diff(trace.tau_grid) > 0.0)
+        g2, g0 = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, default_lags(QD_PAIR))
+        assert np.all(g2 >= 0.0)
         # interference term never overwhelms the baseline
-        assert np.all(
-            np.abs(trace.g2_values - trace.g2_distinguishable)
-            <= trace.g2_distinguishable + 1e-12 * np.max(trace.g2_distinguishable)
-        )
+        assert np.all(np.abs(g2 - g0) <= g0 + 1e-12 * np.max(g0))
 
     def test_nonnegative_for_random_gates(self):
         rng = np.random.default_rng(33)
@@ -135,21 +133,15 @@ class TestG2Trace:
                 EmitterParams(rng.uniform(0.1e-9, 2e-9), rng.uniform(0, 3e9), rng.uniform(0, 3e9),
                               detuning=rng.uniform(-3e9, 3e9)),
             )
-            trace = g2_trace(gate, i, j, k, l, pair)
-            assert np.all(trace.g2_values >= 0.0)
-
-    def test_default_grid(self):
-        trace = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR)
-        assert len(trace.tau_grid) == 4001
-        assert trace.tau_grid[0] == pytest.approx(-7e-9)
-        assert trace.tau_grid[-1] == pytest.approx(7e-9)
+            g2, _ = g2_trace(gate, i, j, k, l, pair, default_lags(pair))
+            assert np.all(g2 >= 0.0)
 
     def test_asymmetric_lifetimes_baseline(self):
         # for tau > 0 the baseline decays with the lifetime of the photon
         # detected late at output l
         pair = PhotonPair(EmitterParams(1.0e-9), EmitterParams(0.2e-9))
         tau = 0.5e-9
-        val = g2_distinguishable(HOM, 1, 2, 1, 2, pair, tau)
+        val = g2_trace(HOM, 1, 2, 1, 2, pair, tau)[1]
         expected = 0.25 * (math.exp(-tau / 1.0e-9) + math.exp(-tau / 0.2e-9)) / 1.2e-9
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -157,19 +149,46 @@ class TestG2Trace:
         # |tau| / lifetime overflows to inf here, and the baseline is exactly 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val = g2_distinguishable(HOM, 1, 2, 1, 2, QD_PAIR, [-1e300, 1e300])
+            val = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, [-1e300, 1e300])[1]
         assert np.array_equal(val, [0.0, 0.0])
 
-    def test_trace_arrays_checked(self):
-        trace = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, np.linspace(-1e-9, 1e-9, 5))
-        tau, g2, g0 = trace.tau_grid, trace.g2_values, trace.g2_distinguishable
-        with pytest.raises(ValueError, match="one shape"):
-            CorrelationTrace(tau, g2[:-1], g0, QD_PAIR)
-        with pytest.raises(ValueError, match="one shape"):
-            CorrelationTrace(tau, g2, g0[None, :], QD_PAIR)
-        for grid in (tau[::-1], np.concatenate([tau[:2], tau[1:4]])):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                CorrelationTrace(grid, g2, g0, QD_PAIR)
+    def test_scalar_lag_gives_floats_and_arrays_any_order(self):
+        lags = np.array([0.4e-9, -1e-9, 0.0, 0.4e-9])
+        g2, g0 = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, lags)
+        assert g2.shape == g0.shape == (4,)
+        for n, tau in enumerate(lags.tolist()):
+            got = g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, tau)
+            assert [type(v) for v in got] == [float, float]
+            assert got == (g2[n], g0[n])
+
+
+class TestLagDomain:
+    """``g2_trace`` and ``averaged_phase_factor`` refuse a nan or infinite lag
+    by name and give the exact 0 limit at huge finite ones, without a warning."""
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+    def test_non_finite_lag_is_refused_by_name(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            g2_trace(HOM, 1, 2, 1, 2, QD_PAIR, tau)
+        if np.ndim(tau) == 0:
+            with pytest.raises(ValueError, match="tau must be finite"):
+                averaged_phase_factor(QD_PAIR, tau, math.pi)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [1e300, -1e300, 1.7e308])
+    @pytest.mark.parametrize("pair", [QD_PAIR, detuned(QD_PAIR, 3e9)])
+    def test_huge_lag_gives_the_exact_zero(self, tau, pair):
+        assert g2_trace(HOM, 1, 2, 1, 2, pair, tau) == (0.0, 0.0)
+        assert averaged_phase_factor(pair, tau, math.pi) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_undamped_beat_beyond_the_float_range_is_refused(self):
+        # no jitter: the phase factor keeps its full size, and its phase
+        # 2 pi delta_nu tau is no float
+        pair = detuned(fourier_pair(), 1e9)
+        assert averaged_phase_factor(fourier_pair(), 1e300, math.pi) == -2.0
+        with pytest.raises(ValueError, match="tau is too large"):
+            averaged_phase_factor(pair, 1e300, math.pi)
 
 
 class TestCoincidenceProbability:

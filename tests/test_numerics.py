@@ -208,6 +208,25 @@ class TestVoigtFwhm:
     def test_infinite_width_is_infinite(self, lor, gauss):
         assert voigt_fwhm(lor, gauss) == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_ends_of_the_float_range(self):
+        # solved in units of a power of two, so neither end overflows
+        with pytest.raises(ValueError, match="lorentzian_fwhm and gaussian_fwhm"):
+            voigt_fwhm(1.7e308, 1.7e308)
+        assert voigt_fwhm(1e308, 1e308) == pytest.approx(1e308 * voigt_fwhm(1.0, 1.0), rel=1e-15)
+        assert voigt_fwhm(1.7e308, 1e300) == pytest.approx(1.7e308, rel=1e-15)
+        assert voigt_fwhm(1.0, 5e-324) == 1.0
+        assert voigt_fwhm(1e-320, 1e-320) == pytest.approx(
+            1e-320 * voigt_fwhm(1.0, 1.0), rel=1e-3  # a subnormal keeps few bits
+        )
+
+    def test_a_thin_gaussian_rounds_to_the_lorentzian(self):
+        # the FWHM exceeds L by about 1.08 (G / L)^2 relative: at G = 1e-10 L
+        # that is 1e-20, which rounds to L
+        lor = np.geomspace(1e-300, 1e300, 1001)
+        assert np.array_equal(voigt_fwhm(lor, 1e-10 * lor), lor)
+        assert voigt_fwhm(1.0, 1e-9) == pytest.approx(1.0 + 1.08e-18, rel=1e-16)
+
 
 class TestVoigtBracket:
     """``numerics._voigt_width`` solves on [0, 2 B] (B = L + G for the total
@@ -240,14 +259,13 @@ class TestNewtonStops:
     solver that loops fails the test instead of hanging it."""
 
     def counting(self, residual):
-        calls = []
-
         def counted(*args, **kwargs):
-            calls.append(None)
-            if len(calls) > numerics._MAX_STEPS + 10:
+            counted.count += 1
+            if counted.count > numerics._MAX_STEPS + 10:
                 raise RuntimeError("the solve did not stop")
             return residual(*args, **kwargs)
 
+        counted.count = 0
         return counted
 
     @pytest.mark.filterwarnings("error")
@@ -260,11 +278,22 @@ class TestNewtonStops:
             constraint.decomposition(3)
 
     @pytest.mark.filterwarnings("error")
-    def test_a_cycling_solve_stops_at_the_cap(self, monkeypatch):
-        # the root is subnormal, so rtol * x rounds to 0 and the iterates cycle
-        monkeypatch.setattr(numerics, "_voigt_residual", self.counting(numerics._voigt_residual))
-        with pytest.raises(ValueError, match="did not stop in 5000 steps"):
-            numerics._voigt_width(np.array([1e-300]), None, np.array([1e-300]), "lorentzian")
+    def test_a_subnormal_root_freezes_on_adjacent_floats(self, monkeypatch):
+        # the root is near 5e-317, where rtol * x rounds to 0: only the
+        # bracket of two adjacent floats stops the bisection
+        calls = self.counting(numerics._voigt_residual)
+        monkeypatch.setattr(numerics, "_voigt_residual", calls)
+        total, gauss = np.array([1e-300]), np.array([1e-300])
+        (lor,) = numerics._voigt_width(total, None, gauss, "lorentzian")
+        assert 0.0 < lor < 1e-310
+        assert calls.count <= 100
+        monkeypatch.undo()
+        assert voigt_fwhm(lor, 1e-300) == pytest.approx(1e-300, rel=1e-15)
+
+    def test_the_step_cap_refuses(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_STEPS", 1)
+        with pytest.raises(ValueError, match="did not stop in 1 steps"):
+            voigt_fwhm(1.0, 1.0)
 
     def test_non_finite_start_or_residual_is_refused(self):
         def residual(value):

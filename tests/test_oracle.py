@@ -381,6 +381,23 @@ class TestQuadratureCoincidence:
                 coincidence_probability(gate, i, j, k, l, pair), abs=1e-6
             )
 
+    def test_bunched_outputs_match_the_closed_form(self):
+        # both photons at output 1 of a 0.3 splitter: the trace counts the
+        # two detection orders, the probability counts the outcome once
+        gate = beam_splitter(0.3)
+        assert quadrature_p_coinc(gate, 1, 2, 1, 1, QD_PAIR) == pytest.approx(
+            coincidence_probability(gate, 1, 2, 1, 1, QD_PAIR), abs=1e-9
+        )
+
+    def test_all_output_pairs_sum_to_one(self):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            gate, i, j, _, _, pair = _random_instance(rng)
+            outputs = range(1, gate.dim + 1)
+            total = sum(quadrature_p_coinc(gate, i, j, k, l, pair)
+                        for k in outputs for l in outputs if k <= l)
+            assert abs(total - 1.0) <= 1e-8
+
 
 class TestQuadratureG2:
     def test_identical_deterministic_packets_vanish(self):
@@ -395,9 +412,8 @@ class TestQuadratureG2:
         zi = exponential_wave(tau_r)
         zj = exponential_wave(tau_r)
         for tau in (0.05e-9, 0.3e-9, -0.4e-9):
-            trace = g2_trace(HOM, 1, 2, 1, 2, pair, [tau - 1.0, tau, tau + 1.0])
             got = quadrature_g2(HOM, 1, 2, 1, 2, zi, zj, tau)
-            assert got == pytest.approx(float(trace.g2_values[1]), rel=1e-7, abs=1e-3)
+            assert got == pytest.approx(g2_trace(HOM, 1, 2, 1, 2, pair, tau)[0], rel=1e-7, abs=1e-3)
         # unequal lifetimes, then a detuned pair: the jump where both packets
         # have started must not fall inside a panel, where no node sees it
         cases = [
@@ -413,9 +429,8 @@ class TestQuadratureG2:
         ]
         for pair, zi, zj in cases:
             for tau in (-1.1e-9, -0.3e-9, 0.05e-9, 0.2e-9, 0.8e-9):
-                trace = g2_trace(HOM, 1, 2, 1, 2, pair, [tau - 1.0, tau, tau + 1.0])
                 got = quadrature_g2(HOM, 1, 2, 1, 2, zi, zj, tau)
-                assert got == pytest.approx(float(trace.g2_values[1]), rel=1e-9)
+                assert got == pytest.approx(g2_trace(HOM, 1, 2, 1, 2, pair, tau)[0], rel=1e-9)
 
     @pytest.mark.parametrize("bad_as,message", [
         # twice the amplitude of a 1 ns packet: four times its norm
@@ -457,9 +472,8 @@ class TestQuadratureG2:
         zi = exponential_wave(tau_r, frequency=2e9)
         zj = exponential_wave(tau_r, frequency=0.0)
         for tau in (0.1e-9, 0.25e-9):
-            trace = g2_trace(HOM, 1, 2, 1, 2, pair, [tau - 1.0, tau, tau + 1.0])
             got = quadrature_g2(HOM, 1, 2, 1, 2, zi, zj, tau)
-            assert got == pytest.approx(float(trace.g2_values[1]), rel=1e-7, abs=1e-3)
+            assert got == pytest.approx(g2_trace(HOM, 1, 2, 1, 2, pair, tau)[0], rel=1e-7, abs=1e-3)
 
 
 class TestMcG2:
@@ -467,8 +481,7 @@ class TestMcG2:
         pair = detuned(QD_PAIR, 3e9)
         for tau in (-0.2e-9, 0.0, 0.15e-9, 0.333e-9, 0.5e-9):
             est = mc_g2_estimate(HOM, 1, 2, 1, 2, pair, tau, realizations=1500, seed=31)
-            trace = g2_trace(HOM, 1, 2, 1, 2, pair, [tau - 1.0, tau, tau + 1.0])
-            closed = float(trace.g2_values[1])
+            closed, _ = g2_trace(HOM, 1, 2, 1, 2, pair, tau)
             assert abs(est.value - closed) <= max(3.0 * est.stderr, 1e-4 * abs(closed) + 1e-3)
 
     @pytest.mark.parametrize(
@@ -508,9 +521,8 @@ class TestMcG2:
         for tau in (-0.4e-9, 0.15e-9):
             relative = mc_g2_estimate(gate, 1, 3, 2, 1, pair, tau, realizations=20_000, seed=0)
             per_photon = per_photon_mc_g2(gate, 1, 3, 2, 1, pair, tau, 20_000, seed=1)
-            trace = g2_trace(gate, 1, 3, 2, 1, pair, [tau - 1.0, tau, tau + 1.0])
-            closed = float(trace.g2_values[1])
-            assert abs(closed - float(trace.g2_distinguishable[1])) > 10.0 * relative.stderr
+            closed, classical = g2_trace(gate, 1, 3, 2, 1, pair, tau)
+            assert abs(closed - classical) > 10.0 * relative.stderr
             for est in (relative, per_photon):
                 assert abs(est.value - closed) <= 3.0 * est.stderr
             spread = math.hypot(relative.stderr, per_photon.stderr)
@@ -547,9 +559,8 @@ class TestMcG2:
                     + abs(cb) ** 2 * env_b**2
                     + 2.0 * abs(ca * np.conj(cb)) * env_a * env_b * mean_cos
                 )
-                trace = g2_trace(gate, i, j, k, l, pair, [tau - 1.0, tau, tau + 1.0])
-                closed = float(trace.g2_values[1])
-                scale = max(abs(closed), float(trace.g2_distinguishable[1]))
+                closed, classical = g2_trace(gate, i, j, k, l, pair, tau)
+                scale = max(abs(closed), classical)
                 worst = max(worst, abs(float(weights @ density) - closed) / scale)
         assert worst <= 1e-13
 
@@ -720,8 +731,7 @@ def reference_report(seed, closed_form_instances, mc_instances, mc_realizations,
             est = mc_g2_estimate(
                 gate, i, j, k, l, pair, tau, mc_realizations, seed=int(rng.integers(2**62))
             )
-            trace = g2_trace(gate, i, j, k, l, pair, [tau - 1.0, tau, tau + 1.0])
-            results.append((est, float(trace.g2_values[1]), float(trace.g2_distinguishable[1])))
+            results.append((est, *g2_trace(gate, i, j, k, l, pair, tau)))
     phases = []
     for _ in range(8):
         pair = _random_instance(rng)[-1]
@@ -872,8 +882,7 @@ class TestZeroVariancePoints:
         for seed in range(8):
             gate, i, j, k, l, pair = _random_instance(rng)
             est = mc_g2_estimate(gate, i, j, k, l, pair, 0.0, realizations=20, seed=seed)
-            trace = g2_trace(gate, i, j, k, l, pair, [-1.0, 0.0, 1.0])
-            closed, scale = float(trace.g2_values[1]), float(trace.g2_distinguishable[1])
+            closed, scale = g2_trace(gate, i, j, k, l, pair, 0.0)
             assert est.stderr <= 1e-12 * abs(est.value)
             results.append((est, closed, scale))
         # a z from the rounding-noise stderr would fail the 3-sigma gate
@@ -887,8 +896,7 @@ class TestZeroVariancePoints:
     @pytest.mark.parametrize("tau", [-1e-9, 0.4e-9, 2e-9])
     def test_no_jitter_trace(self, tau):
         est = mc_g2_estimate(HOM, 1, 2, 1, 2, NO_JITTER, tau, realizations=20, seed=3)
-        trace = g2_trace(HOM, 1, 2, 1, 2, NO_JITTER, [tau - 1.0, tau, tau + 1.0])
-        closed, scale = float(trace.g2_values[1]), float(trace.g2_distinguishable[1])
+        closed, scale = g2_trace(HOM, 1, 2, 1, 2, NO_JITTER, tau)
         assert est.stderr <= 1e-12 * abs(est.value)
         check = _monte_carlo_check("trace", [(est, closed, scale)])
         assert check.passed and check.name == "trace; 1 zero-variance points to 1e-9 relative"
@@ -913,8 +921,7 @@ class TestZeroVariancePoints:
         # both sides are rounding noise of terms near the 3.6e8 baseline
         pair = PhotonPair.identical(EmitterParams(700e-12, 600e6, 1.4e9))
         est = mc_g2_estimate(HOM, 1, 2, 1, 2, pair, 0.0, realizations=20, seed=0)
-        trace = g2_trace(HOM, 1, 2, 1, 2, pair, [-1.0, 0.0, 1.0])
-        closed, scale = float(trace.g2_values[1]), float(trace.g2_distinguishable[1])
+        closed, scale = g2_trace(HOM, 1, 2, 1, 2, pair, 0.0)
         assert est.stderr == 0.0 and abs(est.value) < 1e-6 and abs(closed) < 1e-6
         assert abs(est.value - closed) > 1e-9 * abs(closed)  # a bare relative test fails
         check = _monte_carlo_check("trace", [(est, closed, scale)])

@@ -6,15 +6,18 @@ bit wherever it lies in [0, 1], with p_coinc = (1 - V) / 2, and the map is
 held to ``test_interference.erfcx_visibility``, an mpmath evaluation of the
 lifetime-free ``erfcx`` closed form, as its independent reference.  Input
 ranges are wide on purpose: lifetimes from 0.1 ps to 1 ms, rates, widths
-and detunings from 1 to 1e15 (or exactly zero).  The correlation trace's
-interference term is checked against its distinguishable baseline, and the
+and detunings from 1 to 1e15 (or exactly zero).  On random unitaries of
+dimension 2-6 and on the balanced splitter, the correlation trace's
+interference term is checked against its distinguishable baseline, the
 coincidence probabilities of all output pairs (bunched ones included)
-against probability conservation, on random unitaries of dimension 2-6 and
-on the balanced splitter.  Every split of a coherence-time or a Voigt
+against probability conservation, and ``g2_trace`` at lags out to 1e300
+must be finite, nonnegative and warning-free, a scalar lag giving the bits
+of its element of an array call.  Every split of a coherence-time or a Voigt
 ``EmitterConstraint`` must reproduce the linewidth it was solved for.
 """
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -26,6 +29,7 @@ from tpi_sim.interference import (
     _baseline,
     _interference_term,
     coincidence_probability,
+    g2_trace,
     hom_visibility,
     interference_weight,
     tuning_curve,
@@ -155,6 +159,31 @@ def test_interference_term_bounded_by_baseline(instance, pair, lags):
     tau = np.array(lags)
     baseline = _baseline(quad, pair, tau)
     assert np.all(np.abs(_interference_term(quad, pair, tau)) <= baseline * (1.0 + 1e-12))
+
+
+# lags out to the far tails, where tau^2 and the beat's phase overflow
+FAR_LAGS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), log_uniform(1e-16, 1e300)).map(lambda t: t[0] * t[1]),
+)  # s
+
+
+@given(
+    gates_and_modes(),
+    st.one_of(PAIRS, EMITTERS.map(PhotonPair.identical)),
+    st.lists(FAR_LAGS, min_size=1, max_size=8),
+)
+def test_g2_trace_at_a_lag_is_its_array_element(instance, pair, lags):
+    # finite, nonnegative and warning-free at every finite lag, and a
+    # scalar lag gives the bits of its element of one array call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g2, g0 = g2_trace(*instance, pair, np.array(lags))
+        scalar = [g2_trace(*instance, pair, tau) for tau in lags]
+    assert [(a.hex(), b.hex()) for a, b in scalar] == [
+        (a.hex(), b.hex()) for a, b in zip(g2.tolist(), g0.tolist())
+    ]
+    assert np.all(np.isfinite(g2) & np.isfinite(g0) & (g2 >= 0.0) & (g0 >= 0.0))
 
 
 @given(

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import tpi_sim
-from tpi_sim import numerics, oracle
+from tpi_sim import interference, numerics, oracle
 from tpi_sim.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -56,8 +56,6 @@ VERIFY_SIZES = {
 LIBRARY_ENTRIES = {
     "interference.hom_visibility":
         "the paper's HOM visibility of one pair: `interference.tuning_curve` at its detuning",
-    "interference.g2_distinguishable":
-        "the paper's distinguishable-photon G2 alone: `interference._baseline` of `g2_trace`",
     "bell.bell_fidelity":
         "the paper's Bell fidelity of one pair: `interference.interference_weight` "
         "through the circuit's `interference.coincidence_at_weight` terms",
@@ -241,4 +239,12 @@ def test_per_photon_sampler_is_gone(name):
     """The oracle draws only the relative jitter of a pair, in ``mc_g2_estimate``."""
     assert name not in oracle.__all__
     assert not hasattr(oracle, name)
+    assert not hasattr(tpi_sim, name)
+
+
+@pytest.mark.parametrize("name", ["CorrelationTrace", "g2_distinguishable"])
+def test_g2_trace_is_the_one_g2_entry(name):
+    """``interference.g2_trace`` returns the G2 and baseline columns itself."""
+    assert name not in interference.__all__
+    assert not hasattr(interference, name)
     assert not hasattr(tpi_sim, name)
